@@ -19,7 +19,7 @@ import math
 import numpy as np
 from scipy.signal import lfilter
 
-from .rng import RngStream
+from .rng import RngStream, StreamBlock
 from .sde import FastSlowModel, IntegrationFailure
 
 
@@ -46,23 +46,22 @@ def _linear_recurrence(a: np.ndarray, u: np.ndarray, y0: np.ndarray) -> np.ndarr
 
 
 def burst_batch(model: FastSlowModel, x: np.ndarray, y: np.ndarray,
-                streams, m_count: int, dt: float):
+                streams: StreamBlock, m_count: int, dt: float):
     """Advance one micro burst of M steps for a batch of frozen-x chains.
 
     Args:
         x, y: shape (B,) frozen slow values and initial fast states.
-        streams: B streams; chain i draws its (M,) Gaussian block from
-            streams[i], matching the single-chain burst draw convention.
+        streams: a block of B streams; chain i draws its (M,) Gaussian block
+            from stream i, matching the single-chain burst draw convention.
 
     Returns:
         (f_avg, y_end): shape (B,) Birkhoff averages over the post-update
         states and the final fast states.
     """
     sou = _require_scalar_ou(model)
-    n = x.shape[0]
-    xi = np.empty((n, m_count))
-    for i, s in enumerate(streams):
-        xi[i] = s.normals(m_count)
+    xi = streams.normals(m_count)
+    if xi.shape[0] != x.shape[0]:
+        raise ValueError(f"{xi.shape[0]} streams for {x.shape[0]} chains")
     kappa = np.broadcast_to(np.asarray(sou.decay(x), dtype=float), x.shape)
     mean = np.broadcast_to(np.asarray(sou.mean(x), dtype=float), x.shape)
     a = 1.0 - kappa * dt
@@ -125,7 +124,9 @@ def _macro_advance(model, cfg, ids, x, yrep, n, base):
     """One lockstep macro step for all chains; returns updated (x, yrep)."""
     n_chains, k = yrep.shape
     xx = np.repeat(x, k)
-    streams = [base.child(int(cid), j, n) for cid in ids for j in range(k)]
+    cids, reps = np.repeat(ids, k), np.tile(np.arange(k), n_chains)
+    streams = base.children(np.column_stack(
+        [cids, reps, np.full_like(cids, n)]))
     f_avg, y_end = burst_batch(model, xx, yrep.reshape(-1), streams,
                                cfg.micro_count, cfg.micro_dt)
     x_new = x + cfg.macro_dt * f_avg.reshape(n_chains, k).mean(axis=1)
@@ -145,6 +146,12 @@ def _start_arrays(model, x0, y0, n_chains, k):
     else:
         y = np.broadcast_to(np.asarray(y0, dtype=float), (n_chains,)).copy()
     return x, np.repeat(y[:, None], k, axis=1)
+
+
+def _direct_generators(base, ids):
+    """Long-lived generators of the direct draws ``base.child(cid, -2, 0)``."""
+    return base.children(np.column_stack(
+        [ids, np.full_like(ids, -2), np.zeros_like(ids)])).generators()
 
 
 def scheme_samples(model: FastSlowModel, scheme: str, cfg, x0, y0,
@@ -187,7 +194,7 @@ def direct_samples(model: FastSlowModel, cfg, x0, y0, t_chain: float, ids,
         record_dt = cfg.macro_dt
     stride = max(1, round(record_dt / h))
     n_rec = math.ceil(t_chain / (stride * h))
-    gens = [base.child(int(cid), -2, 0).generator for cid in ids]
+    gens = _direct_generators(base, ids)
     x, yrep = _start_arrays(model, x0, y0, n_chains, 1)
     y = yrep[:, 0]
     rec = np.empty((n_rec + 1, n_chains))
@@ -195,8 +202,8 @@ def direct_samples(model: FastSlowModel, cfg, x0, y0, t_chain: float, ids,
     s_amp = sou.sigma * math.sqrt(cfg.micro_dt)
     for r in range(n_rec):
         xi = np.empty((n_chains, stride))
-        for i, g in enumerate(gens):
-            xi[i] = g.standard_normal(stride)
+        for row, g in zip(xi, gens):
+            g.standard_normal(out=row)
         for m in range(stride):
             f_val = sou.f(x, y)
             y = y + cfg.micro_dt * sou.decay(x) * (sou.mean(x) - y) + s_amp * xi[:, m]
@@ -255,7 +262,9 @@ def _equilibrate_fast(model, cfg, x, ids, base, equil_fast_time, k):
     m_eq = max(1, round(equil_fast_time / cfg.micro_dt))
     xx = np.repeat(x, k)
     y0 = np.asarray(np.broadcast_to(sou.mean(xx), xx.shape), dtype=float).copy()
-    streams = [base.child(int(cid), -1, j) for cid in ids for j in range(k)]
+    cids, reps = np.repeat(ids, k), np.tile(np.arange(k), len(ids))
+    streams = base.children(np.column_stack(
+        [cids, np.full_like(cids, -1), reps]))
     _, y_end = burst_batch(model, xx, y0, streams, m_eq, cfg.micro_dt)
     return y_end.reshape(len(ids), k)
 
@@ -288,7 +297,7 @@ def first_passage_block(model: FastSlowModel, scheme: str, cfg, basin,
     if scheme == "direct":
         yrep = _equilibrate_fast(model, cfg, x, ids, base, equil_fast_time, 1)
         y = yrep[:, 0]
-        gens = [base.child(int(cid), -2, 0).generator for cid in ids]
+        gens = _direct_generators(base, ids)
         h = cfg.eps * cfg.micro_dt
         n_cap = math.ceil(t_cap / h)
         s_amp = sou.sigma * math.sqrt(cfg.micro_dt)
@@ -297,8 +306,8 @@ def first_passage_block(model: FastSlowModel, scheme: str, cfg, basin,
         while pos.size and step < n_cap:
             todo = min(chunk, n_cap - step)
             xi = np.empty((pos.size, todo))
-            for i, g in enumerate(gens):
-                xi[i] = g.standard_normal(todo)
+            for row, g in zip(xi, gens):
+                g.standard_normal(out=row)
             # chains that cross keep integrating until the chunk ends; the
             # first-crossing time is latched and the rest is discarded
             hit = np.zeros(pos.size, dtype=bool)

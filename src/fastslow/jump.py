@@ -11,6 +11,11 @@ the i-th SSA event consumes the i-th value of the stream's exponential
 substream ``stream.child(0)`` and of its uniform substream ``stream.child(1)``;
 a tau-leap interval consumes one ``poisson(lam_vector)`` call from the
 stream's main generator.
+
+An SSA event with uniform u fires the first channel whose cumulative rate
+exceeds u times the last cumulative rate, so a zero-rate channel never fires
+and the choice does not depend on how the rate total is summed; the waiting
+time uses ``rates.sum()``.
 """
 
 from __future__ import annotations
@@ -160,8 +165,9 @@ def ssa_run(model: JumpModel, x0, T: float, stream: RngStream,
         cursor += 1
         if t_next > T:
             break
-        k = int(np.searchsorted(np.cumsum(rates), u * total, side="left"))
-        k = min(k, len(rates) - 1)
+        cum = np.cumsum(rates)
+        k = min(int(np.searchsorted(cum, u * cum[-1], side="right")),
+                len(rates) - 1)
         counts[k] += 1
         x = x0_arr + model.eps * (counts @ nu)
         t = t_next
@@ -227,15 +233,13 @@ def ssa_final_states(model: JumpModel, x0, T: float, ids,
     t = np.zeros(n)
     final = np.empty_like(x)
     pos = np.arange(n)
-    exp_gens = [base.child(int(i), 0).generator for i in ids]
-    uni_gens = [base.child(int(i), 1).generator for i in ids]
+    exp_gens = base.children(np.column_stack(
+        [ids, np.zeros_like(ids)])).generators()
+    uni_gens = base.children(np.column_stack(
+        [ids, np.ones_like(ids)])).generators()
     nu = model.stoichiometry_matrix
-    exps = np.empty((n, chunk))
-    unis = np.empty((n, chunk))
-    for i in range(n):
-        exps[i] = exp_gens[i].standard_exponential(chunk)
-        unis[i] = uni_gens[i].random(chunk)
-    cursor = 0
+    n_channels = len(model.reactions)
+    cursor = chunk
     while pos.size:
         if cursor == chunk:
             exps = np.empty((pos.size, chunk))
@@ -246,32 +250,25 @@ def ssa_final_states(model: JumpModel, x0, T: float, ids,
             cursor = 0
         rates = model.guarded_rates(x)  # (m, B)
         total = rates.sum(axis=0)
-        absorbed = total <= 0.0
-        if absorbed.any():
-            final[pos[absorbed]] = x[absorbed]
-            keep = ~absorbed
-            pos, x, t, counts = pos[keep], x[keep], t[keep], counts[keep]
-            rates, total = rates[:, keep], total[keep]
-            exps, unis = exps[keep], unis[keep]
-            exp_gens = [g for g, kp in zip(exp_gens, keep) if kp]
-            uni_gens = [g for g, kp in zip(uni_gens, keep) if kp]
-            if not pos.size:
-                break
-        t_next = t + model.eps * exps[:, cursor] / total
-        u_total = unis[:, cursor] * total
+        cum = np.cumsum(rates, axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_next = t + model.eps * exps[:, cursor] / total
+        u_cum = unis[:, cursor] * cum[-1]
         cursor += 1
-        done = t_next > T
+        # absorbed runs and runs whose next event falls past T both stop
+        # at their current state
+        done = (total <= 0.0) | (t_next > T)
         if done.any():
             final[pos[done]] = x[done]
             keep = ~done
             pos, x, t_next, counts = pos[keep], x[keep], t_next[keep], counts[keep]
-            rates, u_total = rates[:, keep], u_total[keep]
+            cum, u_cum = cum[:, keep], u_cum[keep]
             exps, unis = exps[keep], unis[keep]
             exp_gens = [g for g, kp in zip(exp_gens, keep) if kp]
             uni_gens = [g for g, kp in zip(uni_gens, keep) if kp]
             if not pos.size:
                 break
-        k = (np.cumsum(rates, axis=0) >= u_total[None, :]).argmax(axis=0)
+        k = np.minimum((cum <= u_cum).sum(axis=0), n_channels - 1)
         counts[np.arange(pos.size), k] += 1
         x = x0_arr[None, :] + model.eps * (counts @ nu)
         t = t_next
@@ -294,7 +291,7 @@ def tau_leap_final_states(model: JumpModel, x0, T: float, tau: float, ids,
     x0_arr = np.atleast_1d(np.asarray(x0, dtype=float))
     x = np.tile(x0_arr, (n, 1))
     counts = np.zeros((n, len(model.reactions)), dtype=np.int64)
-    gens = [base.child(int(i)).generator for i in ids]
+    gens = base.children(ids[:, None]).generators()
     nu = model.stoichiometry_matrix
     n_windows = math.ceil(T / tau)
     t = 0.0

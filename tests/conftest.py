@@ -3,11 +3,13 @@ statistics tests and the acceptance suite reuse one set of runs. Wall times
 of the heavy fixtures are recorded for the acceptance runtime caps."""
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fastslow as fs
+from fastslow.cli import bundled_configs, main
 from fastslow.ensemble import pooled_stationary_samples
 
 
@@ -119,4 +121,32 @@ def dw_histogram_samples(double_well_model, timings):
         out[scheme] = pooled_stationary_samples(model, scheme, cfg, x0, None,
                                                 5000.0, 25, 50.0, base)
     timings["dw_histogram"] = time.perf_counter() - start
+    return out
+
+
+def _csv_bodies(out_dir):
+    """CSV file name -> its lines without the varying ``# created:`` line."""
+    return {csv.name: [l for l in csv.read_text().splitlines()
+                       if not l.startswith("# created:")]
+            for csv in sorted(Path(out_dir).glob("*.csv"))}
+
+
+@pytest.fixture(scope="session")
+def csv_bodies():
+    return _csv_bodies
+
+
+@pytest.fixture(scope="session")
+def quick_bodies_w1(tmp_path_factory):
+    """CSV bodies of every bundled quick config, run with ``--workers 1``.
+
+    Shared by the golden test and the worker-count criterion, so the quick
+    configs run serially only once per session.
+    """
+    root = tmp_path_factory.mktemp("quick_w1")
+    out = {}
+    for name in sorted(n for n in bundled_configs() if n.endswith("_quick")):
+        assert main(["run", name, "--out", str(root / name),
+                     "--workers", "1"]) == 0
+        out[name] = _csv_bodies(root / name)
     return out

@@ -6,7 +6,6 @@ are shared with the statistics tests.
 """
 
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -187,23 +186,14 @@ def test_criterion_08_tau_leaping_fidelity():
             f"n = {ids.size}, runtime {elapsed:.0f}s (cap 120s)")
 
 
-def test_criterion_09_worker_count_determinism(tmp_path):
+def test_criterion_09_worker_count_determinism(tmp_path, quick_bodies_w1,
+                                              csv_bodies):
     quick = sorted(n for n in bundled_configs() if n.endswith("_quick"))
-
-    def bodies(out_dir):
-        parts = {}
-        for csv in sorted(Path(out_dir).glob("*.csv")):
-            parts[csv.name] = [l for l in csv.read_text().splitlines()
-                               if not l.startswith("# created:")]
-        return parts
-
     mismatched = []
     for name in quick:
-        a_dir = tmp_path / f"{name}_w1"
         b_dir = tmp_path / f"{name}_w8"
-        assert main(["run", name, "--out", str(a_dir), "--workers", "1"]) == 0
         assert main(["run", name, "--out", str(b_dir), "--workers", "8"]) == 0
-        if bodies(a_dir) != bodies(b_dir):
+        if quick_bodies_w1[name] != csv_bodies(b_dir):
             mismatched.append(name)
     ok = not mismatched and len(quick) == 8
     _report(9, ok,

@@ -26,7 +26,7 @@ def test_batched_burst_matches_reference(dw_cfg):
         ref_f, ref_y = fs.hmm_micro_burst(model, [0.7], [0.3], dw_cfg,
                                           base.child(0, 4))
         bat_f, bat_y = burst_batch(model, np.array([0.7]), np.array([0.3]),
-                                   [base.child(0, 4)], dw_cfg.micro_count,
+                                   base.children([[0, 4]]), dw_cfg.micro_count,
                                    dw_cfg.micro_dt)
         assert bat_f[0] == pytest.approx(ref_f[0], abs=1e-12)
         assert bat_y[0] == pytest.approx(ref_y[0], abs=1e-12)
@@ -37,15 +37,22 @@ def test_burst_batch_is_block_invariant(dw_cfg):
     base = RngStream(11)
     xs = np.array([0.6, 1.0, 2.2])
     ys = np.array([0.1, -0.4, 0.9])
-    streams = [base.child(i, 0, 0) for i in range(3)]
+    streams = base.children([[i, 0, 0] for i in range(3)])
     f3, y3 = burst_batch(model, xs, ys, streams, dw_cfg.micro_count,
                          dw_cfg.micro_dt)
     for i in range(3):
         f1, y1 = burst_batch(model, xs[i:i + 1], ys[i:i + 1],
-                             [base.child(i, 0, 0)], dw_cfg.micro_count,
+                             base.children([[i, 0, 0]]), dw_cfg.micro_count,
                              dw_cfg.micro_dt)
         assert f1[0] == f3[i]
         assert y1[0] == y3[i]
+
+
+def test_burst_batch_needs_one_stream_per_chain(dw_cfg):
+    model = fs.DoubleWellModel().system()
+    with pytest.raises(ValueError, match="2 streams for 3 chains"):
+        burst_batch(model, np.zeros(3), np.zeros(3),
+                    RngStream(1).children([[0], [1]]), 5, 0.1)
 
 
 def test_batched_rejects_models_without_structure(dw_cfg):
@@ -54,7 +61,8 @@ def test_batched_rejects_models_without_structure(dw_cfg):
                                g=lambda x, y: -y,
                                sigma=lambda x, y: np.eye(1))
     with pytest.raises(ValueError, match="ScalarOU"):
-        burst_batch(generic, np.zeros(1), np.zeros(1), [RngStream(1)], 5, 0.1)
+        burst_batch(generic, np.zeros(1), np.zeros(1),
+                    RngStream(1).children(np.zeros((1, 0), dtype=int)), 5, 0.1)
 
 
 def test_scheme_samples_block_invariance(dw_cfg):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fastslow import (JumpModel, Reaction, RngStream, birth_death,
                       ks_distance, ssa_final_states, ssa_run,
                       tau_leap_final_states, tau_leap_run)
+from fastslow.rng import StreamBlock
 
 
 def _pure_birth(rate=1.0, eps=0.01):
@@ -78,6 +79,59 @@ class TestSsa:
         # every jump adds exactly eps
         steps = np.diff(traj.states[:-1, 0])
         assert np.allclose(steps, 0.1)
+
+
+class _ForcedDraws:
+    """Stands in for a generator: unit exponentials, one fixed uniform."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def standard_exponential(self, n):
+        return np.ones(n)
+
+    def random(self, n):
+        return np.full(n, self.u)
+
+
+def _constant_rate_network(rates, eps=0.5):
+    """len(rates) channels; channel k fires at rates[k] and moves e_k."""
+    dim = len(rates)
+    reactions = tuple(
+        Reaction(lambda x, r=float(r): np.full(np.shape(x)[:-1], r),
+                 np.eye(dim)[k])
+        for k, r in enumerate(rates))
+    return JumpModel(dim, reactions, eps, vectorized=True)
+
+
+class TestSsaChannelSelection:
+    @staticmethod
+    def _fired(rates, u, monkeypatch):
+        """Channel fired first by ssa_run and by ssa_final_states."""
+        monkeypatch.setattr(RngStream, "generator",
+                            property(lambda self: _ForcedDraws(u)))
+        monkeypatch.setattr(StreamBlock, "generators",
+                            lambda self: [_ForcedDraws(u) for _ in self.parts])
+        model = _constant_rate_network(rates)
+        x0 = np.zeros(len(rates))
+        # unit exponentials: the second event falls past T
+        t_end = 1.5 * model.eps / float(np.sum(rates))
+        single = ssa_run(model, x0, t_end, RngStream(1)).states[-1]
+        batched = ssa_final_states(model, x0, t_end, [0], RngStream(1))[0]
+        return int(np.argmax(single)), int(np.argmax(batched))
+
+    def test_uniform_next_to_one_fires_the_last_channel(self, monkeypatch):
+        u = 1.0 - 2.0 ** -53
+        gen = np.random.default_rng(0)
+        rates = gen.random(12) * 10
+        # a 12-channel rate vector whose pairwise sum exceeds its cumsum
+        while not u * rates.sum() > np.cumsum(rates)[-1]:
+            rates = gen.random(12) * 10
+        assert self._fired(rates, u, monkeypatch) == (11, 11)
+
+    def test_zero_uniform_skips_zero_rate_channels(self, monkeypatch):
+        rates = np.r_[0.0, 0.0, np.linspace(1.0, 3.0, 10)]
+        assert self._fired(rates, 0.0, monkeypatch) == (2, 2)
 
 
 class TestTauLeap:
