@@ -14,8 +14,8 @@ processes.
 __version__ = "0.1.0"
 
 from .rng import RngStream, gaussian_increment
-from .sde import (FastSlowModel, IntegrationFailure, ScalarOU, State,
-                  Trajectory, direct_integrate, direct_step)
+from .sde import (FastSlowModel, IntegrationFailure, ScalarOU, Trajectory,
+                  direct_integrate)
 from .schemes import (MacroState, SchemeConfig, averaged_step,
                       config_for_lambda, hmm_micro_burst, hmm_step, phmm_step,
                       run_scheme)
@@ -37,8 +37,8 @@ from .jump import (JumpModel, Reaction, birth_death, ssa_final_states,
 __all__ = [
     "__version__",
     "RngStream", "gaussian_increment",
-    "FastSlowModel", "IntegrationFailure", "ScalarOU", "State", "Trajectory",
-    "direct_integrate", "direct_step",
+    "FastSlowModel", "IntegrationFailure", "ScalarOU", "Trajectory",
+    "direct_integrate",
     "MacroState", "SchemeConfig", "averaged_step", "config_for_lambda",
     "hmm_micro_burst", "hmm_step", "phmm_step", "run_scheme",
     "BUILTIN_MODELS", "DoubleWellModel", "LinearOUModel", "NonDiffusiveModel",

@@ -22,6 +22,8 @@ from scipy.signal import lfilter
 from .rng import RngStream, StreamBlock
 from .sde import FastSlowModel, IntegrationFailure
 
+ENSEMBLE_SCHEMES = ("direct", "hmm", "phmm")
+
 
 def _require_scalar_ou(model: FastSlowModel):
     if model.scalar_ou is None:
@@ -45,6 +47,15 @@ def _linear_recurrence(a: np.ndarray, u: np.ndarray, y0: np.ndarray) -> np.ndarr
     return out
 
 
+def _ou_path(sou, x: np.ndarray, y0: np.ndarray, xi: np.ndarray,
+             dt: float) -> np.ndarray:
+    """Euler fast paths y_1..y_M, shape (B, M), of frozen-x OU chains."""
+    kappa = np.broadcast_to(np.asarray(sou.decay(x), dtype=float), x.shape)
+    mean = np.broadcast_to(np.asarray(sou.mean(x), dtype=float), x.shape)
+    u = (kappa * mean * dt)[:, None] + (sou.sigma * math.sqrt(dt)) * xi
+    return _linear_recurrence(1.0 - kappa * dt, u, y0)
+
+
 def burst_batch(model: FastSlowModel, x: np.ndarray, y: np.ndarray,
                 streams: StreamBlock, m_count: int, dt: float):
     """Advance one micro burst of M steps for a batch of frozen-x chains.
@@ -62,11 +73,7 @@ def burst_batch(model: FastSlowModel, x: np.ndarray, y: np.ndarray,
     xi = streams.normals(m_count)
     if xi.shape[0] != x.shape[0]:
         raise ValueError(f"{xi.shape[0]} streams for {x.shape[0]} chains")
-    kappa = np.broadcast_to(np.asarray(sou.decay(x), dtype=float), x.shape)
-    mean = np.broadcast_to(np.asarray(sou.mean(x), dtype=float), x.shape)
-    a = 1.0 - kappa * dt
-    u = (kappa * mean * dt)[:, None] + (sou.sigma * math.sqrt(dt)) * xi
-    y_path = _linear_recurrence(a, u, y)
+    y_path = _ou_path(sou, x, y, xi, dt)
     f_avg = np.asarray(sou.f(x[:, None], y_path), dtype=float).mean(axis=1)
     y_end = y_path[:, -1]
     bad = ~(np.isfinite(f_avg) & np.isfinite(y_end))
@@ -74,50 +81,6 @@ def burst_batch(model: FastSlowModel, x: np.ndarray, y: np.ndarray,
         raise IntegrationFailure("non-finite fast state in batched burst",
                                  replica=int(np.argmax(bad)))
     return f_avg, y_end
-
-
-def frozen_drift_estimate(model: FastSlowModel, x, micro_dt: float,
-                          t_burn: float, t_avg: float,
-                          stream: RngStream) -> np.ndarray:
-    """Time average of f(x, y) along the frozen-x unit-rate fast process.
-
-    Runs ceil(t_burn/micro_dt) discarded micro steps followed by
-    ceil(t_avg/micro_dt) averaged ones, drawing all Gaussians sequentially
-    from ``stream``. Structured models start at the frozen-x fast mean,
-    generic ones at the origin; the burn window absorbs the difference.
-    """
-    m_burn = math.ceil(t_burn / micro_dt) if t_burn > 0 else 0
-    m_avg = math.ceil(t_avg / micro_dt)
-    if m_avg < 1:
-        raise ValueError("t_avg must cover at least one micro step")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-
-    if model.scalar_ou is not None and x_arr.shape == (1,):
-        sou = model.scalar_ou
-        xi = stream.normals(m_burn + m_avg)[None, :]
-        kappa = np.atleast_1d(np.asarray(sou.decay(x_arr), dtype=float))
-        mean = np.broadcast_to(
-            np.asarray(sou.mean(x_arr), dtype=float), x_arr.shape)
-        y0 = mean.copy()
-        u = (kappa * mean * micro_dt)[:, None] + (
-            sou.sigma * math.sqrt(micro_dt)) * xi
-        y_path = _linear_recurrence(1.0 - kappa * micro_dt, u, y0)
-        f_path = np.asarray(sou.f(x_arr[:, None], y_path), dtype=float)
-        return np.atleast_1d(f_path[0, m_burn:].mean())
-
-    # generic model: plain micro-step loop
-    y = np.zeros(model.fast_dim)
-    sq_dt = math.sqrt(micro_dt)
-    xi = stream.normals((m_burn + m_avg, model.fast_dim))
-    f_sum = np.zeros(model.slow_dim)
-    for m in range(m_burn + m_avg):
-        y = (y + micro_dt * np.asarray(model.g(x_arr, y), dtype=float)
-             + sq_dt * (np.asarray(model.sigma(x_arr, y), dtype=float) @ xi[m]))
-        if not np.isfinite(y).all():
-            raise IntegrationFailure("non-finite fast state", micro_index=m + 1)
-        if m >= m_burn:
-            f_sum += np.asarray(model.f(x_arr, y), dtype=float)
-    return f_sum / m_avg
 
 
 def _macro_advance(model, cfg, ids, x, yrep, n, base):
@@ -137,21 +100,60 @@ def _macro_advance(model, cfg, ids, x, yrep, n, base):
     return x_new, y_end.reshape(n_chains, k)
 
 
+def _fast_mean(sou, x: np.ndarray) -> np.ndarray:
+    """Frozen-x fast means, one per entry of x."""
+    return np.asarray(np.broadcast_to(sou.mean(x), x.shape), dtype=float).copy()
+
+
 def _start_arrays(model, x0, y0, n_chains, k):
     """Per-chain start values; y0 defaults to the frozen-x fast mean."""
     x = np.broadcast_to(np.asarray(x0, dtype=float), (n_chains,)).copy()
     if y0 is None:
-        sou = _require_scalar_ou(model)
-        y = np.asarray(np.broadcast_to(sou.mean(x), x.shape), dtype=float).copy()
+        y = _fast_mean(_require_scalar_ou(model), x)
     else:
         y = np.broadcast_to(np.asarray(y0, dtype=float), (n_chains,)).copy()
     return x, np.repeat(y[:, None], k, axis=1)
+
+
+def _check_scheme(scheme: str, allowed=ENSEMBLE_SCHEMES) -> None:
+    if scheme not in allowed:
+        raise ValueError(f"unsupported scheme {scheme!r}; expected one of "
+                         f"{allowed}")
 
 
 def _direct_generators(base, ids):
     """Long-lived generators of the direct draws ``base.child(cid, -2, 0)``."""
     return base.children(np.column_stack(
         [ids, np.full_like(ids, -2), np.zeros_like(ids)])).generators()
+
+
+def _direct_chunk(sou, cfg, x, y, gens, n_steps):
+    """Yield (m, x, y) after each of ``n_steps`` direct Euler steps.
+
+    Lane i first draws its ``n_steps`` normals from ``gens[i]``; a lane's
+    draws are sequential in its own generator, so the path does not depend
+    on how a run is cut into chunks or which lanes share a chunk.
+    """
+    xi = np.empty((len(gens), n_steps))
+    for row, g in zip(xi, gens):
+        g.standard_normal(out=row)
+    h = cfg.eps * cfg.micro_dt
+    s_amp = sou.sigma * math.sqrt(cfg.micro_dt)
+    for m in range(n_steps):
+        f_val = sou.f(x, y)
+        y = y + cfg.micro_dt * sou.decay(x) * (sou.mean(x) - y) + s_amp * xi[:, m]
+        x = x + h * f_val
+        yield m, x, y
+
+
+def map_blocks(fn, n: int, block: int, executor=None) -> list:
+    """``fn(ids)`` for consecutive id blocks of range(n), on ``executor`` if
+    given; results come back in block order whatever order they finish in."""
+    blocks = [np.arange(lo, min(lo + block, n)) for lo in range(0, n, block)]
+    if executor is None:
+        return [fn(ids) for ids in blocks]
+    futures = [executor.submit(fn, ids) for ids in blocks]
+    return [fut.result() for fut in futures]
 
 
 def scheme_samples(model: FastSlowModel, scheme: str, cfg, x0, y0,
@@ -164,6 +166,7 @@ def scheme_samples(model: FastSlowModel, scheme: str, cfg, x0, y0,
     per-chain arrays; ``y0=None`` starts each fast replica at the frozen-x
     mean.
     """
+    _check_scheme(scheme, ("hmm", "phmm"))
     ids = np.asarray(ids, dtype=int)
     n_chains = ids.size
     n_steps = math.ceil(t_chain / cfg.macro_dt)
@@ -199,15 +202,9 @@ def direct_samples(model: FastSlowModel, cfg, x0, y0, t_chain: float, ids,
     y = yrep[:, 0]
     rec = np.empty((n_rec + 1, n_chains))
     rec[0] = x
-    s_amp = sou.sigma * math.sqrt(cfg.micro_dt)
     for r in range(n_rec):
-        xi = np.empty((n_chains, stride))
-        for row, g in zip(xi, gens):
-            g.standard_normal(out=row)
-        for m in range(stride):
-            f_val = sou.f(x, y)
-            y = y + cfg.micro_dt * sou.decay(x) * (sou.mean(x) - y) + s_amp * xi[:, m]
-            x = x + h * f_val
+        for _, x, y in _direct_chunk(sou, cfg, x, y, gens, stride):
+            pass
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             chain = int(np.argmax(~(np.isfinite(x) & np.isfinite(y))))
             raise IntegrationFailure("non-finite state in direct block",
@@ -231,13 +228,16 @@ def pooled_stationary_samples(model: FastSlowModel, scheme: str, cfg,
     Chains are processed in fixed blocks (optionally across an executor);
     the pooled order is by chain id then time, so the result is
     worker-count independent.
+
+    Raises:
+        ValueError: for a scheme other than direct, hmm or phmm, or when
+            the per-chain time does not exceed ``burn_in``.
     """
+    _check_scheme(scheme)
     if t_total / n_chains <= burn_in:
         raise ValueError("per-chain time must exceed burn_in")
     t_chain = t_total / n_chains
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (n_chains,))
-    blocks = [np.arange(lo, min(lo + chain_block, n_chains))
-              for lo in range(0, n_chains, chain_block)]
 
     def run(ids):
         if scheme == "direct":
@@ -248,11 +248,7 @@ def pooled_stationary_samples(model: FastSlowModel, scheme: str, cfg,
                                         t_chain, ids, base)
         return rec[times > burn_in]
 
-    if executor is None:
-        parts = [run(ids) for ids in blocks]
-    else:
-        futures = [executor.submit(run, ids) for ids in blocks]
-        parts = [fut.result() for fut in futures]
+    parts = map_blocks(run, n_chains, chain_block, executor)
     return np.concatenate([p.T.reshape(-1) for p in parts])
 
 
@@ -261,11 +257,11 @@ def _equilibrate_fast(model, cfg, x, ids, base, equil_fast_time, k):
     sou = _require_scalar_ou(model)
     m_eq = max(1, round(equil_fast_time / cfg.micro_dt))
     xx = np.repeat(x, k)
-    y0 = np.asarray(np.broadcast_to(sou.mean(xx), xx.shape), dtype=float).copy()
     cids, reps = np.repeat(ids, k), np.tile(np.arange(k), len(ids))
     streams = base.children(np.column_stack(
         [cids, np.full_like(cids, -1), reps]))
-    _, y_end = burst_batch(model, xx, y0, streams, m_eq, cfg.micro_dt)
+    _, y_end = burst_batch(model, xx, _fast_mean(sou, xx), streams, m_eq,
+                           cfg.micro_dt)
     return y_end.reshape(len(ids), k)
 
 
@@ -278,8 +274,12 @@ def first_passage_block(model: FastSlowModel, scheme: str, cfg, basin,
     state and runs until its slow variable crosses basin.target_threshold in
     the given direction or until ``t_cap``. Returns (elapsed, censored)
     arrays aligned with ``ids``; censored chains carry elapsed = t_cap.
+    Direct lanes step in chunks of 512 steps and leave at the end of the
+    chunk in which they crossed; macro lanes leave after the crossing step.
     """
+    _check_scheme(scheme)
     sou = _require_scalar_ou(model)
+    k = cfg.lam if scheme == "phmm" else 1
     ids = np.asarray(ids, dtype=int)
     n_total = ids.size
     up = basin.direction == "upcrossing"
@@ -290,31 +290,22 @@ def first_passage_block(model: FastSlowModel, scheme: str, cfg, basin,
 
     elapsed = np.full(n_total, float(t_cap))
     censored = np.ones(n_total, dtype=bool)
-    k = cfg.lam if scheme == "phmm" else 1
     x = np.full(n_total, float(basin.start_point))
     pos = np.arange(n_total)
+    yrep = _equilibrate_fast(model, cfg, x, ids, base, equil_fast_time, k)
 
     if scheme == "direct":
-        yrep = _equilibrate_fast(model, cfg, x, ids, base, equil_fast_time, 1)
         y = yrep[:, 0]
         gens = _direct_generators(base, ids)
         h = cfg.eps * cfg.micro_dt
         n_cap = math.ceil(t_cap / h)
-        s_amp = sou.sigma * math.sqrt(cfg.micro_dt)
         step = 0
-        chunk = 512
         while pos.size and step < n_cap:
-            todo = min(chunk, n_cap - step)
-            xi = np.empty((pos.size, todo))
-            for row, g in zip(xi, gens):
-                g.standard_normal(out=row)
+            todo = min(512, n_cap - step)
             # chains that cross keep integrating until the chunk ends; the
             # first-crossing time is latched and the rest is discarded
             hit = np.zeros(pos.size, dtype=bool)
-            for m in range(todo):
-                f_val = sou.f(x, y)
-                y = y + cfg.micro_dt * sou.decay(x) * (sou.mean(x) - y) + s_amp * xi[:, m]
-                x = x + h * f_val
+            for m, x, y in _direct_chunk(sou, cfg, x, y, gens, todo):
                 new_hit = crossed(x) & ~hit
                 if new_hit.any():
                     elapsed[pos[new_hit]] = (step + m + 1) * h
@@ -330,9 +321,6 @@ def first_passage_block(model: FastSlowModel, scheme: str, cfg, basin,
                                          time=step * h, replica=int(ids[pos[bad]]))
         return elapsed, censored
 
-    if scheme not in ("hmm", "phmm"):
-        raise ValueError(f"unsupported scheme for passage sampling: {scheme!r}")
-    yrep = _equilibrate_fast(model, cfg, x, ids, base, equil_fast_time, k)
     n_cap = math.ceil(t_cap / cfg.macro_dt)
     n = 0
     while pos.size and n < n_cap:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ensemble import pooled_stationary_samples
+from .ensemble import ENSEMBLE_SCHEMES, map_blocks, pooled_stationary_samples
 from .fluctuations import (BasinSpec, first_passage_times,
                            fit_log_mfpt_inverse_lambda, histogram_of_samples,
                            ldp_escape_prediction, mean_first_passage_vs_lambda,
@@ -105,16 +105,14 @@ def _schema(analysis: str) -> dict:
         ana = {
             "schemes": (_parse_str_list, True, None),
             "n_replicas": (int, False, 1),
+            "x0": (_parse_float_list, False, (0.0,)),
         }
         if analysis == "histogram":
             ana.update({
                 "bin_min": (float, True, None),
                 "bin_max": (float, True, None),
                 "n_bins": (int, True, None),
-                "x0": (_parse_float_list, False, (0.0,)),
             })
-        else:
-            ana.update({"x0": (_parse_float_list, False, (0.0,))})
         return {"experiment": experiment, "model": model, "scheme": scheme,
                 "analysis": ana}
     if analysis in ("mfpt_vs_lambda", "fpt_cdf"):
@@ -293,8 +291,10 @@ def _validate_semantics(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"analysis {cfg.analysis!r} needs an SDE model, "
                               f"not {cfg.model_name!r}")
         for scheme in cfg.params.get("schemes", ()):
-            if scheme not in ("direct", "hmm", "phmm", "averaged"):
-                raise ConfigError(f"unknown scheme {scheme!r}", key="schemes")
+            if scheme not in ENSEMBLE_SCHEMES:
+                raise ConfigError(f"scheme {scheme!r} is not available for "
+                                  f"analysis {cfg.analysis!r}; expected one "
+                                  f"of {ENSEMBLE_SCHEMES}", key="schemes")
     if cfg.analysis in ("mfpt_vs_lambda", "fpt_cdf"):
         direction = cfg.params["direction"]
         allowed = ("upcrossing", "downcrossing")
@@ -349,50 +349,39 @@ def _scheme_lambda_tasks(cfg):
     return tasks
 
 
-def _run_histogram(cfg: ExperimentConfig, executor) -> list[OutputTable]:
+def _run_stationary(cfg: ExperimentConfig, executor) -> list[OutputTable]:
+    """Histogram or variance of pooled stationary samples per (scheme, lam)."""
     model = make_model(cfg.model_name, **_model_kwargs(cfg)).system()
     base = RngStream(cfg.seed)
-    edges = np.linspace(cfg.params["bin_min"], cfg.params["bin_max"],
-                        cfg.params["n_bins"] + 1)
     n_chains = cfg.params["n_replicas"]
     starts = np.asarray(cfg.params["x0"], dtype=float)
     x0 = starts[np.arange(n_chains) % len(starts)]
-    rows = []
+    if cfg.analysis == "histogram":
+        edges = np.linspace(cfg.params["bin_min"], cfg.params["bin_max"],
+                            cfg.params["n_bins"] + 1)
+        table = OutputTable("histogram", ["scheme", "lam", "bin_left",
+                                          "bin_right", "count"], [])
+    else:
+        table = OutputTable("variance", ["scheme", "lam", "macro_dt",
+                                         "n_samples", "variance"], [])
     for scheme, lam in _scheme_lambda_tasks(cfg):
         scfg = _scheme_config(cfg, lam)
         samples = pooled_stationary_samples(
             model, scheme, scfg, x0, None, cfg.scheme["t"], n_chains,
             cfg.scheme["burn_in"], base, executor=executor)
+        if cfg.analysis == "variance_vs_lambda":
+            table.rows.append([scheme, lam, repr(scfg.macro_dt), samples.size,
+                               repr(float(np.var(samples, ddof=1)))])
+            continue
         hist = histogram_of_samples(samples, edges)
-        rows.append([scheme, lam, "-inf", repr(float(edges[0])),
-                     hist.underflow])
+        table.rows.append([scheme, lam, "-inf", repr(float(edges[0])),
+                           hist.underflow])
         for i, count in enumerate(hist.counts):
-            rows.append([scheme, lam, repr(float(edges[i])),
-                         repr(float(edges[i + 1])), int(count)])
-        rows.append([scheme, lam, repr(float(edges[-1])), "inf",
-                     hist.overflow])
-    return [OutputTable("histogram",
-                        ["scheme", "lam", "bin_left", "bin_right", "count"],
-                        rows)]
-
-
-def _run_variance(cfg: ExperimentConfig, executor) -> list[OutputTable]:
-    model = make_model(cfg.model_name, **_model_kwargs(cfg)).system()
-    base = RngStream(cfg.seed)
-    n_chains = cfg.params["n_replicas"]
-    starts = np.asarray(cfg.params["x0"], dtype=float)
-    x0 = starts[np.arange(n_chains) % len(starts)]
-    rows = []
-    for scheme, lam in _scheme_lambda_tasks(cfg):
-        scfg = _scheme_config(cfg, lam)
-        samples = pooled_stationary_samples(
-            model, scheme, scfg, x0, None, cfg.scheme["t"], n_chains,
-            cfg.scheme["burn_in"], base, executor=executor)
-        rows.append([scheme, lam, repr(scfg.macro_dt), samples.size,
-                     repr(float(np.var(samples, ddof=1)))])
-    return [OutputTable("variance",
-                        ["scheme", "lam", "macro_dt", "n_samples", "variance"],
-                        rows)]
+            table.rows.append([scheme, lam, repr(float(edges[i])),
+                               repr(float(edges[i + 1])), int(count)])
+        table.rows.append([scheme, lam, repr(float(edges[-1])), "inf",
+                           hist.overflow])
+    return [table]
 
 
 def _run_mfpt(cfg: ExperimentConfig, executor) -> list[OutputTable]:
@@ -499,17 +488,9 @@ def _run_jump_compare(cfg: ExperimentConfig, executor) -> list[OutputTable]:
     n_runs = cfg.params["n_runs"]
     x0 = [cfg.params["x0"]]
     t_end = cfg.params["t"]
-    block = 2048
-    blocks = [np.arange(lo, min(lo + block, n_runs))
-              for lo in range(0, n_runs, block)]
 
     def run_blocks(fn):
-        if executor is None:
-            parts = [fn(ids) for ids in blocks]
-        else:
-            futures = [executor.submit(fn, ids) for ids in blocks]
-            parts = [f.result() for f in futures]
-        return np.concatenate(parts)[:, 0]
+        return np.concatenate(map_blocks(fn, n_runs, 2048, executor))[:, 0]
 
     ssa = run_blocks(lambda ids: ssa_final_states(model, x0, t_end, ids, base))
     tau = run_blocks(lambda ids: tau_leap_final_states(
@@ -525,8 +506,8 @@ def _run_jump_compare(cfg: ExperimentConfig, executor) -> list[OutputTable]:
 
 
 _RUNNERS = {
-    "histogram": _run_histogram,
-    "variance_vs_lambda": _run_variance,
+    "histogram": _run_stationary,
+    "variance_vs_lambda": _run_stationary,
     "mfpt_vs_lambda": _run_mfpt,
     "fpt_cdf": _run_fpt_cdf,
     "quasipotential": _run_quasipotential,

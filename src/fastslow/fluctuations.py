@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .ensemble import first_passage_block
+from .ensemble import first_passage_block, map_blocks
 from .models import NonDiffusiveModel
 from .rng import RngStream
 from .schemes import SchemeConfig, config_for_lambda
@@ -129,13 +129,10 @@ class BasinSpec:
     start_point: float
     target_threshold: float
     direction: str = "upcrossing"
-    reset: str = "restart_at_start"
 
     def __post_init__(self):
         if self.direction not in ("upcrossing", "downcrossing"):
             raise ValueError("direction must be 'upcrossing' or 'downcrossing'")
-        if self.reset != "restart_at_start":
-            raise ValueError("only the 'restart_at_start' reset policy exists")
         if self.target_threshold == self.start_point:
             raise ValueError("threshold must differ from the start point")
         if self.direction == "upcrossing" and self.target_threshold < self.start_point:
@@ -160,15 +157,15 @@ class FirstPassageSample:
 
 def first_passage_times(model: FastSlowModel, scheme: str, cfg: SchemeConfig,
                         basin: BasinSpec, n_samples: int, t_cap: float,
-                        stream: RngStream | None = None,
                         equil_fast_time: float = 50.0, block_size: int = 64,
                         executor=None) -> list[FirstPassageSample]:
     """Sample first-passage times of the slow variable for one scheme.
 
     Each sample starts at basin.start_point with a fast state equilibrated
     by ``equil_fast_time`` units of unit-rate fast time, and runs until the
-    threshold crossing or ``t_cap``. Sample i draws from the substream keyed
-    by i, so results do not depend on block size, executor or worker count.
+    threshold crossing or ``t_cap``. Sample i draws from the substreams of
+    ``RngStream(cfg.root_seed)`` keyed by i, so results do not depend on
+    block size, executor or worker count.
     Censored runs are returned flagged and should be excluded from means.
 
     Raises:
@@ -176,19 +173,13 @@ def first_passage_times(model: FastSlowModel, scheme: str, cfg: SchemeConfig,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    base = stream if stream is not None else RngStream(cfg.root_seed)
-    blocks = [np.arange(lo, min(lo + block_size, n_samples))
-              for lo in range(0, n_samples, block_size)]
+    base = RngStream(cfg.root_seed)
 
     def run(ids):
         return first_passage_block(model, scheme, cfg, basin, ids, t_cap,
                                    base, equil_fast_time)
 
-    if executor is None:
-        parts = [run(ids) for ids in blocks]
-    else:
-        futures = [executor.submit(run, ids) for ids in blocks]
-        parts = [fut.result() for fut in futures]
+    parts = map_blocks(run, n_samples, block_size, executor)
     elapsed = np.concatenate([p[0] for p in parts])
     censored = np.concatenate([p[1] for p in parts])
     if censored.all():

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import bisect
 
+from .ensemble import _fast_mean, _ou_path
 from .rng import RngStream
+from .schemes import _euler_burst
 from .sde import FastSlowModel, ScalarOU
 
 
@@ -208,14 +210,32 @@ def empirical_averaged_drift(model: FastSlowModel, x, micro_dt: float,
                              stream: RngStream) -> np.ndarray:
     """Birkhoff estimate of the averaged drift F(x) at frozen x.
 
-    Advances the unit-rate fast process (micro step ``micro_dt``) for a burn
-    window of fast time ``t_burn``, then averages f(x, y) over a window of
-    fast time ``t_avg``.
+    Advances the unit-rate fast process (micro step ``micro_dt``) for
+    ceil(t_burn/micro_dt) discarded micro steps, then averages f(x, y) over
+    ceil(t_avg/micro_dt) more, drawing all Gaussians sequentially from
+    ``stream``. Structured models start at the frozen-x fast mean, generic
+    ones at the origin; the burn window absorbs the difference.
     """
     if t_avg <= 0:
         raise ValueError("t_avg must be positive")
-    from .ensemble import frozen_drift_estimate  # local import, cycle-free
-    return frozen_drift_estimate(model, x, micro_dt, t_burn, t_avg, stream)
+    m_burn = math.ceil(t_burn / micro_dt) if t_burn > 0 else 0
+    m_avg = math.ceil(t_avg / micro_dt)
+    if m_avg < 1:
+        raise ValueError("t_avg must cover at least one micro step")
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+
+    if model.scalar_ou is not None and x_arr.shape == (1,):
+        sou = model.scalar_ou
+        xi = stream.normals(m_burn + m_avg)[None, :]
+        y_path = _ou_path(sou, x_arr, _fast_mean(sou, x_arr), xi, micro_dt)
+        f_path = np.asarray(sou.f(x_arr[:, None], y_path), dtype=float)
+        return np.atleast_1d(f_path[0, m_burn:].mean())
+
+    xi = stream.normals((m_burn + m_avg, model.fast_dim))
+    _, y = _euler_burst(model, x_arr, np.zeros(model.fast_dim), xi[:m_burn],
+                        micro_dt)
+    f_sum, _ = _euler_burst(model, x_arr, y, xi[m_burn:], micro_dt, m_burn)
+    return f_sum / m_avg
 
 
 def fixed_points(model: NonDiffusiveModel, x_max: float = 10.0):

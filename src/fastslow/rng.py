@@ -16,6 +16,13 @@ here so outputs can be reproduced externally):
 * equilibration burst of replica ``j``     -> ``chain.child(-1, j)``
 * sequential draws of a direct integration -> ``chain.child(-2, 0)``
 
+``run_scheme`` integrates one path with no chain key, so its streams hang
+directly off ``base = RngStream(root_seed)``:
+
+* direct scheme, all sequential draws      -> ``base.child(-2, 0)``
+* hmm burst at macro step ``n``            -> ``base.child(0, n)``
+* phmm burst of replica ``j`` at step ``n`` -> ``base.child(j, n)``
+
 Blocks of streams. :meth:`RngStream.children` turns a ``(B, k)`` integer
 array of key parts into a :class:`StreamBlock`, the streams
 ``child(*parts[r])`` for each row ``r``. Its keys come from one vectorised

@@ -35,8 +35,6 @@ class SchemeConfig:
         micro_dt: unit-rate fast-process step; one micro step covers
             ``eps * micro_dt`` of slow time.
         root_seed: seed of the random stream hierarchy.
-        restart_fast: restart each burst from the initial fast state
-            instead of carrying the previous burst's end state.
 
     The derived burst length ``micro_count`` must satisfy
     ``macro_dt == lam * micro_count * eps * micro_dt`` to one part in 1e12;
@@ -48,7 +46,6 @@ class SchemeConfig:
     macro_dt: float
     micro_dt: float
     root_seed: int
-    restart_fast: bool = False
     micro_count: int = 0  # derived
 
     def __post_init__(self):
@@ -70,7 +67,7 @@ class SchemeConfig:
 
     def config_hash(self) -> str:
         text = (f"eps={self.eps!r};lam={self.lam};macro_dt={self.macro_dt!r};"
-                f"micro_dt={self.micro_dt!r};restart_fast={self.restart_fast}")
+                f"micro_dt={self.micro_dt!r}")
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -118,6 +115,25 @@ def averaged_step(F, x, dt: float) -> np.ndarray:
     return out
 
 
+def _euler_burst(model: FastSlowModel, x, y, xi: np.ndarray, dt: float,
+                 first: int = 0):
+    """One Euler-Maruyama fast step at frozen x per row of ``xi``.
+
+    Returns ``(f_sum, y_end)``, f summed over the post-update states; a
+    failure's ``micro_index`` counts from ``first``.
+    """
+    sq_dt = math.sqrt(dt)
+    f_sum = np.zeros(model.slow_dim)
+    for m in range(xi.shape[0]):
+        y = (y + dt * np.asarray(model.g(x, y), dtype=float)
+             + sq_dt * (np.asarray(model.sigma(x, y), dtype=float) @ xi[m]))
+        if not np.isfinite(y).all():
+            raise IntegrationFailure("non-finite fast state in micro burst",
+                                     micro_index=first + m + 1)
+        f_sum += np.asarray(model.f(x, y), dtype=float)
+    return f_sum, y
+
+
 def hmm_micro_burst(model: FastSlowModel, x_frozen, y0, cfg: SchemeConfig,
                     stream: RngStream):
     """Advance the unit-rate fast process for one burst at frozen x.
@@ -132,18 +148,32 @@ def hmm_micro_burst(model: FastSlowModel, x_frozen, y0, cfg: SchemeConfig,
     """
     x = _as_point(x_frozen, model.slow_dim, "x_frozen")
     y = _as_point(y0, model.fast_dim, "y0")
-    m_count, dt = cfg.micro_count, cfg.micro_dt
-    sq_dt = math.sqrt(dt)
-    xi = stream.normals((m_count, model.fast_dim))
-    f_sum = np.zeros(model.slow_dim)
-    for m in range(m_count):
-        y = (y + dt * np.asarray(model.g(x, y), dtype=float)
-             + sq_dt * (np.asarray(model.sigma(x, y), dtype=float) @ xi[m]))
-        if not np.isfinite(y).all():
-            raise IntegrationFailure("non-finite fast state in micro burst",
-                                     micro_index=m + 1)
-        f_sum += np.asarray(model.f(x, y), dtype=float)
-    return f_sum / m_count, y
+    xi = stream.normals((cfg.micro_count, model.fast_dim))
+    f_sum, y = _euler_burst(model, x, y, xi, cfg.micro_dt)
+    return f_sum / cfg.micro_count, y
+
+
+def _replica_step(model: FastSlowModel, state: MacroState, cfg: SchemeConfig,
+                  streams: Sequence[RngStream]) -> MacroState:
+    """Burst replica j with streams[j] at frozen x_n, then step x by the
+    replica mean of f_avg."""
+    f_bar = np.zeros(model.slow_dim)
+    y_new = np.empty_like(state.replica_fast)
+    for j, stream in enumerate(streams):
+        try:
+            f_avg_j, y_new[j] = hmm_micro_burst(
+                model, state.x, state.replica_fast[j], cfg, stream)
+        except IntegrationFailure as err:
+            raise IntegrationFailure("replica burst failed",
+                                     macro_index=state.n,
+                                     micro_index=err.micro_index,
+                                     replica=j) from err
+        f_bar += f_avg_j
+    f_bar /= len(streams)
+    x_new = state.x + cfg.macro_dt * f_bar
+    if not np.isfinite(x_new).all():
+        raise IntegrationFailure("non-finite slow state", macro_index=state.n)
+    return MacroState(state.n + 1, x_new, y_new)
 
 
 def hmm_step(model: FastSlowModel, state: MacroState, cfg: SchemeConfig,
@@ -154,27 +184,16 @@ def hmm_step(model: FastSlowModel, state: MacroState, cfg: SchemeConfig,
     """
     if state.replica_fast.shape[0] != 1:
         raise ValueError("hmm_step expects a single carried fast state")
-    try:
-        f_avg, y_end = hmm_micro_burst(model, state.x, state.replica_fast[0],
-                                       cfg, stream)
-    except IntegrationFailure as err:
-        raise IntegrationFailure("micro burst failed",
-                                 macro_index=state.n,
-                                 micro_index=err.micro_index) from err
-    x_new = state.x + cfg.macro_dt * f_avg
-    if not np.isfinite(x_new).all():
-        raise IntegrationFailure("non-finite slow state", macro_index=state.n)
-    return MacroState(state.n + 1, x_new, y_end[None, :])
+    return _replica_step(model, state, cfg, [stream])
 
 
 def phmm_step(model: FastSlowModel, state: MacroState, cfg: SchemeConfig,
-              streams: Sequence[RngStream], executor=None) -> MacroState:
+              streams: Sequence[RngStream]) -> MacroState:
     """One parallel-HMM macro step from ``lam`` independent bursts.
 
     Replica j advances its own fast copy with its own stream; the slow
     update uses the replica average ``x + dt * mean_j(f_avg_j)``, reduced in
-    ascending replica order regardless of completion order. Bursts may run
-    concurrently when an ``executor`` is supplied.
+    ascending replica order.
     """
     lam = cfg.lam
     if state.replica_fast.shape[0] != lam:
@@ -182,53 +201,24 @@ def phmm_step(model: FastSlowModel, state: MacroState, cfg: SchemeConfig,
                          f"got {state.replica_fast.shape[0]}")
     if len(streams) != lam:
         raise ValueError(f"expected {lam} streams, got {len(streams)}")
-
-    def one(j):
-        try:
-            return hmm_micro_burst(model, state.x, state.replica_fast[j], cfg,
-                                   streams[j])
-        except IntegrationFailure as err:
-            raise IntegrationFailure("replica burst failed",
-                                     macro_index=state.n,
-                                     micro_index=err.micro_index,
-                                     replica=j) from err
-
-    if executor is None:
-        results = [one(j) for j in range(lam)]
-    else:
-        futures = [executor.submit(one, j) for j in range(lam)]
-        results = [fut.result() for fut in futures]
-
-    f_bar = np.zeros(model.slow_dim)
-    y_new = np.empty_like(state.replica_fast)
-    for j in range(lam):
-        f_avg_j, y_end_j = results[j]
-        f_bar += f_avg_j
-        y_new[j] = y_end_j
-    f_bar /= lam
-    x_new = state.x + cfg.macro_dt * f_bar
-    if not np.isfinite(x_new).all():
-        raise IntegrationFailure("non-finite slow state", macro_index=state.n)
-    return MacroState(state.n + 1, x_new, y_new)
+    return _replica_step(model, state, cfg, streams)
 
 
 SCHEMES = ("direct", "averaged", "hmm", "phmm")
 
 
 def run_scheme(model: FastSlowModel, scheme: str, x0, y0, cfg: SchemeConfig,
-               T: float, record_stride: int = 1, executor=None) -> Trajectory:
+               T: float) -> Trajectory:
     """Drive the chosen stepper over [0, T] and record the slow path.
 
     ``scheme`` is one of direct | averaged | hmm | phmm. Macro schemes take
-    ceil(T / macro_dt) steps and record every ``record_stride``-th macro
-    iterate; ``direct`` integrates at step eps*micro_dt and interprets the
-    stride in those steps. All randomness derives from cfg.root_seed through
-    keyed substreams, so output is independent of worker count.
+    ceil(T / macro_dt) steps and record every macro iterate; ``direct``
+    integrates at step eps*micro_dt and records every step. All randomness
+    derives from cfg.root_seed through keyed substreams; :mod:`fastslow.rng`
+    documents the key layout.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-    if record_stride < 1:
-        raise ValueError("record_stride must be >= 1")
     base = RngStream(cfg.root_seed)
     meta = {"scheme": scheme, "config_hash": cfg.config_hash(),
             "seed": cfg.root_seed, "model": model.name, "lam": cfg.lam,
@@ -237,7 +227,7 @@ def run_scheme(model: FastSlowModel, scheme: str, x0, y0, cfg: SchemeConfig,
     if scheme == "direct":
         h = cfg.eps * cfg.micro_dt
         traj = direct_integrate(model, x0, y0, cfg.eps, h, T,
-                                base.child(-2, 0), record_stride)
+                                base.child(-2, 0))
         traj.meta.update(meta)
         return traj
 
@@ -245,39 +235,30 @@ def run_scheme(model: FastSlowModel, scheme: str, x0, y0, cfg: SchemeConfig,
         raise ValueError("T must cover at least one macro step")
     n_steps = math.ceil(T / cfg.macro_dt)
     x = _as_point(x0, model.slow_dim, "x0")
-
+    states = [x.copy()]
     if scheme == "averaged":
         if model.averaged_drift is None:
             raise ValueError("model has no averaged_drift; cannot run the "
                              "averaged scheme")
-        times, states = [0.0], [x.copy()]
-        for n in range(n_steps):
+        for _ in range(n_steps):
             x = averaged_step(model.averaged_drift, x, cfg.macro_dt)
-            if (n + 1) % record_stride == 0:
-                times.append((n + 1) * cfg.macro_dt)
-                states.append(x.copy())
-        return Trajectory(np.array(times), np.array(states), meta)
-
-    y = _as_point(y0, model.fast_dim, "y0")
-    model.check_shapes(x, y)
-    n_rep = cfg.lam if scheme == "phmm" else 1
-    y_init = np.repeat(y[None, :], n_rep, axis=0)
-    state = MacroState(0, x, y_init.copy())
-    times, states = [0.0], [state.x.copy()]
-    for n in range(n_steps):
-        if cfg.restart_fast:
-            state = MacroState(state.n, state.x, y_init.copy())
-        try:
-            if scheme == "hmm":
-                state = hmm_step(model, state, cfg, base.child(0, n))
-            else:
-                streams = [base.child(j, n) for j in range(cfg.lam)]
-                state = phmm_step(model, state, cfg, streams, executor)
-        except IntegrationFailure as err:
-            raise IntegrationFailure(
-                f"{scheme} failed", time=n * cfg.macro_dt, macro_index=n,
-                micro_index=err.micro_index, replica=err.replica) from err
-        if (n + 1) % record_stride == 0:
-            times.append((n + 1) * cfg.macro_dt)
+            states.append(x.copy())
+    else:
+        y = _as_point(y0, model.fast_dim, "y0")
+        model.check_shapes(x, y)
+        n_rep = cfg.lam if scheme == "phmm" else 1
+        state = MacroState(0, x, np.repeat(y[None, :], n_rep, axis=0))
+        for n in range(n_steps):
+            try:
+                if scheme == "hmm":
+                    state = hmm_step(model, state, cfg, base.child(0, n))
+                else:
+                    streams = [base.child(j, n) for j in range(cfg.lam)]
+                    state = phmm_step(model, state, cfg, streams)
+            except IntegrationFailure as err:
+                raise IntegrationFailure(
+                    f"{scheme} failed", time=n * cfg.macro_dt, macro_index=n,
+                    micro_index=err.micro_index, replica=err.replica) from err
             states.append(state.x.copy())
-    return Trajectory(np.array(times), np.array(states), meta)
+    times = np.arange(n_steps + 1) * cfg.macro_dt
+    return Trajectory(times, np.array(states), meta)

@@ -111,36 +111,18 @@ class FastSlowModel:
             )
 
 
-@dataclass(frozen=True)
-class State:
-    """Instantaneous state (t, x, y) of a fast-slow system."""
-
-    t: float
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        if not (math.isfinite(self.t)
-                and np.isfinite(self.x).all()
-                and np.isfinite(self.y).all()):
-            raise IntegrationFailure("non-finite state", time=self.t)
-
-
 @dataclass
 class Trajectory:
     """Recorded slow-variable path with provenance metadata.
 
     ``times`` is strictly increasing and aligned with ``states`` of shape
-    (n, d). Fast states are recorded only when requested. ``meta`` carries
-    at least the scheme name, the config hash and the root seed.
+    (n, d). ``meta`` carries at least the scheme name, the config hash and
+    the root seed.
     """
 
     times: np.ndarray
     states: np.ndarray
     meta: dict
-    fast_states: np.ndarray | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -167,51 +149,25 @@ def _as_point(value, dim: int, label: str) -> np.ndarray:
     return arr
 
 
-def direct_step(model: FastSlowModel, state: State, eps: float, h: float,
-                stream: RngStream) -> State:
-    """One Euler-Maruyama step of the full stiff system.
-
-    Updates ``x' = x + h f(x, y)`` and
-    ``y' = y + (h/eps) g(x, y) + (1/sqrt(eps)) sigma(x, y) dW`` with
-    ``dW ~ N(0, h I)``.
-
-    Raises:
-        ValueError: for non-positive ``h`` or ``eps``.
-        IntegrationFailure: if the new state is non-finite.
-    """
-    if not h > 0:
-        raise ValueError(f"h must be positive, got {h}")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    x, y = state.x, state.y
-    dw = stream.normals(model.fast_dim) * math.sqrt(h)
-    x_new = x + h * np.asarray(model.f(x, y), dtype=float)
-    y_new = (y + (h / eps) * np.asarray(model.g(x, y), dtype=float)
-             + (np.asarray(model.sigma(x, y), dtype=float) @ dw) / math.sqrt(eps))
-    t_new = state.t + h
-    if not (np.isfinite(x_new).all() and np.isfinite(y_new).all()):
-        raise IntegrationFailure("non-finite state after direct step", time=t_new)
-    return State(t_new, x_new, y_new)
-
-
 def direct_integrate(model: FastSlowModel, x0, y0, eps: float, h: float,
-                     T: float, stream: RngStream, record_stride: int = 1,
-                     record_fast: bool = False) -> Trajectory:
+                     T: float, stream: RngStream) -> Trajectory:
     """Integrate the full system over [0, T], recording the slow path.
 
-    Performs ``ceil(T/h)`` Euler-Maruyama steps and records every
-    ``record_stride``-th state (the initial state included). Wiener
+    Performs ``ceil(T/h)`` Euler-Maruyama steps and records every state
+    (the initial state included). Wiener
     increments are consumed from ``stream`` in step order, so results do
     not depend on internal chunking.
 
     Raises:
+        ValueError: for ``eps`` or ``h`` not positive and finite.
         IntegrationFailure: carrying the step index of the first
             non-finite state.
     """
+    for name, value in (("eps", eps), ("h", h)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if T < h:
         raise ValueError("T must be at least one step h")
-    if record_stride < 1:
-        raise ValueError("record_stride must be >= 1")
     x = _as_point(x0, model.slow_dim, "x0")
     y = _as_point(y0, model.fast_dim, "y0")
     model.check_shapes(x, y)
@@ -221,7 +177,6 @@ def direct_integrate(model: FastSlowModel, x0, y0, eps: float, h: float,
 
     rec_times = [0.0]
     rec_states = [x.copy()]
-    rec_fast = [y.copy()] if record_fast else None
     chunk = 4096
     step = 0
     while step < n_steps:
@@ -237,13 +192,9 @@ def direct_integrate(model: FastSlowModel, x0, y0, eps: float, h: float,
                 raise IntegrationFailure(
                     "non-finite state in direct integration",
                     time=step * h, step=step)
-            if step % record_stride == 0:
-                rec_times.append(step * h)
-                rec_states.append(x.copy())
-                if record_fast:
-                    rec_fast.append(y.copy())
+            rec_times.append(step * h)
+            rec_states.append(x.copy())
 
     meta = {"scheme": "direct", "eps": eps, "h": h,
             "seed": stream.root_seed, "model": model.name}
-    return Trajectory(np.array(rec_times), np.array(rec_states), meta,
-                      fast_states=np.array(rec_fast) if record_fast else None)
+    return Trajectory(np.array(rec_times), np.array(rec_states), meta)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from fastslow.cli import bundled_configs, list_experiments, main
-from fastslow.experiments import parse_config
+from fastslow.experiments import ConfigError, parse_config
 
 
 def _read_body(path):
@@ -202,6 +202,42 @@ n_points = 10
 """)
         assert main(["run", str(path)]) == 2
         assert "non_diffusive" in capsys.readouterr().err
+
+
+_ENSEMBLE_SECTIONS = {
+    "histogram": ("lambdas = 2\nt = 10\n",
+                  "bin_min = -1\nbin_max = 1\nn_bins = 4\n"),
+    "variance_vs_lambda": ("lambdas = 2\nt = 10\n", ""),
+    "mfpt_vs_lambda": ("lambdas = 2\n", "n_samples = 4\nt_cap = 5\n"
+                       "start = 0\nthreshold = 0.3\ndirection = upcrossing\n"),
+    "fpt_cdf": ("lambda = 2\n", "n_samples = 4\nt_cap = 5\nstart = 0\n"
+                "threshold = 0.3\ndirection = upcrossing\n"),
+}
+
+
+@pytest.mark.parametrize("analysis", sorted(_ENSEMBLE_SECTIONS))
+def test_averaged_scheme_is_rejected_by_ensemble_analyses(tmp_path, analysis):
+    # no ensemble driver runs the averaged scheme; it used to run as hmm
+    scheme_keys, analysis_keys = _ENSEMBLE_SECTIONS[analysis]
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"""\
+[experiment]
+analysis = {analysis}
+seed = 1
+
+[model]
+name = linear_ou
+
+[scheme]
+eps = 1e-2
+micro_dt = 0.1
+macro_dt = 0.08
+{scheme_keys}
+[analysis]
+schemes = averaged, hmm
+{analysis_keys}""")
+    with pytest.raises(ConfigError, match="scheme 'averaged' is not available"):
+        parse_config(path)
 
 
 class TestNumericalFailure:

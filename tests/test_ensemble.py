@@ -87,25 +87,46 @@ def test_direct_samples_match_reference_integrator(dw_cfg):
     times, rec = direct_samples(model, dw_cfg, -1.0, 0.5, 1.0, [4], base,
                                 record_dt=0.05)
     h = dw_cfg.eps * dw_cfg.micro_dt
+    stride = round(0.05 / h)
     ref = fs.direct_integrate(model, [-1.0], [0.5], dw_cfg.eps, h, 1.0,
-                              base.child(4, -2, 0),
-                              record_stride=round(0.05 / h))
-    assert np.allclose(times, ref.times[:len(times)])
-    assert np.allclose(rec[:, 0], ref.slow()[:len(times)], atol=1e-9)
+                              base.child(4, -2, 0))
+    ref_times, ref_x = ref.times[::stride], ref.slow()[::stride]
+    assert np.allclose(times, ref_times[:len(times)])
+    assert np.allclose(rec[:, 0], ref_x[:len(times)], atol=1e-9)
 
 
-def test_pooled_samples_are_executor_invariant():
+@pytest.mark.parametrize("scheme", ["direct", "hmm", "phmm"])
+def test_pooled_samples_are_executor_invariant(scheme):
     model = fs.LinearOUModel().system()
     cfg = SchemeConfig(eps=1e-2, lam=2, macro_dt=0.08, micro_dt=0.1,
                        root_seed=9)
     base = RngStream(9)
-    serial = pooled_stationary_samples(model, "hmm", cfg, 0.0, None, 40.0, 8,
+    serial = pooled_stationary_samples(model, scheme, cfg, 0.0, None, 40.0, 8,
                                        2.0, base, chain_block=3)
     with ThreadPoolExecutor(max_workers=5) as pool:
-        parallel = pooled_stationary_samples(model, "hmm", cfg, 0.0, None,
+        parallel = pooled_stationary_samples(model, scheme, cfg, 0.0, None,
                                              40.0, 8, 2.0, base,
                                              executor=pool, chain_block=3)
     assert np.array_equal(serial, parallel)
+
+
+@pytest.mark.parametrize("scheme", ["averaged", "nonsense"])
+def test_ensemble_drivers_reject_other_schemes(scheme):
+    # a scheme without an ensemble driver must not fall through to hmm
+    model = fs.LinearOUModel().system()
+    cfg = SchemeConfig(eps=1e-2, lam=2, macro_dt=0.08, micro_dt=0.1,
+                       root_seed=9)
+    base = RngStream(9)
+    with pytest.raises(ValueError, match="unsupported scheme"):
+        pooled_stationary_samples(model, scheme, cfg, 0.0, None, 10.0, 2,
+                                  1.0, base)
+    with pytest.raises(ValueError, match="unsupported scheme"):
+        first_passage_block(model, scheme, cfg, fs.BasinSpec(0.0, 0.3),
+                            np.arange(2), 1.0, base)
+    for name in (scheme, "direct"):
+        with pytest.raises(ValueError, match="unsupported scheme"):
+            scheme_samples(model, name, cfg, 0.0, None, 1.0, np.arange(2),
+                           base)
 
 
 def test_pooled_samples_burn_in_validation():
@@ -117,16 +138,24 @@ def test_pooled_samples_burn_in_validation():
                                   3.0, RngStream(9))
 
 
-def test_first_passage_block_invariance(double_well_model, dw_basin):
+@pytest.mark.parametrize("scheme", ["direct", "hmm", "phmm"])
+def test_first_passage_block_invariance(double_well_model, dw_basin, scheme):
+    # direct lanes leave the block only at the end of a 512-step chunk; the
+    # shorter direct cap (400,000 steps) leaves some lanes censored
+    t_cap = 20.0 if scheme == "direct" else 400.0
     cfg = SchemeConfig(eps=1e-3, lam=2, macro_dt=0.06, micro_dt=0.05,
                        root_seed=5)
     model = double_well_model.system()
     base = RngStream(5)
-    el, cen = first_passage_block(model, "hmm", cfg, dw_basin,
-                                  np.arange(6), 400.0, base)
-    el_a, _ = first_passage_block(model, "hmm", cfg, dw_basin,
-                                  np.arange(3), 400.0, base)
-    el_b, _ = first_passage_block(model, "hmm", cfg, dw_basin,
-                                  np.arange(3, 6), 400.0, base)
+    el, cen = first_passage_block(model, scheme, cfg, dw_basin,
+                                  np.arange(6), t_cap, base)
+    el_a, cen_a = first_passage_block(model, scheme, cfg, dw_basin,
+                                      np.arange(3), t_cap, base)
+    el_b, cen_b = first_passage_block(model, scheme, cfg, dw_basin,
+                                      np.arange(3, 6), t_cap, base)
     assert np.array_equal(el, np.concatenate([el_a, el_b]))
-    assert not cen.any()
+    assert np.array_equal(cen, np.concatenate([cen_a, cen_b]))
+    if scheme == "direct":
+        assert 0 < cen.sum() < cen.size
+    else:
+        assert not cen.any()

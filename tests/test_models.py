@@ -166,3 +166,19 @@ def test_generic_and_structured_drift_paths_agree():
     b = empirical_averaged_drift(generic, [1.3], 0.05, 5.0, 50.0,
                                  RngStream(77))
     assert a[0] == pytest.approx(b[0], abs=1e-10)
+
+
+def test_generic_drift_failure_reports_absolute_micro_index():
+    # the fast drift blows up on its 7th call: the 3rd averaged micro step
+    # after a 4-step burn window, counted as micro step 7 of the whole run
+    calls = []
+
+    def g(x, y):
+        calls.append(1)
+        return np.full(1, np.inf if len(calls) == 7 else 0.0)
+
+    m = fs.FastSlowModel(1, 1, lambda x, y: y, g,
+                         lambda x, y: np.zeros((1, 1)))
+    with pytest.raises(fs.IntegrationFailure) as err:
+        empirical_averaged_drift(m, [0.0], 1.0, 4.0, 5.0, RngStream(1))
+    assert err.value.micro_index == 7

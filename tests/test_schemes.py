@@ -1,5 +1,4 @@
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -148,19 +147,6 @@ class TestSteppers:
             phmm_step(m, MacroState(0, [1.0], [[0.0]]), cfg,
                       [RngStream(1), RngStream(2)])
 
-    def test_phmm_is_executor_invariant(self):
-        m = fs.LinearOUModel().system()
-        cfg = _cfg(lam=4)
-        state = MacroState(0, [0.5], [[0.0]] * 4)
-        streams = [RngStream(cfg.root_seed).child(j, 0) for j in range(4)]
-        serial = phmm_step(m, state, cfg, streams)
-        for workers in (2, 4):
-            streams = [RngStream(cfg.root_seed).child(j, 0) for j in range(4)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parallel = phmm_step(m, state, cfg, streams, executor=pool)
-            assert np.array_equal(serial.x, parallel.x)
-            assert np.array_equal(serial.replica_fast, parallel.replica_fast)
-
 
 class TestRunScheme:
     def test_single_macro_step_records_two_points(self):
@@ -188,15 +174,6 @@ class TestRunScheme:
         m = fs.LinearOUModel().system()
         with pytest.raises(ValueError, match="unknown scheme"):
             run_scheme(m, "midpoint", [0.0], [0.0], _cfg(), T=1.0)
-
-    def test_phmm_trajectory_is_worker_count_invariant(self):
-        m = fs.LinearOUModel().system()
-        cfg = _cfg(lam=4)
-        ref = run_scheme(m, "phmm", [1.0], [0.0], cfg, T=2.0)
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            par = run_scheme(m, "phmm", [1.0], [0.0], cfg, T=2.0,
-                             executor=pool)
-        assert np.array_equal(ref.states, par.states)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_failure_carries_macro_index(self):

@@ -3,8 +3,8 @@ import pytest
 from scipy.linalg import expm
 
 import fastslow as fs
-from fastslow import (FastSlowModel, IntegrationFailure, RngStream, State,
-                      Trajectory, direct_integrate, direct_step)
+from fastslow import (FastSlowModel, IntegrationFailure, RngStream,
+                      Trajectory, direct_integrate)
 
 
 def _zero_model(d=2, e=3):
@@ -19,29 +19,21 @@ def _zero_model(d=2, e=3):
 
 def test_zero_fields_leave_state_unchanged():
     m = _zero_model()
-    st = State(0.0, [1.0, -2.0], [0.5, 0.5, 0.5])
-    out = direct_step(m, st, eps=0.1, h=0.25, stream=RngStream(1))
-    assert out.t == 0.25
-    assert np.array_equal(out.x, st.x)
-    assert np.array_equal(out.y, st.y)
+    traj = direct_integrate(m, [1.0, -2.0], [0.5, 0.5, 0.5], eps=0.1,
+                            h=0.25, T=1.0, stream=RngStream(1))
+    assert np.array_equal(traj.times, [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert all(np.array_equal(row, [1.0, -2.0]) for row in traj.states)
 
 
-def test_direct_step_is_reproducible():
+def test_direct_integrate_validates_arguments():
     m = fs.LinearOUModel().system()
-    st = State(0.0, [1.0], [0.0])
-    a = direct_step(m, st, 0.01, 1e-3, RngStream(42))
-    b = direct_step(m, st, 0.01, 1e-3, RngStream(42))
-    assert a.t == b.t
-    assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-
-
-def test_direct_step_validates_arguments():
-    m = fs.LinearOUModel().system()
-    st = State(0.0, [1.0], [0.0])
-    with pytest.raises(ValueError):
-        direct_step(m, st, 0.01, 0.0, RngStream(1))
-    with pytest.raises(ValueError):
-        direct_step(m, st, -0.1, 1e-3, RngStream(1))
+    for eps, h, name in ((0.01, 0.0, "h"), (0.01, -0.01, "h"),
+                         (0.01, np.inf, "h"), (0.01, np.nan, "h"),
+                         (0.0, 1e-3, "eps"), (-0.1, 1e-3, "eps"),
+                         (-0.1, -0.01, "eps"), (np.inf, 1e-3, "eps"),
+                         (np.nan, 1e-3, "eps")):
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            direct_integrate(m, [1.0], [0.0], eps, h, 1.0, RngStream(1))
 
 
 def test_noiseless_fast_relaxation_matches_matrix_exponential():
@@ -50,21 +42,24 @@ def test_noiseless_fast_relaxation_matches_matrix_exponential():
     # onto the slow manifold y ~ mu*x (up to the adiabatic lag ~ eps*|xdot|).
     eps, theta, mu = 0.01, 1.0, 0.5
     m = fs.LinearOUModel(theta=theta, mu=mu, sigma_f=0.0).system()
-    st = State(0.0, [1.0], [0.0])
     h = eps * 0.1
-    for _ in range(100):
-        st = direct_step(m, st, eps, h, RngStream(3))
+    # one step past t = 0.1: the slow update x' = x + h (y - x) gives back
+    # the fast state y(0.1) from the recorded slow path
+    traj = direct_integrate(m, [1.0], [0.0], eps, h, 101 * h, RngStream(3))
+    assert len(traj) == 102
+    x, x_next = traj.slow()[100], traj.slow()[101]
+    y = x + (x_next - x) / h
     A = np.array([[-1.0, 1.0], [theta * mu / eps, -theta / eps]])
     exact = expm(0.1 * A) @ np.array([1.0, 0.0])
-    assert abs(st.x[0] - exact[0]) < 1e-4
-    assert abs(st.y[0] - exact[1]) < 1e-4
-    assert abs(st.y[0] - mu * st.x[0]) < 3e-3  # started at |y - mu*x| = 0.5
+    assert abs(x - exact[0]) < 1e-4
+    assert abs(y - exact[1]) < 1e-4
+    assert abs(y - mu * x) < 3e-3  # started at |y - mu*x| = 0.5
 
 
 def test_single_step_trajectory_has_two_points():
     m = _zero_model(1, 1)
     traj = direct_integrate(m, [0.0], [0.0], eps=0.1, h=0.5, T=0.5,
-                            stream=RngStream(1), record_stride=1)
+                            stream=RngStream(1))
     assert len(traj) == 2
     assert traj.meta["scheme"] == "direct"
 
@@ -77,11 +72,11 @@ def test_deterministic_euler_recursion():
                       sigma=lambda x, y: np.zeros((1, 1)))
     h, T, x0 = 0.01, 1.0, 2.0
     traj = direct_integrate(m, [x0], [0.0], eps=1.0, h=h, T=T,
-                            stream=RngStream(1), record_stride=10)
+                            stream=RngStream(1))
     expected = x0 * (1 - h) ** round(T / h)
     assert traj.slow()[-1] == pytest.approx(expected, rel=1e-12)
-    # recorded times increase by h * record_stride
-    assert np.allclose(np.diff(traj.times), h * 10)
+    # every step is recorded
+    assert np.allclose(np.diff(traj.times), h)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -104,11 +99,6 @@ def test_dimension_mismatch_is_rejected():
                         sigma=lambda x, y: np.zeros((1, 1)))
     with pytest.raises(ValueError, match="f returned shape"):
         direct_integrate(bad, [0.0, 0.0], [0.0], 1.0, 0.1, 1.0, RngStream(1))
-
-
-def test_state_rejects_non_finite_components():
-    with pytest.raises(IntegrationFailure):
-        State(0.0, [np.inf], [0.0])
 
 
 def test_trajectory_invariants():
