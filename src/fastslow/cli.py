@@ -14,6 +14,7 @@ indices, so outputs are identical for any ``--workers`` value.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -103,14 +104,10 @@ def main(argv=None) -> int:
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     try:
         path, name = _resolve_config(args.config)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                summary, _ = run_experiment(path, out_dir, name=name,
-                                            seed=args.seed, executor=pool,
-                                            json_mirror=args.json)
-        else:
+        with (ThreadPoolExecutor(max_workers=workers) if workers > 1
+              else contextlib.nullcontext()) as pool:
             summary, _ = run_experiment(path, out_dir, name=name,
-                                        seed=args.seed, executor=None,
+                                        seed=args.seed, executor=pool,
                                         json_mirror=args.json)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

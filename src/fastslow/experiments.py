@@ -164,7 +164,6 @@ class ExperimentConfig:
     model_params: dict
     scheme: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
-    source_text: str = ""
 
     def config_hash(self) -> str:
         items = [f"analysis={self.analysis}", f"seed={self.seed}",
@@ -277,7 +276,6 @@ def parse_config(path, name: str | None = None) -> ExperimentConfig:
         model_params=model_params,
         scheme=parsed.get("scheme", {}),
         params=parsed.get("analysis", {}),
-        source_text=text,
     )
     _validate_semantics(cfg)
     return cfg
@@ -308,6 +306,19 @@ def _validate_semantics(cfg: ExperimentConfig) -> None:
                           "non_diffusive model")
     if cfg.analysis == "jump_compare" and cfg.model_name != "birth_death":
         raise ConfigError("jump_compare requires the birth_death model")
+    values = {**cfg.model_params, **cfg.scheme, **cfg.params}
+    for key in ("n_replicas", "n_samples", "n_bins", "n_runs"):
+        if key in values and values[key] < 1:
+            raise ConfigError(f"{key} must be positive, got {values[key]}",
+                              key=key)
+    for key in ("lambdas", "lambda"):
+        if key in values and any(lam < 1 for lam in np.atleast_1d(values[key])):
+            raise ConfigError(f"every {key} value must be at least 1, got "
+                              f"{values[key]}", key=key)
+    for key in ("t", "tau", "t_cap", "eps", "micro_dt", "macro_dt"):
+        if key in values and not (math.isfinite(values[key]) and values[key] > 0):
+            raise ConfigError(f"{key} must be positive and finite, got "
+                              f"{values[key]}", key=key)
 
 
 def _model_kwargs(cfg: ExperimentConfig) -> dict:

@@ -13,9 +13,10 @@ a tau-leap interval consumes one ``poisson(lam_vector)`` call from the
 stream's main generator.
 
 An SSA event with uniform u fires the first channel whose cumulative rate
-exceeds u times the last cumulative rate, so a zero-rate channel never fires
-and the choice does not depend on how the rate total is summed; the waiting
-time uses ``rates.sum()``.
+exceeds u times the last cumulative rate, and its waiting time divides by
+that same rate, so a zero-rate channel never fires and no run depends on
+which other runs share its block. ``ssa_run`` and ``tau_leap_run`` are
+one-lane calls of the lockstep lane kernels behind the batched drivers.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .rng import RngStream
 from .sde import Trajectory
 
 _ORTHANT_TOL = 1e-12
+_SSA_CHUNK = 512  # SSA draws per generator per refill
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,8 @@ class JumpModel:
     """A scaled jump process on the nonnegative orthant.
 
     ``vectorized`` declares that propensities accept states of shape
-    (..., dim) and return (...,); the batched drivers require it.
+    (..., dim) and return (...,); the drivers then evaluate all lanes in one
+    call instead of one lane at a time.
     Propensities are clamped to zero whenever they are negative or the
     corresponding single jump would leave the orthant.
     """
@@ -124,8 +127,100 @@ def _meta(model, scheme, stream, absorbed):
             "seed": stream.root_seed, "absorbed": absorbed}
 
 
-def ssa_run(model: JumpModel, x0, T: float, stream: RngStream,
-            max_events: int | None = None) -> Trajectory:
+def _lanes(model, x0, T, n):
+    """Checked x0 and horizon T; returns x0, n lanes at x0 and zero counts."""
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError(f"T must be finite and nonnegative, got {T}")
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.shape != (model.dim,):
+        raise ValueError(f"x0 must have shape ({model.dim},)")
+    # integer jump counts keep every state exactly on the eps-lattice
+    return (x0, np.tile(x0, (n, 1)),
+            np.zeros((n, len(model.reactions)), dtype=np.int64))
+
+
+def _lane_rates(model, x):
+    """Guarded rates (m, B) of lanes x (B, dim), one call per lane unless
+    the model is vectorized."""
+    if model.vectorized:
+        return model.guarded_rates(x)
+    rates = np.empty((len(model.reactions), len(x)))
+    for i, xi in enumerate(x):
+        rates[:, i] = model.guarded_rates(xi)
+    return rates
+
+
+def _ssa(model, x0, T, exp_gens, uni_gens, on_event=lambda t, x: None):
+    """Lockstep SSA lanes from x0 to T, one per (exponential, uniform) pair.
+
+    ``on_event(t, x)`` sees the live lanes at the start and after every
+    event. Returns the final states (B, dim) and absorbed flags (B,).
+    """
+    x0, x, counts = _lanes(model, x0, T, len(exp_gens))
+    t = np.zeros(len(x))
+    final = np.empty_like(x)
+    absorbed = np.zeros(len(x), dtype=bool)
+    pos = np.arange(len(x))
+    gens = list(zip(exp_gens, uni_gens))
+    nu = model.stoichiometry_matrix
+    n_channels = len(model.reactions)
+    on_event(t, x)
+    cursor = _SSA_CHUNK
+    while pos.size:
+        if cursor == _SSA_CHUNK:
+            exps = np.empty((pos.size, _SSA_CHUNK))
+            unis = np.empty((pos.size, _SSA_CHUNK))
+            for i, (eg, ug) in enumerate(gens):
+                exps[i] = eg.standard_exponential(_SSA_CHUNK)
+                unis[i] = ug.random(_SSA_CHUNK)
+            cursor = 0
+        rates = _lane_rates(model, x)  # (m, B)
+        cum = np.cumsum(rates, axis=0)
+        total = cum[-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_next = t + model.eps * exps[:, cursor] / total
+        u_cum = unis[:, cursor] * total
+        cursor += 1
+        stuck = total <= 0.0
+        done = stuck | (t_next > T)
+        if done.any():
+            final[pos[done]] = x[done]
+            absorbed[pos[stuck]] = True
+            keep = ~done
+            pos, x, t_next, counts = pos[keep], x[keep], t_next[keep], counts[keep]
+            cum, u_cum = cum[:, keep], u_cum[keep]
+            exps, unis = exps[keep], unis[keep]
+            gens = [g for g, kp in zip(gens, keep) if kp]
+            if not pos.size:
+                break
+        k = np.minimum((cum <= u_cum).sum(axis=0), n_channels - 1)
+        counts[np.arange(pos.size), k] += 1
+        x = x0[None, :] + model.eps * (counts @ nu)
+        t = t_next
+        on_event(t, x)
+    return final, absorbed
+
+
+def _tau_windows(model, x0, T, tau, gens):
+    """Lockstep tau-leap lanes from x0 to T, one per generator; yields
+    ``(t, x)`` with x (B, dim) at t = 0 and after every window."""
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    x0, x, counts = _lanes(model, x0, T, len(gens))
+    nu = model.stoichiometry_matrix
+    t = 0.0
+    yield t, x
+    for _ in range(math.ceil(T / tau)):
+        dt = min(tau, T - t)
+        lam = _lane_rates(model, x) * (dt / model.eps)  # (m, B)
+        for i, g in enumerate(gens):
+            counts[i] += g.poisson(lam[:, i])
+        x = x0[None, :] + model.eps * (counts @ nu)
+        t += dt
+        yield t, x
+
+
+def ssa_run(model: JumpModel, x0, T: float, stream: RngStream) -> Trajectory:
     """Gillespie direct method on the scaled process, recording every jump.
 
     Waiting times are Exp(total_rate / eps); the jump channel is chosen
@@ -133,54 +228,15 @@ def ssa_run(model: JumpModel, x0, T: float, stream: RngStream,
     propensity is absorbing: the run halts there with ``meta['absorbed']``
     set. Otherwise a terminal snapshot at time T closes the record.
     """
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x.shape != (model.dim,):
-        raise ValueError(f"x0 must have shape ({model.dim},)")
-    exp_gen = stream.child(0).generator
-    uni_gen = stream.child(1).generator
-    nu = model.stoichiometry_matrix
-    x0_arr = x
-    # integer jump counts keep every state exactly on the eps-lattice
-    counts = np.zeros(len(model.reactions), dtype=np.int64)
-    times, states = [0.0], [x.copy()]
-    t = 0.0
-    absorbed = False
-    events = 0
-    chunk = 512
-    exps = exp_gen.standard_exponential(chunk)
-    unis = uni_gen.random(chunk)
-    cursor = 0
-    while True:
-        rates = model.guarded_rates(x)
-        total = float(rates.sum())
-        if total <= 0.0:
-            absorbed = True
-            break
-        if cursor == chunk:
-            exps = exp_gen.standard_exponential(chunk)
-            unis = uni_gen.random(chunk)
-            cursor = 0
-        t_next = t + model.eps * exps[cursor] / total
-        u = unis[cursor]
-        cursor += 1
-        if t_next > T:
-            break
-        cum = np.cumsum(rates)
-        k = min(int(np.searchsorted(cum, u * cum[-1], side="right")),
-                len(rates) - 1)
-        counts[k] += 1
-        x = x0_arr + model.eps * (counts @ nu)
-        t = t_next
-        times.append(t)
-        states.append(x.copy())
-        events += 1
-        if max_events is not None and events >= max_events:
-            break
-    if not absorbed and T > times[-1]:
-        times.append(T)
-        states.append(x.copy())
-    return Trajectory(np.array(times), np.array(states),
-                      _meta(model, "ssa", stream, absorbed))
+    path = []
+    final, absorbed = _ssa(model, x0, T, [stream.child(0).generator],
+                           [stream.child(1).generator],
+                           lambda t, x: path.append((t[0], x[0])))
+    if not absorbed[0] and T > path[-1][0]:
+        path.append((T, final[0]))
+    times, states = zip(*path)
+    return Trajectory(np.array(times, dtype=float), np.array(states),
+                      _meta(model, "ssa", stream, bool(absorbed[0])))
 
 
 def tau_leap_run(model: JumpModel, x0, T: float, tau: float,
@@ -191,88 +247,24 @@ def tau_leap_run(model: JumpModel, x0, T: float, tau: float,
     window, channel k fires Poisson(a_k(x) tau / eps) times and the state
     moves by eps times the net stoichiometry. Records every window end.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x.shape != (model.dim,):
-        raise ValueError(f"x0 must have shape ({model.dim},)")
-    gen = stream.generator
-    nu = model.stoichiometry_matrix
-    x0_arr = x
-    counts = np.zeros(len(model.reactions), dtype=np.int64)
-    n_windows = math.ceil(T / tau)
-    times, states = [0.0], [x.copy()]
-    t = 0.0
-    for w in range(n_windows):
-        dt = min(tau, T - t)
-        lam = model.guarded_rates(x) * (dt / model.eps)
-        counts = counts + gen.poisson(lam)
-        x = x0_arr + model.eps * (counts @ nu)
-        t = t + dt
-        times.append(t)
-        states.append(x.copy())
+    times, states = zip(*((t, x[0]) for t, x in _tau_windows(
+        model, x0, T, tau, [stream.generator])))
     return Trajectory(np.array(times), np.array(states),
                       _meta(model, "tau_leap", stream, False))
 
 
 def ssa_final_states(model: JumpModel, x0, T: float, ids,
-                     base: RngStream, chunk: int = 512) -> np.ndarray:
+                     base: RngStream) -> np.ndarray:
     """States at time T of many independent SSA runs, advanced in lockstep.
 
     Run i consumes exactly the draws of ``base.child(i)`` that a lone
     ``ssa_run(model, x0, T, base.child(i))`` would consume, so the two are
     bitwise interchangeable.
     """
-    if not model.vectorized:
-        raise ValueError("batched SSA needs a vectorized JumpModel")
     ids = np.asarray(ids, dtype=int)
-    n = ids.size
-    x0_arr = np.atleast_1d(np.asarray(x0, dtype=float))
-    x = np.tile(x0_arr, (n, 1))
-    counts = np.zeros((n, len(model.reactions)), dtype=np.int64)
-    t = np.zeros(n)
-    final = np.empty_like(x)
-    pos = np.arange(n)
-    exp_gens = base.children(np.column_stack(
-        [ids, np.zeros_like(ids)])).generators()
-    uni_gens = base.children(np.column_stack(
-        [ids, np.ones_like(ids)])).generators()
-    nu = model.stoichiometry_matrix
-    n_channels = len(model.reactions)
-    cursor = chunk
-    while pos.size:
-        if cursor == chunk:
-            exps = np.empty((pos.size, chunk))
-            unis = np.empty((pos.size, chunk))
-            for i, (eg, ug) in enumerate(zip(exp_gens, uni_gens)):
-                exps[i] = eg.standard_exponential(chunk)
-                unis[i] = ug.random(chunk)
-            cursor = 0
-        rates = model.guarded_rates(x)  # (m, B)
-        total = rates.sum(axis=0)
-        cum = np.cumsum(rates, axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_next = t + model.eps * exps[:, cursor] / total
-        u_cum = unis[:, cursor] * cum[-1]
-        cursor += 1
-        # absorbed runs and runs whose next event falls past T both stop
-        # at their current state
-        done = (total <= 0.0) | (t_next > T)
-        if done.any():
-            final[pos[done]] = x[done]
-            keep = ~done
-            pos, x, t_next, counts = pos[keep], x[keep], t_next[keep], counts[keep]
-            cum, u_cum = cum[:, keep], u_cum[keep]
-            exps, unis = exps[keep], unis[keep]
-            exp_gens = [g for g, kp in zip(exp_gens, keep) if kp]
-            uni_gens = [g for g, kp in zip(uni_gens, keep) if kp]
-            if not pos.size:
-                break
-        k = np.minimum((cum <= u_cum).sum(axis=0), n_channels - 1)
-        counts[np.arange(pos.size), k] += 1
-        x = x0_arr[None, :] + model.eps * (counts @ nu)
-        t = t_next
-    return final
+    exp_gens, uni_gens = (base.children(np.column_stack(
+        [ids, np.full_like(ids, j)])).generators() for j in (0, 1))
+    return _ssa(model, x0, T, exp_gens, uni_gens)[0]
 
 
 def tau_leap_final_states(model: JumpModel, x0, T: float, tau: float, ids,
@@ -282,26 +274,8 @@ def tau_leap_final_states(model: JumpModel, x0, T: float, tau: float, ids,
     Matches ``tau_leap_run(model, x0, T, tau, base.child(i))`` bitwise for
     run i.
     """
-    if not model.vectorized:
-        raise ValueError("batched tau-leaping needs a vectorized JumpModel")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
     ids = np.asarray(ids, dtype=int)
-    n = ids.size
-    x0_arr = np.atleast_1d(np.asarray(x0, dtype=float))
-    x = np.tile(x0_arr, (n, 1))
-    counts = np.zeros((n, len(model.reactions)), dtype=np.int64)
-    gens = base.children(ids[:, None]).generators()
-    nu = model.stoichiometry_matrix
-    n_windows = math.ceil(T / tau)
-    t = 0.0
-    for w in range(n_windows):
-        dt = min(tau, T - t)
-        lam = model.guarded_rates(x) * (dt / model.eps)  # (m, B)
-        step = np.empty_like(counts)
-        for i, g in enumerate(gens):
-            step[i] = g.poisson(lam[:, i])
-        counts += step
-        x = x0_arr[None, :] + model.eps * (counts @ nu)
-        t += dt
+    for _, x in _tau_windows(model, x0, T, tau,
+                             base.children(ids[:, None]).generators()):
+        pass
     return x

@@ -49,8 +49,11 @@ class SchemeConfig:
     micro_count: int = 0  # derived
 
     def __post_init__(self):
-        if self.eps <= 0 or self.macro_dt <= 0 or self.micro_dt <= 0:
-            raise ValueError("eps, macro_dt and micro_dt must be positive")
+        for name in ("eps", "macro_dt", "micro_dt"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got "
+                                 f"{value}")
         if self.lam < 1 or int(self.lam) != self.lam:
             raise ValueError(f"lam must be a positive integer, got {self.lam}")
         slow_per_micro = self.lam * self.eps * self.micro_dt
@@ -231,6 +234,8 @@ def run_scheme(model: FastSlowModel, scheme: str, x0, y0, cfg: SchemeConfig,
         traj.meta.update(meta)
         return traj
 
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"T must be positive and finite, got {T}")
     if T < cfg.macro_dt:
         raise ValueError("T must cover at least one macro step")
     n_steps = math.ceil(T / cfg.macro_dt)

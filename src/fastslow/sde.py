@@ -159,11 +159,11 @@ def direct_integrate(model: FastSlowModel, x0, y0, eps: float, h: float,
     not depend on internal chunking.
 
     Raises:
-        ValueError: for ``eps`` or ``h`` not positive and finite.
+        ValueError: for ``eps``, ``h`` or ``T`` not positive and finite.
         IntegrationFailure: carrying the step index of the first
             non-finite state.
     """
-    for name, value in (("eps", eps), ("h", h)):
+    for name, value in (("eps", eps), ("h", h), ("T", T)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
     if T < h:

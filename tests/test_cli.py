@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -215,12 +216,28 @@ _ENSEMBLE_SECTIONS = {
 }
 
 
-@pytest.mark.parametrize("analysis", sorted(_ENSEMBLE_SECTIONS))
-def test_averaged_scheme_is_rejected_by_ensemble_analyses(tmp_path, analysis):
-    # no ensemble driver runs the averaged scheme; it used to run as hmm
+_JUMP_CONFIG = """\
+[experiment]
+analysis = jump_compare
+seed = 1
+
+[model]
+name = birth_death
+eps = 0.01
+
+[analysis]
+x0 = 1.0
+t = 1.0
+tau = 0.1
+n_runs = 4
+"""
+
+
+def _config_text(analysis, schemes="hmm"):
+    if analysis == "jump_compare":
+        return _JUMP_CONFIG
     scheme_keys, analysis_keys = _ENSEMBLE_SECTIONS[analysis]
-    path = tmp_path / "exp.cfg"
-    path.write_text(f"""\
+    return f"""\
 [experiment]
 analysis = {analysis}
 seed = 1
@@ -234,10 +251,48 @@ micro_dt = 0.1
 macro_dt = 0.08
 {scheme_keys}
 [analysis]
-schemes = averaged, hmm
-{analysis_keys}""")
+schemes = {schemes}
+{analysis_keys}"""
+
+
+@pytest.mark.parametrize("analysis", sorted(_ENSEMBLE_SECTIONS))
+def test_averaged_scheme_is_rejected_by_ensemble_analyses(tmp_path, analysis):
+    # no ensemble driver runs the averaged scheme; it used to run as hmm
+    path = tmp_path / "exp.cfg"
+    path.write_text(_config_text(analysis, "averaged, hmm"))
     with pytest.raises(ConfigError, match="scheme 'averaged' is not available"):
         parse_config(path)
+
+
+@pytest.mark.parametrize("analysis, key, value", [
+    ("variance_vs_lambda", "n_replicas", "0"),
+    ("mfpt_vs_lambda", "n_samples", "-1"),
+    ("histogram", "n_bins", "0"),
+    ("jump_compare", "n_runs", "0"),
+    ("variance_vs_lambda", "lambdas", "0, 2"),
+    ("fpt_cdf", "lambda", "0"),
+    ("variance_vs_lambda", "t", "0"),
+    ("jump_compare", "t", "nan"),
+    ("jump_compare", "tau", "0"),
+    ("jump_compare", "tau", "inf"),
+    ("fpt_cdf", "t_cap", "-5"),
+    ("mfpt_vs_lambda", "t_cap", "inf"),
+    ("histogram", "eps", "nan"),
+    ("jump_compare", "eps", "0"),
+    ("variance_vs_lambda", "micro_dt", "0"),
+    ("histogram", "macro_dt", "inf"),
+])
+def test_bad_value_exits_2(tmp_path, capsys, analysis, key, value):
+    # these used to crash inside the run (ZeroDivisionError, ValueError,
+    # OverflowError) or hang instead of failing as config errors
+    text = _config_text(analysis)
+    line = re.compile(rf"^{key} = .*$", re.M)
+    text = (line.sub(f"{key} = {value}", text) if line.search(text)
+            else text + f"{key} = {value}\n")
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert f"key {key!r}" in capsys.readouterr().err
 
 
 class TestNumericalFailure:

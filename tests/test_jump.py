@@ -134,6 +134,73 @@ class TestSsaChannelSelection:
         assert self._fired(rates, 0.0, monkeypatch) == (2, 2)
 
 
+def _cyclic_network(inflow, outflow, convert, eps):
+    """Species i enters at inflow[i], leaves at outflow[i] * x_i and turns
+    into species i + 1 (cyclically) at convert * x_i: 3 channels a species."""
+    eye = np.eye(len(inflow))
+    reactions = []
+    for i, (b, d) in enumerate(zip(inflow, outflow)):
+        reactions += [
+            Reaction(lambda x, b=b: np.full(np.shape(x)[:-1], float(b)), eye[i]),
+            Reaction(lambda x, i=i, d=d: d * x[..., i], -eye[i]),
+            Reaction(lambda x, i=i: convert * x[..., i],
+                     np.roll(eye[i], 1) - eye[i])]
+    return JumpModel(len(inflow), tuple(reactions), eps, vectorized=True)
+
+
+class TestLaneKernels:
+    def test_run_does_not_depend_on_its_block(self):
+        # numpy sums the 12 rates of a lone lane pairwise but those of
+        # several lanes sequentially; a run's event times must not change
+        # with the lanes that share its block
+        model = _cyclic_network([1.0, 2.0, 0.5, 1.5], [1.0, 0.5, 2.0, 1.0],
+                                0.7, 0.05)
+        x0 = np.array([1.0, 2.35, 0.8, 1.2])
+        base = RngStream(3)
+        path = ssa_run(model, x0, 0.1, base.child(0))
+        assert len(path) > 20
+        for t_end, state in zip(path.times, path.states):
+            for ids in ([0], np.arange(8)):
+                finals = ssa_final_states(model, x0, t_end, ids, base)
+                assert np.array_equal(finals[0], state)
+
+    def test_unvectorized_model_gives_the_same_runs(self):
+        vec = birth_death(1.3, 0.8, 0.05)
+        lone = JumpModel(1, vec.reactions, vec.eps, vectorized=False)
+        runs = (lambda m: ssa_run(m, [1.0], 2.0, RngStream(4)),
+                lambda m: tau_leap_run(m, [1.0], 2.0, 0.2, RngStream(4)))
+        for run in runs:
+            a, b = run(vec), run(lone)
+            assert np.array_equal(a.times, b.times)
+            assert np.array_equal(a.states, b.states)
+        ids, base = np.arange(5), RngStream(6)
+        assert np.array_equal(ssa_final_states(lone, [1.0], 2.0, ids, base),
+                              ssa_final_states(vec, [1.0], 2.0, ids, base))
+        assert np.array_equal(
+            tau_leap_final_states(lone, [1.0], 2.0, 0.2, ids, base),
+            tau_leap_final_states(vec, [1.0], 2.0, 0.2, ids, base))
+
+    def test_batched_drivers_check_x0_shape(self):
+        model = birth_death()
+        with pytest.raises(ValueError, match="x0 must have shape"):
+            ssa_final_states(model, [1.0, 2.0], 1.0, [0, 1], RngStream(1))
+        with pytest.raises(ValueError, match="x0 must have shape"):
+            tau_leap_final_states(model, [1.0, 2.0], 1.0, 0.1, [0, 1],
+                                  RngStream(1))
+
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, -1.0])
+    def test_drivers_reject_a_bad_horizon(self, t_end):
+        model, base = birth_death(), RngStream(1)
+        calls = (lambda: ssa_final_states(model, [1.0], t_end, [0, 1], base),
+                 lambda: tau_leap_final_states(model, [1.0], t_end, 0.1,
+                                               [0, 1], base),
+                 lambda: ssa_run(model, [1.0], t_end, base),
+                 lambda: tau_leap_run(model, [1.0], t_end, 0.1, base))
+        for call in calls:
+            with pytest.raises(ValueError, match="^T must be finite"):
+                call()
+
+
 class TestTauLeap:
     def test_zero_propensities_stay_constant(self):
         traj = tau_leap_run(_dead_model(), [2.0], 1.0, 0.25, RngStream(1))

@@ -30,6 +30,13 @@ class TestSchemeConfig:
         with pytest.warns(UserWarning, match="lam\\*eps"):
             _cfg(eps=0.05, lam=5, macro_dt=0.25, micro_dt=0.1)
 
+    @pytest.mark.parametrize("name", ["eps", "macro_dt", "micro_dt"])
+    @pytest.mark.parametrize("value", [0.0, -0.1, math.inf, math.nan])
+    def test_steps_must_be_positive_and_finite(self, name, value):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be positive and finite"):
+            _cfg(**{name: value})
+
     def test_config_for_lambda_snaps_macro_dt(self):
         cfg = config_for_lambda(_cfg(), 3)
         assert cfg.lam == 3
@@ -169,6 +176,13 @@ class TestRunScheme:
                              sigma=lambda x, y: np.eye(1))
         with pytest.raises(ValueError, match="averaged_drift"):
             run_scheme(m, "averaged", [1.0], [0.0], _cfg(), T=1.0)
+
+    @pytest.mark.parametrize("scheme", ["direct", "hmm"])
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, 0.0, -1.0])
+    def test_horizon_must_be_positive_and_finite(self, scheme, t_end):
+        m = fs.LinearOUModel().system()
+        with pytest.raises(ValueError, match="^T must be positive and finite"):
+            run_scheme(m, scheme, [0.0], [0.0], _cfg(), T=t_end)
 
     def test_unknown_scheme_is_rejected(self):
         m = fs.LinearOUModel().system()

@@ -34,6 +34,9 @@ def test_direct_integrate_validates_arguments():
                          (np.nan, 1e-3, "eps")):
         with pytest.raises(ValueError, match=f"^{name} must be positive"):
             direct_integrate(m, [1.0], [0.0], eps, h, 1.0, RngStream(1))
+    for t_end in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="^T must be positive and finite"):
+            direct_integrate(m, [1.0], [0.0], 0.01, 1e-3, t_end, RngStream(1))
 
 
 def test_noiseless_fast_relaxation_matches_matrix_exponential():
