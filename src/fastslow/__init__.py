@@ -13,7 +13,7 @@ processes.
 
 __version__ = "0.1.0"
 
-from .rng import RngStream, gaussian_increment
+from .rng import RngStream
 from .sde import (FastSlowModel, IntegrationFailure, ScalarOU, Trajectory,
                   direct_integrate)
 from .schemes import (MacroState, SchemeConfig, averaged_step,
@@ -22,8 +22,8 @@ from .schemes import (MacroState, SchemeConfig, averaged_step,
 from .models import (BUILTIN_MODELS, DoubleWellModel, LinearOUModel,
                      NonDiffusiveModel, clt_stationary_variance_linear,
                      empirical_averaged_drift, fixed_points, make_model)
-from .fluctuations import (BasinSpec, EmpiricalCDF, FirstPassageSample,
-                           FptSummary, HistogramResult, MfptPoint,
+from .fluctuations import (BasinSpec, FirstPassageSample, FptSummary,
+                           HistogramResult, MfptPoint,
                            first_passage_times, fit_log_mfpt_inverse_lambda,
                            hamiltonian_nondiffusive, histogram,
                            histogram_of_samples, ks_distance,
@@ -36,7 +36,7 @@ from .jump import (JumpModel, Reaction, birth_death, ssa_final_states,
 
 __all__ = [
     "__version__",
-    "RngStream", "gaussian_increment",
+    "RngStream",
     "FastSlowModel", "IntegrationFailure", "ScalarOU", "Trajectory",
     "direct_integrate",
     "MacroState", "SchemeConfig", "averaged_step", "config_for_lambda",
@@ -44,7 +44,7 @@ __all__ = [
     "BUILTIN_MODELS", "DoubleWellModel", "LinearOUModel", "NonDiffusiveModel",
     "clt_stationary_variance_linear", "empirical_averaged_drift",
     "fixed_points", "make_model",
-    "BasinSpec", "EmpiricalCDF", "FirstPassageSample", "FptSummary",
+    "BasinSpec", "FirstPassageSample", "FptSummary",
     "HistogramResult", "MfptPoint", "first_passage_times",
     "fit_log_mfpt_inverse_lambda", "hamiltonian_nondiffusive", "histogram",
     "histogram_of_samples", "ks_distance", "ldp_escape_prediction",

@@ -9,7 +9,12 @@ independent of block composition, scheduling and worker count.
 
 The fast paths require a model with a :class:`fastslow.sde.ScalarOU`
 structure hint (all builtin models have one): the micro burst then reduces
-to a first-order linear recurrence evaluated by ``scipy.signal.lfilter``.
+to a first-order linear recurrence: one ``scipy.signal.lfilter`` call when
+all lanes share the decay, else one loop over time doing lfilter's float
+operations for all lanes, whose output must be C-contiguous
+(``mean(axis=1)`` sums a strided view in another order). Macro drivers
+fold each lane's ``(chain, replica)`` key prefix once, then only the macro
+index per step.
 """
 
 from __future__ import annotations
@@ -41,10 +46,14 @@ def _linear_recurrence(a: np.ndarray, u: np.ndarray, y0: np.ndarray) -> np.ndarr
         coeff = float(a.flat[0])
         out, _ = lfilter([1.0], [1.0, -coeff], u, axis=1, zi=(a * y0)[:, None])
         return out
-    out = np.empty_like(u)
-    for i in range(a.shape[0]):
-        out[i], _ = lfilter([1.0], [1.0, -float(a[i])], u[i], zi=[a[i] * y0[i]])
-    return out
+    # lfilter's step is y_m = z + u_m with z = a y_{m-1}; one loop over
+    # time does the same float operations for all rows at once
+    path = u.T.copy()
+    y = y0
+    for row in path:
+        row += a * y
+        y = row
+    return path.T.copy()
 
 
 def _ou_path(sou, x: np.ndarray, y0: np.ndarray, xi: np.ndarray,
@@ -83,15 +92,19 @@ def burst_batch(model: FastSlowModel, x: np.ndarray, y: np.ndarray,
     return f_avg, y_end
 
 
-def _macro_advance(model, cfg, ids, x, yrep, n, base):
-    """One lockstep macro step for all chains; returns updated (x, yrep)."""
+def _replica_streams(base, ids, k, *middle):
+    """Streams ``base.child(cid, *middle, rep)`` of k replicas per chain."""
+    cids = np.repeat(ids, k)
+    return base.children(np.column_stack(
+        [cids, *(np.full_like(cids, p) for p in middle),
+         np.tile(np.arange(k), len(ids))]))
+
+
+def _macro_advance(model, cfg, ids, x, yrep, n, prefix):
+    """Advance all chains one macro step; bursts draw from ``prefix.child(n)``."""
     n_chains, k = yrep.shape
-    xx = np.repeat(x, k)
-    cids, reps = np.repeat(ids, k), np.tile(np.arange(k), n_chains)
-    streams = base.children(np.column_stack(
-        [cids, reps, np.full_like(cids, n)]))
-    f_avg, y_end = burst_batch(model, xx, yrep.reshape(-1), streams,
-                               cfg.micro_count, cfg.micro_dt)
+    f_avg, y_end = burst_batch(model, np.repeat(x, k), yrep.reshape(-1),
+                               prefix.child(n), cfg.micro_count, cfg.micro_dt)
     x_new = x + cfg.macro_dt * f_avg.reshape(n_chains, k).mean(axis=1)
     if not np.isfinite(x_new).all():
         chain = int(np.argmax(~np.isfinite(x_new)))
@@ -123,8 +136,7 @@ def _check_scheme(scheme: str, allowed=ENSEMBLE_SCHEMES) -> None:
 
 def _direct_generators(base, ids):
     """Long-lived generators of the direct draws ``base.child(cid, -2, 0)``."""
-    return base.children(np.column_stack(
-        [ids, np.full_like(ids, -2), np.zeros_like(ids)])).generators()
+    return base.children(ids[:, None]).child(-2).child(0).generators()
 
 
 def _direct_chunk(sou, cfg, x, y, gens, n_steps):
@@ -132,23 +144,27 @@ def _direct_chunk(sou, cfg, x, y, gens, n_steps):
 
     Lane i first draws its ``n_steps`` normals from ``gens[i]``; a lane's
     draws are sequential in its own generator, so the path does not depend
-    on how a run is cut into chunks or which lanes share a chunk.
+    on how a run is cut into chunks or which lanes share a chunk. The noise
+    is scaled once per chunk and stored step-major.
     """
     xi = np.empty((len(gens), n_steps))
     for row, g in zip(xi, gens):
         g.standard_normal(out=row)
+    noise = np.multiply(sou.sigma * math.sqrt(cfg.micro_dt), xi.T, order="C")
     h = cfg.eps * cfg.micro_dt
-    s_amp = sou.sigma * math.sqrt(cfg.micro_dt)
     for m in range(n_steps):
         f_val = sou.f(x, y)
-        y = y + cfg.micro_dt * sou.decay(x) * (sou.mean(x) - y) + s_amp * xi[:, m]
+        y = y + cfg.micro_dt * sou.decay(x) * (sou.mean(x) - y) + noise[m]
         x = x + h * f_val
         yield m, x, y
 
 
 def map_blocks(fn, n: int, block: int, executor=None) -> list:
     """``fn(ids)`` for consecutive id blocks of range(n), on ``executor`` if
-    given; results come back in block order whatever order they finish in."""
+    given; results come back in block order whatever order they finish in.
+    Raises ValueError for a block size below 1."""
+    if block < 1:
+        raise ValueError(f"block size must be a positive integer, got {block}")
     blocks = [np.arange(lo, min(lo + block, n)) for lo in range(0, n, block)]
     if executor is None:
         return [fn(ids) for ids in blocks]
@@ -172,10 +188,11 @@ def scheme_samples(model: FastSlowModel, scheme: str, cfg, x0, y0,
     n_steps = math.ceil(t_chain / cfg.macro_dt)
     x, yrep = _start_arrays(model, x0, y0, n_chains,
                             cfg.lam if scheme == "phmm" else 1)
+    prefix = _replica_streams(base, ids, yrep.shape[1])
     rec = np.empty((n_steps + 1, n_chains))
     rec[0] = x
     for n in range(n_steps):
-        x, yrep = _macro_advance(model, cfg, ids, x, yrep, n, base)
+        x, yrep = _macro_advance(model, cfg, ids, x, yrep, n, prefix)
         rec[n + 1] = x
     times = np.arange(n_steps + 1) * cfg.macro_dt
     return times, rec
@@ -230,10 +247,13 @@ def pooled_stationary_samples(model: FastSlowModel, scheme: str, cfg,
     worker-count independent.
 
     Raises:
-        ValueError: for a scheme other than direct, hmm or phmm, or when
-            the per-chain time does not exceed ``burn_in``.
+        ValueError: for a scheme other than direct, hmm or phmm, for
+            ``n_chains`` or ``chain_block`` below 1, or when the per-chain
+            time does not exceed ``burn_in``.
     """
     _check_scheme(scheme)
+    if n_chains < 1:
+        raise ValueError(f"n_chains must be a positive integer, got {n_chains}")
     if t_total / n_chains <= burn_in:
         raise ValueError("per-chain time must exceed burn_in")
     t_chain = t_total / n_chains
@@ -257,9 +277,7 @@ def _equilibrate_fast(model, cfg, x, ids, base, equil_fast_time, k):
     sou = _require_scalar_ou(model)
     m_eq = max(1, round(equil_fast_time / cfg.micro_dt))
     xx = np.repeat(x, k)
-    cids, reps = np.repeat(ids, k), np.tile(np.arange(k), len(ids))
-    streams = base.children(np.column_stack(
-        [cids, np.full_like(cids, -1), reps]))
+    streams = _replica_streams(base, ids, k, -1)
     _, y_end = burst_batch(model, xx, _fast_mean(sou, xx), streams, m_eq,
                            cfg.micro_dt)
     return y_end.reshape(len(ids), k)
@@ -303,14 +321,14 @@ def first_passage_block(model: FastSlowModel, scheme: str, cfg, basin,
         while pos.size and step < n_cap:
             todo = min(512, n_cap - step)
             # chains that cross keep integrating until the chunk ends; the
-            # first-crossing time is latched and the rest is discarded
-            hit = np.zeros(pos.size, dtype=bool)
+            # first crossing in the recorded path is latched
+            path = np.empty((todo, pos.size))
             for m, x, y in _direct_chunk(sou, cfg, x, y, gens, todo):
-                new_hit = crossed(x) & ~hit
-                if new_hit.any():
-                    elapsed[pos[new_hit]] = (step + m + 1) * h
-                    censored[pos[new_hit]] = False
-                    hit |= new_hit
+                path[m] = x
+            cross = crossed(path)
+            hit = cross.any(axis=0)
+            elapsed[pos[hit]] = (step + cross.argmax(axis=0)[hit] + 1) * h
+            censored[pos[hit]] = False
             step += todo
             keep = ~hit
             pos, x, y = pos[keep], x[keep], y[keep]
@@ -321,10 +339,11 @@ def first_passage_block(model: FastSlowModel, scheme: str, cfg, basin,
                                          time=step * h, replica=int(ids[pos[bad]]))
         return elapsed, censored
 
+    prefix = _replica_streams(base, ids, k)
     n_cap = math.ceil(t_cap / cfg.macro_dt)
     n = 0
     while pos.size and n < n_cap:
-        x, yrep = _macro_advance(model, cfg, ids[pos], x, yrep, n, base)
+        x, yrep = _macro_advance(model, cfg, ids[pos], x, yrep, n, prefix)
         n += 1
         hit = crossed(x)
         if hit.any():
@@ -332,4 +351,5 @@ def first_passage_block(model: FastSlowModel, scheme: str, cfg, basin,
             censored[pos[hit]] = False
             keep = ~hit
             pos, x, yrep = pos[keep], x[keep], yrep[keep]
+            prefix = prefix[np.repeat(keep, k)]
     return elapsed, censored

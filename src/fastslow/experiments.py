@@ -307,7 +307,26 @@ def _validate_semantics(cfg: ExperimentConfig) -> None:
     if cfg.analysis == "jump_compare" and cfg.model_name != "birth_death":
         raise ConfigError("jump_compare requires the birth_death model")
     values = {**cfg.model_params, **cfg.scheme, **cfg.params}
-    for key in ("n_replicas", "n_samples", "n_bins", "n_runs"):
+    nonneg = ("burn_in", "equil_fast_time")
+    nonneg += ("x0",) if cfg.analysis == "jump_compare" else ()
+    for key in ("x_min", "x_max", "bin_min", "bin_max", "start",
+                "threshold") + nonneg:
+        value = values.get(key, 0.0)
+        if not math.isfinite(value) or (key in nonneg and value < 0):
+            kind = "finite and non-negative" if key in nonneg else "finite"
+            raise ConfigError(f"{key} must be {kind}, got {value}", key=key)
+    for lo, hi in (("x_min", "x_max"), ("bin_min", "bin_max")):
+        if lo in values and values[lo] >= values[hi]:
+            raise ConfigError(f"{lo} must be below {hi}, got {values[lo]} >= "
+                              f"{values[hi]}", key=lo)
+    if "threshold" in values:  # "both" runs up to threshold, then back
+        up, start, thr = (values["direction"] != "downcrossing",
+                          values["start"], values["threshold"])
+        if thr == start or (thr < start) == up:
+            raise ConfigError(f"threshold {thr} must lie "
+                              f"{'above' if up else 'below'} start {start}",
+                              key="threshold")
+    for key in ("n_replicas", "n_samples", "n_bins", "n_runs", "n_points"):
         if key in values and values[key] < 1:
             raise ConfigError(f"{key} must be positive, got {values[key]}",
                               key=key)

@@ -87,35 +87,18 @@ def occupancy_fraction(samples: np.ndarray, center: float,
 # empirical CDFs and the Kolmogorov-Smirnov distance
 
 
-@dataclass(frozen=True)
-class EmpiricalCDF:
-    """Right-continuous empirical CDF; evaluates to k/n at the k-th value."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.sort(np.asarray(self.values, dtype=float).reshape(-1))
-        if vals.size == 0:
-            raise ValueError("empirical CDF needs at least one sample")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-    def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.searchsorted(self.values, t, side="right") / self.n
-
-
 def ks_distance(a, b) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic sup_t |F_a(t) - F_b(t)|."""
-    if not isinstance(a, EmpiricalCDF):
-        a = EmpiricalCDF(np.asarray(a))
-    if not isinstance(b, EmpiricalCDF):
-        b = EmpiricalCDF(np.asarray(b))
-    grid = np.concatenate([a.values, b.values])
-    return float(np.max(np.abs(a(grid) - b(grid))))
+    """Two-sample Kolmogorov-Smirnov statistic sup_t |F_a(t) - F_b(t)|
+    over the pooled values; F_a is the right-continuous empirical CDF, k/n
+    at the k-th smallest of the n values. Raises ValueError if either
+    sample is empty."""
+    a, b = (np.sort(np.asarray(v, dtype=float).reshape(-1)) for v in (a, b))
+    if a.size == 0 or b.size == 0:
+        raise ValueError("empirical CDF needs at least one sample")
+    grid = np.concatenate([a, b])
+    cdf_a, cdf_b = (np.searchsorted(v, grid, side="right") / v.size
+                    for v in (a, b))
+    return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
 # ---------------------------------------------------------------------------

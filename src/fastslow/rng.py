@@ -23,23 +23,22 @@ directly off ``base = RngStream(root_seed)``:
 * hmm burst at macro step ``n``            -> ``base.child(0, n)``
 * phmm burst of replica ``j`` at step ``n`` -> ``base.child(j, n)``
 
-Blocks of streams. :meth:`RngStream.children` turns a ``(B, k)`` integer
-array of key parts into a :class:`StreamBlock`, the streams
-``child(*parts[r])`` for each row ``r``. Its keys come from one vectorised
-uint64 splitmix pass that is bit-equal to the per-stream derivation, and
-key parts are taken modulo 2**64, so ``-1`` keys the same stream as
-``2**64 - 1``. ``StreamBlock.normals(m)`` returns a ``(B, m)`` block whose
-row ``r`` is bitwise equal to ``RngStream(root_seed, tuple(parts[r]))
-.normals(m)``. It builds one Philox and one Generator per call and, for each
-row, resets the Philox state to counter 0 and that row's key with an empty
-output buffer, which is exactly the state of a freshly keyed Philox; so no
-per-row seeding and no OS entropy are needed. The generator is local to the
-call, so concurrent calls from several threads are safe.
+Blocks of streams. A :class:`StreamBlock` holds B streams as their folded
+Philox key halves, two (B,) uint64 arrays. Key parts fold in one at a time,
+so a block built once for a key prefix serves every longer key:
+``block.child(part)`` folds one more part (a scalar or a (B,) column, mod
+2**64, so ``-1`` keys what ``2**64 - 1`` keys) bit-equal to the per-stream
+derivation; ``block[idx]`` selects rows; :meth:`RngStream.children` folds
+the columns of a (B, k) part array. ``StreamBlock.normals(m)`` returns a
+(B, m) block whose row r is bitwise the stream's own ``normals(m)``: one
+Philox per call is reset for each row, from plain Python ints, to counter
+0, the row's key and an empty buffer, the state of a freshly keyed Philox.
+The generator is local to the call, so concurrent calls are safe.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,15 +71,21 @@ def _splitmix64_u64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U64(31))
 
 
-def _philox_key(root_seed: int, key: tuple[int, ...]) -> np.ndarray:
-    """Mix (root_seed, key...) into the 128-bit Philox key."""
+def _key_halves(root_seed: int, key: tuple[int, ...]) -> tuple[int, int]:
+    """Fold (root_seed, key...), one part at a time, into the two 64-bit
+    Philox key halves."""
     h0 = _splitmix64(int(root_seed) & _MASK64)
     h1 = _splitmix64(h0 ^ 0xA5A5A5A5A5A5A5A5)
     for part in key:
         p = int(part) & _MASK64
         h0 = _splitmix64(h0 ^ p)
         h1 = _splitmix64((h1 + _splitmix64(p ^ _GOLDEN)) & _MASK64)
-    return np.array([h0, h1], dtype=np.uint64)
+    return h0, h1
+
+
+def _philox_key(root_seed: int, key: tuple[int, ...]) -> np.ndarray:
+    """Mix (root_seed, key...) into the 128-bit Philox key."""
+    return np.array(_key_halves(root_seed, key), dtype=np.uint64)
 
 
 @dataclass
@@ -106,10 +111,11 @@ class RngStream:
     def children(self, parts) -> "StreamBlock":
         """The substreams ``child(*parts[r])`` for the rows of a (B, k) array."""
         parts = _key_parts(parts)
-        prefix = np.array([int(p) & _MASK64 for p in self.stream_key],
-                          dtype=np.uint64)
-        return StreamBlock(self.root_seed, np.hstack(
-            [np.broadcast_to(prefix, (parts.shape[0], prefix.size)), parts]))
+        block = StreamBlock(*(np.full(parts.shape[0], h, dtype=np.uint64) for h
+                              in _key_halves(self.root_seed, self.stream_key)))
+        for column in parts.T:
+            block = block.child(column)
+        return block
 
     @property
     def generator(self) -> np.random.Generator:
@@ -142,42 +148,50 @@ def _key_parts(parts) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StreamBlock:
-    """The streams ``RngStream(root_seed, tuple(parts[r]))``, one per row.
+    """B streams, row r keyed by the ``_key_halves`` ``(h0[r], h1[r])``;
+    build blocks with :meth:`RngStream.children`."""
 
-    ``parts`` is a (B, k) uint64 array; build blocks with
-    :meth:`RngStream.children`.
-    """
+    h0: np.ndarray
+    h1: np.ndarray
 
-    root_seed: int
-    parts: np.ndarray
+    def __len__(self) -> int:
+        return self.h0.shape[0]
+
+    def __getitem__(self, idx) -> "StreamBlock":
+        return StreamBlock(self.h0[idx], self.h1[idx])
+
+    def child(self, part) -> "StreamBlock":
+        """The block of ``stream.child(part)`` for every row; ``part`` is
+        one integer for all rows or a (B,) integer column (ValueError if its
+        length is not B), taken modulo 2**64."""
+        if np.ndim(part) == 0:
+            p = operator.index(part) & _MASK64
+            p, q = _U64(p), _U64(_splitmix64(p ^ _GOLDEN))
+        else:
+            p = _key_parts(np.reshape(part, (-1, 1)))[:, 0]
+            if p.shape != self.h0.shape:
+                raise ValueError(f"{p.size} key parts for a block of "
+                                 f"{len(self)} streams")
+            q = _splitmix64_u64(p ^ _GOLDEN_U64)
+        return StreamBlock(_splitmix64_u64(self.h0 ^ p),
+                           _splitmix64_u64(self.h1 + q))
 
     def keys(self) -> np.ndarray:
         """(B, 2) uint64 Philox keys, row r bit-equal to ``_philox_key``."""
-        h0 = _splitmix64(int(self.root_seed) & _MASK64)
-        h1 = _splitmix64(h0 ^ 0xA5A5A5A5A5A5A5A5)
-        n = self.parts.shape[0]
-        h0 = np.full(n, h0, dtype=np.uint64)
-        h1 = np.full(n, h1, dtype=np.uint64)
-        mixed = _splitmix64_u64(self.parts ^ _GOLDEN_U64)
-        for p, q in zip(self.parts.T, mixed.T):
-            h0 = _splitmix64_u64(h0 ^ p)
-            h1 = _splitmix64_u64(h1 + q)
-        return np.stack([h0, h1], axis=1)
+        return np.stack([self.h0, self.h1], axis=1)
 
     def normals(self, m: int) -> np.ndarray:
         """(B, m) block: row r holds the first m normals of stream r."""
-        keys = self.keys()
-        out = np.empty((keys.shape[0], m))
+        out = np.empty((len(self), m))
         # a fixed placeholder seed; every row overwrites the whole state
         bitgen = np.random.Philox(0)
         gen = np.random.Generator(bitgen)
         state = {"bit_generator": "Philox",
-                 "state": {"counter": np.zeros(4, dtype=np.uint64),
-                           "key": None},
-                 "buffer": np.zeros(4, dtype=np.uint64),
-                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        for row, key in zip(out, keys):
-            state["state"]["key"] = key
+                 "state": {"counter": [0, 0, 0, 0], "key": None},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
+                 "uinteger": 0}
+        for row, k0, k1 in zip(out, self.h0.tolist(), self.h1.tolist()):
+            state["state"]["key"] = [k0, k1]
             bitgen.state = state
             gen.standard_normal(out=row)
         return out
@@ -186,19 +200,3 @@ class StreamBlock:
         """One generator per row, for streams drawn across several calls."""
         return [np.random.Generator(np.random.Philox(key=k))
                 for k in self.keys()]
-
-
-def gaussian_increment(stream: RngStream, dim: int, dt: float) -> np.ndarray:
-    """Draw a vector of ``dim`` independent N(0, dt) increments.
-
-    Deterministic given the stream identity and the number of values drawn
-    from it so far.
-
-    Raises:
-        ValueError: if ``dt <= 0`` or ``dim < 1``.
-    """
-    if not (dt > 0.0) or not math.isfinite(dt):
-        raise ValueError(f"dt must be a positive finite real, got {dt}")
-    if dim < 1:
-        raise ValueError(f"dim must be a positive integer, got {dim}")
-    return stream.normals(dim) * math.sqrt(dt)

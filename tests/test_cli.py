@@ -206,9 +206,9 @@ n_points = 10
 
 
 _ENSEMBLE_SECTIONS = {
-    "histogram": ("lambdas = 2\nt = 10\n",
+    "histogram": ("lambdas = 2\nt = 10\nburn_in = 0\n",
                   "bin_min = -1\nbin_max = 1\nn_bins = 4\n"),
-    "variance_vs_lambda": ("lambdas = 2\nt = 10\n", ""),
+    "variance_vs_lambda": ("lambdas = 2\nt = 10\nburn_in = 0\n", ""),
     "mfpt_vs_lambda": ("lambdas = 2\n", "n_samples = 4\nt_cap = 5\n"
                        "start = 0\nthreshold = 0.3\ndirection = upcrossing\n"),
     "fpt_cdf": ("lambda = 2\n", "n_samples = 4\nt_cap = 5\nstart = 0\n"
@@ -233,9 +233,26 @@ n_runs = 4
 """
 
 
+_QUASI_CONFIG = """\
+[experiment]
+analysis = quasipotential
+seed = 1
+
+[model]
+name = non_diffusive
+
+[analysis]
+x_min = 0.5
+x_max = 2.0
+n_points = 4
+"""
+
+
 def _config_text(analysis, schemes="hmm"):
     if analysis == "jump_compare":
         return _JUMP_CONFIG
+    if analysis == "quasipotential":
+        return _QUASI_CONFIG
     scheme_keys, analysis_keys = _ENSEMBLE_SECTIONS[analysis]
     return f"""\
 [experiment]
@@ -281,10 +298,29 @@ def test_averaged_scheme_is_rejected_by_ensemble_analyses(tmp_path, analysis):
     ("jump_compare", "eps", "0"),
     ("variance_vs_lambda", "micro_dt", "0"),
     ("histogram", "macro_dt", "inf"),
+    ("variance_vs_lambda", "burn_in", "nan"),
+    ("histogram", "burn_in", "-1"),
+    ("quasipotential", "x_min", "nan"),
+    ("quasipotential", "x_max", "nan"),
+    ("quasipotential", "x_max", "inf"),
+    ("quasipotential", "n_points", "0"),
+    ("quasipotential", "x_min", "2.0"),
+    ("histogram", "bin_min", "nan"),
+    ("histogram", "bin_max", "inf"),
+    ("histogram", "bin_min", "1"),
+    ("fpt_cdf", "start", "nan"),
+    ("mfpt_vs_lambda", "threshold", "inf"),
+    ("fpt_cdf", "threshold", "0"),
+    ("mfpt_vs_lambda", "threshold", "-0.3"),
+    ("fpt_cdf", "equil_fast_time", "nan"),
+    ("mfpt_vs_lambda", "equil_fast_time", "-1"),
+    ("jump_compare", "x0", "nan"),
+    ("jump_compare", "x0", "-1"),
 ])
 def test_bad_value_exits_2(tmp_path, capsys, analysis, key, value):
     # these used to crash inside the run (ZeroDivisionError, ValueError,
-    # OverflowError) or hang instead of failing as config errors
+    # OverflowError), hang, or exit 0 with nan or empty tables instead of
+    # failing as config errors
     text = _config_text(analysis)
     line = re.compile(rf"^{key} = .*$", re.M)
     text = (line.sub(f"{key} = {value}", text) if line.search(text)
@@ -292,7 +328,9 @@ def test_bad_value_exits_2(tmp_path, capsys, analysis, key, value):
     path = tmp_path / "exp.cfg"
     path.write_text(text)
     assert main(["run", str(path), "--out", str(tmp_path)]) == 2
-    assert f"key {key!r}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"key {key!r}" in err
+    assert "unknown key" not in err
 
 
 class TestNumericalFailure:

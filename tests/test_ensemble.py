@@ -5,12 +5,16 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 import fastslow as fs
 from fastslow import RngStream, SchemeConfig
-from fastslow.ensemble import (burst_batch, direct_samples,
-                               first_passage_block, pooled_stationary_samples,
-                               scheme_samples)
+from fastslow.ensemble import (_linear_recurrence, burst_batch,
+                               direct_samples, first_passage_block,
+                               pooled_stationary_samples, scheme_samples)
+from fastslow.rng import StreamBlock
 
 
 @pytest.fixture
@@ -30,6 +34,25 @@ def test_batched_burst_matches_reference(dw_cfg):
                                    dw_cfg.micro_dt)
         assert bat_f[0] == pytest.approx(ref_f[0], abs=1e-12)
         assert bat_y[0] == pytest.approx(ref_y[0], abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(b=st.integers(1, 130), m=st.integers(1, 1000),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_varying_decay_recurrence_is_per_row_lfilter_bitwise(b, m, seed):
+    rng = np.random.default_rng(seed)
+    a = 1.0 - rng.uniform(0.0, 0.5, b)
+    u, y0 = rng.normal(size=(b, m)), rng.normal(size=b)
+    u_in = u.copy()
+    ref = np.empty_like(u)
+    for i in range(b):
+        ref[i], _ = lfilter([1.0], [1.0, -float(a[i])], u[i],
+                            zi=[a[i] * y0[i]])
+    got = _linear_recurrence(a, u, y0)
+    # a strided result would change the summation order of mean(axis=1)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(u, u_in)
 
 
 def test_burst_batch_is_block_invariant(dw_cfg):
@@ -129,6 +152,21 @@ def test_ensemble_drivers_reject_other_schemes(scheme):
                            base)
 
 
+def test_zero_sizes_are_rejected():
+    model = fs.LinearOUModel().system()
+    cfg = SchemeConfig(eps=1e-2, lam=1, macro_dt=0.08, micro_dt=0.1,
+                       root_seed=9)
+    with pytest.raises(ValueError, match="n_chains must be a positive"):
+        pooled_stationary_samples(model, "hmm", cfg, 0.0, None, 10.0, 0,
+                                  1.0, RngStream(9))
+    with pytest.raises(ValueError, match="block size must be a positive"):
+        pooled_stationary_samples(model, "hmm", cfg, 0.0, None, 10.0, 2,
+                                  1.0, RngStream(9), chain_block=0)
+    with pytest.raises(ValueError, match="block size must be a positive"):
+        fs.first_passage_times(model, "hmm", cfg, fs.BasinSpec(0.0, 0.3), 4,
+                               1.0, block_size=0)
+
+
 def test_pooled_samples_burn_in_validation():
     model = fs.LinearOUModel().system()
     cfg = SchemeConfig(eps=1e-2, lam=1, macro_dt=0.08, micro_dt=0.1,
@@ -159,3 +197,66 @@ def test_first_passage_block_invariance(double_well_model, dw_basin, scheme):
         assert 0 < cen.sum() < cen.size
     else:
         assert not cen.any()
+
+
+class _ScriptedNormals:
+    """Stands in for a lane's generator: hands out a fixed noise script."""
+
+    def __init__(self, script):
+        self.script, self.pos = script, 0
+
+    def standard_normal(self, out):
+        out[:] = self.script[self.pos:self.pos + out.size]
+        self.pos += out.size
+
+
+def test_direct_passage_latches_the_first_crossing(monkeypatch):
+    # decay * micro_dt = 1 and mean 0 make each direct step set y to
+    # s * xi exactly, and f = y moves x by h * y one step later; scripted
+    # draws then place every crossing on a chosen step
+    cfg = SchemeConfig(eps=0.01, lam=1, macro_dt=0.005, micro_dt=0.5,
+                       root_seed=1)
+    h = cfg.eps * cfg.micro_dt
+    sou = fs.ScalarOU(decay=lambda x: np.full_like(x, 2.0),
+                      mean=lambda x: np.zeros_like(x), sigma=1.0,
+                      f=lambda x, y: y)
+    model = fs.FastSlowModel(1, 1, f=lambda x, y: y,
+                             g=lambda x, y: -2.0 * y,
+                             sigma=lambda x, y: np.eye(1), scalar_ou=sou)
+    kick = 1000.0  # one kicked step moves x by h * sqrt(0.5) * 1000 = 3.5
+    n_cap = 1100   # chunks of 512, 512 and 76 steps
+    start_y = np.array([kick, 0.0, 0.0, 0.0, 0.0])  # lane 0: step 1
+    script = np.zeros((5, n_cap))
+    script[1, 510] = kick                           # lane 1: step 512
+    script[2, 511] = kick                           # lane 2: step 513
+    script[3, 98], script[3, 99] = kick, -3 * kick  # lane 3: up at step
+    script[3, 298] = 5 * kick                       # 100, down, up again
+    # lane 4 never crosses
+
+    def equilibrated(self, m):
+        out = np.zeros((len(self), m))
+        out[:, -1] = start_y
+        return out
+
+    monkeypatch.setattr(StreamBlock, "normals", equilibrated)
+    monkeypatch.setattr(StreamBlock, "generators",
+                        lambda self: [_ScriptedNormals(row) for row in script])
+
+    # step-by-step reference: test every lane after every step
+    s_amp = np.sqrt(cfg.micro_dt)
+    ref = np.full(5, n_cap * h)
+    for lane in range(5):
+        x, y = 0.0, s_amp * start_y[lane]
+        for step in range(n_cap):
+            x, y = x + h * y, s_amp * script[lane, step]
+            if x >= 1.0:
+                ref[lane] = (step + 1) * h
+                break
+    assert np.array_equal(ref, [1 * h, 512 * h, 513 * h, 100 * h, n_cap * h])
+
+    elapsed, censored = first_passage_block(model, "direct", cfg,
+                                            fs.BasinSpec(0.0, 1.0),
+                                            np.arange(5), n_cap * h,
+                                            RngStream(1))
+    assert np.array_equal(elapsed, ref)
+    assert censored.tolist() == [False, False, False, False, True]

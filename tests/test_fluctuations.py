@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 
 import fastslow as fs
-from fastslow import (BasinSpec, EmpiricalCDF, FirstPassageSample,
+from fastslow import (BasinSpec, FirstPassageSample,
                       NonDiffusiveModel, SchemeConfig, Trajectory,
                       first_passage_times, fit_log_mfpt_inverse_lambda,
                       hamiltonian_nondiffusive, histogram, ks_distance,
@@ -90,21 +90,26 @@ class TestHistogram:
 
 
 class TestEmpiricalCDF:
+    """The right-continuous empirical CDFs that ks_distance compares."""
+
     def test_evaluates_to_k_over_n(self):
-        cdf = EmpiricalCDF([3.0, 1.0, 2.0])
-        assert cdf(1.0) == pytest.approx(1 / 3)
-        assert cdf(2.5) == pytest.approx(2 / 3)
-        assert cdf(3.0) == 1.0
-        assert cdf(0.0) == 0.0
+        # against one point mass at c the distance is max(F(c-), 1 - F(c)),
+        # so it reads the CDF of [3, 1, 2] on both sides of c
+        sample = [3.0, 1.0, 2.0]
+        for c, dist in ((0.0, 1.0), (1.0, 2 / 3), (2.0, 1 / 3), (2.5, 2 / 3),
+                        (3.0, 2 / 3), (4.0, 1.0)):
+            assert ks_distance(sample, [c]) == pytest.approx(dist, abs=1e-15)
+        with pytest.raises(ValueError, match="at least one sample"):
+            ks_distance([], sample)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60))
     @settings(max_examples=50, deadline=None)
     def test_monotone_and_reaches_one(self, values):
-        cdf = EmpiricalCDF(values)
-        grid = np.sort(np.concatenate([cdf.values, [cdf.values.max() + 1]]))
-        evals = cdf(grid)
-        assert np.all(np.diff(evals) >= 0)
-        assert evals[-1] == 1.0
+        # a sample lying wholly below another is at distance 1, and a
+        # distance is a difference of two CDFs in [0, 1]
+        top = max(values)
+        assert ks_distance(values, [top + 1]) == 1.0
+        assert 0.0 <= ks_distance(values, [top]) <= 1.0
 
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=40),
            st.lists(st.floats(-100, 100), min_size=1, max_size=40))

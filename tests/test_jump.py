@@ -110,8 +110,9 @@ class TestSsaChannelSelection:
         """Channel fired first by ssa_run and by ssa_final_states."""
         monkeypatch.setattr(RngStream, "generator",
                             property(lambda self: _ForcedDraws(u)))
-        monkeypatch.setattr(StreamBlock, "generators",
-                            lambda self: [_ForcedDraws(u) for _ in self.parts])
+        monkeypatch.setattr(
+            StreamBlock, "generators",
+            lambda self: [_ForcedDraws(u) for _ in range(len(self))])
         model = _constant_rate_network(rates)
         x0 = np.zeros(len(rates))
         # unit exponentials: the second event falls past T

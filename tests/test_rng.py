@@ -7,35 +7,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastslow import RngStream, gaussian_increment
-from fastslow.rng import _philox_key
+from fastslow import RngStream
+from fastslow.rng import StreamBlock, _philox_key
 
 
-def test_gaussian_increment_moments():
+def test_normals_moments():
     stream = RngStream(2024)
     n = 10 ** 6
-    draws = np.concatenate([gaussian_increment(stream, 3, 0.1)
-                            for _ in range(0, n, 3)])[:n]
-    # 3-sigma Monte Carlo bands around mean 0 and variance dt = 0.1
-    assert abs(draws.mean()) < 3 * np.sqrt(0.1 / n)
-    assert abs(draws.var() - 0.1) < 3 * np.sqrt(2) * 0.1 / np.sqrt(n)
-
-
-def test_gaussian_increment_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        gaussian_increment(RngStream(1), 3, 0.0)
-    with pytest.raises(ValueError):
-        gaussian_increment(RngStream(1), 3, -1.0)
+    draws = np.concatenate([stream.normals(3) for _ in range(0, n, 3)])[:n]
+    # 3-sigma Monte Carlo bands around mean 0 and variance 1
+    assert abs(draws.mean()) < 3 * np.sqrt(1 / n)
+    assert abs(draws.var() - 1) < 3 * np.sqrt(2) / np.sqrt(n)
 
 
 def test_same_stream_is_bitwise_reproducible():
-    a = gaussian_increment(RngStream(7, (1, 2)), 5, 0.3)
-    b = gaussian_increment(RngStream(7, (1, 2)), 5, 0.3)
+    a = RngStream(7, (1, 2)).normals(5)
+    b = RngStream(7, (1, 2)).normals(5)
     assert np.array_equal(a, b)
     # and the draw index matters: a second draw differs
     s = RngStream(7, (1, 2))
-    first = gaussian_increment(s, 5, 0.3)
-    second = gaussian_increment(s, 5, 0.3)
+    first = s.normals(5)
+    second = s.normals(5)
     assert not np.array_equal(first, second)
 
 
@@ -101,6 +93,49 @@ def test_block_rows_equal_single_streams(root, k, m, data):
         assert np.array_equal(block.keys()[r], _philox_key(root, tuple(
             int(p) for p in row)))
         assert np.array_equal(out[r], _single(root, row, m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(root=st.integers(-2 ** 63, 2 ** 64 - 1), k=st.integers(0, 3),
+       b=st.integers(0, 6), data=st.data())
+def test_child_and_selection_fold_like_full_keys(root, k, b, data):
+    parts = np.array(data.draw(st.lists(
+        st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=k + 1,
+                 max_size=k + 1), min_size=b, max_size=b)),
+        dtype=np.int64).reshape(b, k + 1)
+    n = data.draw(st.integers(0, 2 ** 64 - 1))
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=b,
+                                       max_size=b)), dtype=bool)
+    full = np.column_stack([parts.view(np.uint64),
+                            np.full(b, n, dtype=np.uint64)])
+    prefix = RngStream(root).children(parts[:, :k])
+    assert len(prefix) == b
+    # one column, then one scalar shared by all rows
+    assert np.array_equal(prefix.child(parts[:, k]).child(n).keys(),
+                          RngStream(root).children(full).keys())
+    # selecting lanes commutes with folding
+    assert np.array_equal(prefix[mask].child(parts[mask, k]).child(n).keys(),
+                          RngStream(root).children(full[mask]).keys())
+
+
+def test_child_column_must_match_the_block():
+    block = RngStream(1).children(np.zeros((3, 1), dtype=int))
+    with pytest.raises(ValueError, match="2 key parts for a block of 3"):
+        block.child(np.arange(2))
+    with pytest.raises(TypeError):
+        block.child(1.5)
+
+
+def test_plain_int_reset_draws_like_a_freshly_keyed_philox():
+    # high halves at and above 2**63 pass through Python ints unchanged
+    h0 = np.array([0, 1, 2 ** 63, 2 ** 64 - 1, 12345], dtype=np.uint64)
+    h1 = np.array([2 ** 64 - 1, 0, 7, 2 ** 63 + 1, 12345], dtype=np.uint64)
+    block = StreamBlock(h0, h1)
+    for m in (1, 3, 257):
+        out = block.normals(m)
+        for row, key in zip(out, block.keys()):
+            fresh = np.random.Generator(np.random.Philox(key=key))
+            assert np.array_equal(row, fresh.standard_normal(m))
 
 
 def test_block_negative_parts_key_like_their_uint64_residues():
