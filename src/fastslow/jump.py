@@ -9,8 +9,10 @@ and draws Poisson jump counts per window.
 Draw conventions (fixed so single runs and batched ensembles agree bitwise):
 the i-th SSA event consumes the i-th value of the stream's exponential
 substream ``stream.child(0)`` and of its uniform substream ``stream.child(1)``;
-a tau-leap interval consumes one ``poisson(lam_vector)`` call from the
-stream's main generator.
+a tau-leap window draws one scalar ``poisson(lam_k)`` per channel k, in
+channel order, from the stream's main generator: numpy's scalar and array
+Poisson paths run the same sampler, so a window consumes exactly what one
+``poisson(lam_vector)`` call would, without its Python-level checks.
 
 An SSA event with uniform u fires the first channel whose cumulative rate
 exceeds u times the last cumulative rate, and its waiting time divides by
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -77,9 +80,19 @@ class JumpModel:
                 raise ValueError("stoichiometry vectors must have shape (dim,)")
         object.__setattr__(self, "reactions", rx)
 
-    @property
+    @cached_property
     def stoichiometry_matrix(self) -> np.ndarray:
-        return np.stack([r.stoichiometry for r in self.reactions])
+        """Stoichiometry vectors as rows (n_reactions, dim), read-only."""
+        nu = np.stack([r.stoichiometry for r in self.reactions])
+        nu.flags.writeable = False
+        return nu
+
+    @cached_property
+    def _jumps(self) -> np.ndarray:
+        """``eps * stoichiometry_matrix``: the single jumps, read-only."""
+        jumps = self.eps * self.stoichiometry_matrix
+        jumps.flags.writeable = False
+        return jumps
 
     def guarded_rates(self, x: np.ndarray) -> np.ndarray:
         """Propensities at states x (..., dim), clamped per the orthant guard.
@@ -87,15 +100,14 @@ class JumpModel:
         Returns an array of shape (n_reactions, ...).
         """
         x = np.asarray(x, dtype=float)
-        rates = np.stack([
-            np.maximum(np.broadcast_to(
-                np.asarray(r.propensity(x), dtype=float), x.shape[:-1]), 0.0)
-            for r in self.reactions])
-        nu = self.stoichiometry_matrix  # (m, dim)
-        cand = x[None, ...] + self.eps * nu.reshape(
-            (len(self.reactions),) + (1,) * (x.ndim - 1) + (self.dim,))
-        admissible = (cand >= -_ORTHANT_TOL).all(axis=-1)
-        rates = np.where(admissible, rates, 0.0)
+        m = len(self.reactions)
+        rates = np.empty((m,) + x.shape[:-1])
+        for k, r in enumerate(self.reactions):
+            np.maximum(np.asarray(r.propensity(x), dtype=float), 0.0,
+                       out=rates[k, ...])
+        cand = x[None, ...] + self._jumps.reshape(
+            (m,) + (1,) * (x.ndim - 1) + (self.dim,))
+        np.copyto(rates, 0.0, where=~(cand >= -_ORTHANT_TOL).all(axis=-1))
         if not np.isfinite(rates).all():
             raise OverflowError("propensity overflow (non-finite rate)")
         return rates
@@ -134,9 +146,20 @@ def _lanes(model, x0, T, n):
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (model.dim,):
         raise ValueError(f"x0 must have shape ({model.dim},)")
+    if not (np.isfinite(x0).all() and (x0 >= -_ORTHANT_TOL).all()):
+        raise ValueError(f"x0 must be finite and nonnegative, got {x0}")
     # integer jump counts keep every state exactly on the eps-lattice
     return (x0, np.tile(x0, (n, 1)),
             np.zeros((n, len(model.reactions)), dtype=np.int64))
+
+
+def _run_ids(ids):
+    """Run ids of a batched driver, checked to be a 1-D integer array."""
+    ids = np.asarray(ids)
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise ValueError("ids must be a 1-D array of integers, got "
+                         f"shape {ids.shape} and dtype {ids.dtype}")
+    return ids.astype(int)
 
 
 def _lane_rates(model, x):
@@ -173,13 +196,14 @@ def _ssa(model, x0, T, exp_gens, uni_gens, on_event=lambda t, x: None):
             for i, (eg, ug) in enumerate(gens):
                 exps[i] = eg.standard_exponential(_SSA_CHUNK)
                 unis[i] = ug.random(_SSA_CHUNK)
+            row = np.arange(pos.size)  # chunk row of each live lane
             cursor = 0
         rates = _lane_rates(model, x)  # (m, B)
         cum = np.cumsum(rates, axis=0)
         total = cum[-1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_next = t + model.eps * exps[:, cursor] / total
-        u_cum = unis[:, cursor] * total
+            t_next = t + model.eps * exps[row, cursor] / total
+        u_cum = unis[row, cursor] * total
         cursor += 1
         stuck = total <= 0.0
         done = stuck | (t_next > T)
@@ -188,8 +212,7 @@ def _ssa(model, x0, T, exp_gens, uni_gens, on_event=lambda t, x: None):
             absorbed[pos[stuck]] = True
             keep = ~done
             pos, x, t_next, counts = pos[keep], x[keep], t_next[keep], counts[keep]
-            cum, u_cum = cum[:, keep], u_cum[keep]
-            exps, unis = exps[keep], unis[keep]
+            cum, u_cum, row = cum[:, keep], u_cum[keep], row[keep]
             gens = [g for g, kp in zip(gens, keep) if kp]
             if not pos.size:
                 break
@@ -212,9 +235,10 @@ def _tau_windows(model, x0, T, tau, gens):
     yield t, x
     for _ in range(math.ceil(T / tau)):
         dt = min(tau, T - t)
-        lam = _lane_rates(model, x) * (dt / model.eps)  # (m, B)
-        for i, g in enumerate(gens):
-            counts[i] += g.poisson(lam[:, i])
+        lam = (_lane_rates(model, x) * (dt / model.eps)).T.tolist()  # B x m
+        counts += np.array([[g.poisson(l) for l in lane]
+                            for g, lane in zip(gens, lam)],
+                           dtype=np.int64).reshape(counts.shape)
         x = x0[None, :] + model.eps * (counts @ nu)
         t += dt
         yield t, x
@@ -261,7 +285,7 @@ def ssa_final_states(model: JumpModel, x0, T: float, ids,
     ``ssa_run(model, x0, T, base.child(i))`` would consume, so the two are
     bitwise interchangeable.
     """
-    ids = np.asarray(ids, dtype=int)
+    ids = _run_ids(ids)
     exp_gens, uni_gens = (base.children(np.column_stack(
         [ids, np.full_like(ids, j)])).generators() for j in (0, 1))
     return _ssa(model, x0, T, exp_gens, uni_gens)[0]
@@ -274,7 +298,7 @@ def tau_leap_final_states(model: JumpModel, x0, T: float, tau: float, ids,
     Matches ``tau_leap_run(model, x0, T, tau, base.child(i))`` bitwise for
     run i.
     """
-    ids = np.asarray(ids, dtype=int)
+    ids = _run_ids(ids)
     for _, x in _tau_windows(model, x0, T, tau,
                              base.children(ids[:, None]).generators()):
         pass

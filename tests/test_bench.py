@@ -1,0 +1,75 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_run", Path(__file__).resolve().parents[1] / "bench" / "run.py")
+bench = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench)
+
+
+def _fake_result(tmp_path, seed, throughput, rss, failed=0, changed=0):
+    """A ``result.json`` as perfbench/run.py writes it, cut to the fields
+    the summary reads, written to disk and read back."""
+    result = {"correct": failed == 0 and changed == 0, "attempted": 16,
+              "failed": failed,
+              "metrics": {"throughput_per_s": {"value": throughput,
+                                               "unit": "1/s"},
+                          "peak_rss_mb": {"value": rss, "unit": "MB"}},
+              "env": {"nproc": 2},
+              "run": {"seed": seed, "outputs_changed": changed}}
+    path = tmp_path / f"result{seed}.json"
+    path.write_text(json.dumps(result))
+    return json.loads(path.read_text())
+
+
+def test_summary_gives_median_and_quartiles_of_every_metric(tmp_path):
+    results = [_fake_result(tmp_path, seed, tp, rss) for seed, tp, rss in
+               [(1, 10.0, 150.0), (2, 30.0, 140.0), (3, 20.0, 145.0),
+                (4, 50.0, 141.0), (5, 40.0, 142.0)]]
+    summary = bench.summarise(results)
+    assert summary["runs"] == 5 and summary["seeds"] == [1, 2, 3, 4, 5]
+    assert summary["correct"] and summary["failed"] == 0
+    assert summary["attempted"] == 80
+    tp = summary["metrics"]["throughput_per_s"]
+    assert (tp["q1"], tp["median"], tp["q3"]) == (20.0, 30.0, 40.0)
+    assert tp["unit"] == "1/s" and tp["values"] == [10.0, 30.0, 20.0,
+                                                    50.0, 40.0]
+    rss = summary["metrics"]["peak_rss_mb"]
+    assert (rss["q1"], rss["median"], rss["q3"]) == (141.0, 142.0, 145.0)
+
+
+def test_summary_carries_failures_and_changed_outputs(tmp_path):
+    results = [_fake_result(tmp_path, 1, 10.0, 1.0),
+               _fake_result(tmp_path, 2, 12.0, 1.0, failed=2, changed=1)]
+    summary = bench.summarise(results)
+    assert not summary["correct"]
+    assert summary["failed"] == 2 and summary["outputs_changed"] == 1
+    assert summary["metrics"]["throughput_per_s"]["median"] == 11.0
+    one = bench.summarise(results[:1])["metrics"]["peak_rss_mb"]
+    assert one["q1"] == one["median"] == one["q3"] == 1.0
+
+
+@pytest.mark.parametrize("summary_line", [
+    "3 passed, 1 failed, 2 warnings in 12.50s (0:00:12)",
+    "===== 3 passed, 1 failed, 2 warnings in 12.50s (0:00:12) =====",
+])
+def test_tier1_log_is_parsed(summary_line):
+    log = "\n".join([
+        "........F...",
+        "============================= slowest 15 durations "
+        "=============================",
+        "5.25s call     tests/test_jump.py::TestTauLeap::test_ks",
+        "0.50s setup    tests/test_acceptance.py::test_criterion_08",
+        "",
+        summary_line])
+    parsed = bench.parse_tier1_log(log)
+    assert parsed["seconds"] == 12.5
+    assert parsed["counts"] == {"passed": 3, "failed": 1, "warnings": 2}
+    assert parsed["durations"] == [
+        {"seconds": 5.25, "when": "call",
+         "test": "tests/test_jump.py::TestTauLeap::test_ks"},
+        {"seconds": 0.5, "when": "setup",
+         "test": "tests/test_acceptance.py::test_criterion_08"}]

@@ -189,6 +189,49 @@ class TestLaneKernels:
             tau_leap_final_states(model, [1.0, 2.0], 1.0, 0.1, [0, 1],
                                   RngStream(1))
 
+    @pytest.mark.parametrize("x0, ids, match", [
+        ([math.nan], [0, 1], "^x0 must be finite"),
+        ([math.inf], [0, 1], "^x0 must be finite"),
+        ([-1.0], [0, 1], "^x0 must be finite and nonnegative"),
+        ([1.0], [[0, 1]], "^ids must be a 1-D array of integers"),
+        ([1.0], [0.5, 1.5], "^ids must be a 1-D array of integers"),
+        ([1.0], [True, False], "^ids must be a 1-D array of integers"),
+    ])
+    def test_batched_drivers_reject_bad_inputs(self, x0, ids, match):
+        model, base = birth_death(), RngStream(1)
+        with pytest.raises(ValueError, match=match):
+            ssa_final_states(model, x0, 1.0, ids, base)
+        with pytest.raises(ValueError, match=match):
+            tau_leap_final_states(model, x0, 1.0, 0.1, ids, base)
+        if match.startswith("^x0"):
+            with pytest.raises(ValueError, match=match):
+                ssa_run(model, x0, 1.0, base)
+            with pytest.raises(ValueError, match=match):
+                tau_leap_run(model, x0, 1.0, 0.1, base)
+
+    def test_drivers_accept_empty_ids_and_tiny_negative_x0(self):
+        model, base = birth_death(), RngStream(1)
+        assert ssa_final_states(model, [1.0], 1.0, [], base).shape == (0, 1)
+        assert tau_leap_final_states(model, [1.0], 1.0, 0.1, [],
+                                     base).shape == (0, 1)
+        # within the orthant tolerance a state counts as nonnegative
+        finals = ssa_final_states(model, [-1e-13], 0.5, [0], base)
+        assert finals.shape == (1, 1)
+
+    def test_ssa_lanes_ending_around_a_draw_refill_match_lone_runs(self):
+        # about 2 / eps = 40 events per unit time: at T = 12.8 a lane
+        # consumes about 512 draws, so some lanes end within the first draw
+        # chunk, before the refill, and the others after it
+        model = birth_death(1.0, 1.0, 0.05)
+        base, t_end, ids = RngStream(21), 12.8, np.arange(48)
+        finals = ssa_final_states(model, [1.0], t_end, ids, base)
+        draws = []
+        for i in ids:
+            path = ssa_run(model, [1.0], t_end, base.child(int(i)))
+            assert np.array_equal(path.states[-1], finals[i])
+            draws.append(len(path) - 1)  # events plus the overshooting one
+        assert min(draws) < 512 < max(draws)
+
     @pytest.mark.parametrize("t_end", [math.nan, math.inf, -1.0])
     def test_drivers_reject_a_bad_horizon(self, t_end):
         model, base = birth_death(), RngStream(1)
@@ -285,3 +328,96 @@ def test_determinism_same_seed_same_path():
     b = ssa_run(model, [1.0], 2.0, RngStream(123))
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.states, b.states)
+
+
+@given(st.lists(st.sampled_from([0.0, 1e-300, 1e-3, 0.5, 3.3,
+                                 np.nextafter(10.0, 0.0), 9.99, 10.0,
+                                 np.nextafter(10.0, 11.0), 25.0, 1e3, 1e5]),
+                min_size=1, max_size=12),
+       st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_scalar_poisson_draws_match_one_vector_draw(lams, seed):
+    # a tau-leap window draws one scalar per channel; it must consume
+    # exactly what one poisson(lam_vector) call on the same key consumes
+    vector = RngStream(seed).generator.poisson(np.array(lams))
+    gen = RngStream(seed).generator
+    scalars = [gen.poisson(lam) for lam in lams]
+    assert np.array_equal(np.array(scalars, dtype=np.int64), vector)
+    follow = RngStream(seed).generator
+    follow.poisson(np.array(lams))
+    assert gen.random() == follow.random()
+
+
+def _reference_guarded_rates(model, x):
+    """The orthant guard written out plainly (stack, clamp, mask, check):
+    the reference ``JumpModel.guarded_rates`` must match bitwise."""
+    x = np.asarray(x, dtype=float)
+    rates = np.stack([
+        np.maximum(np.broadcast_to(
+            np.asarray(r.propensity(x), dtype=float), x.shape[:-1]), 0.0)
+        for r in model.reactions])
+    nu = np.stack([r.stoichiometry for r in model.reactions])
+    cand = x[None, ...] + model.eps * nu.reshape(
+        (len(model.reactions),) + (1,) * (x.ndim - 1) + (model.dim,))
+    admissible = (cand >= -1e-12).all(axis=-1)
+    rates = np.where(admissible, rates, 0.0)
+    if not np.isfinite(rates).all():
+        raise OverflowError("propensity overflow (non-finite rate)")
+    return rates
+
+
+class TestGuardedRates:
+    @staticmethod
+    def _model(nan_channel=False):
+        """Two species: a scalar inflow, a signed propensity (clamped where
+        negative), a death that leaves the orthant at x_1 = 0 and,
+        optionally, a NaN propensity on a channel that needs x_0 >= 1."""
+        reactions = [
+            Reaction(lambda x: 0.7, [1.0, 0.0]),
+            Reaction(lambda x: x[..., 0] - x[..., 1], [0.0, 1.0]),
+            Reaction(lambda x: 2.0 * x[..., 1], [0.0, -1.0]),
+        ]
+        if nan_channel:
+            reactions.append(Reaction(
+                lambda x: np.full(np.shape(x)[:-1], np.nan), [-1.0, 0.0]))
+        return JumpModel(2, tuple(reactions), 1.0, vectorized=True)
+
+    @pytest.mark.parametrize("shape", [(2,), (5, 2), (3, 4, 2)])
+    def test_matches_the_reference_formula_bitwise(self, shape):
+        model = self._model()
+        x = np.random.default_rng(1).integers(0, 3, size=shape).astype(float)
+        x.reshape(-1, 2)[0] = [0.0, 0.0]  # a blocked death channel
+        rates = model.guarded_rates(x)
+        expected = _reference_guarded_rates(model, x)
+        assert rates.shape == (3,) + shape[:-1]
+        assert rates.tobytes() == expected.tobytes()
+        assert rates[2].reshape(-1)[0] == 0.0
+        assert rates[0].reshape(-1)[0] == 0.7  # scalar propensity broadcast
+
+    @pytest.mark.parametrize("shape", [(2,), (5, 2), (3, 4, 2)])
+    def test_nan_rate_raises_only_where_admissible(self, shape):
+        model = self._model(nan_channel=True)
+        blocked = np.full(shape, 0.5)  # x_0 - 1 < 0: NaN channel is blocked
+        assert (model.guarded_rates(blocked).tobytes()
+                == _reference_guarded_rates(model, blocked).tobytes())
+        admissible = np.full(shape, 1.0)
+        for guard in (model.guarded_rates,
+                      lambda x: _reference_guarded_rates(model, x)):
+            with pytest.raises(OverflowError, match="non-finite rate"):
+                guard(admissible)
+
+    def test_stoichiometry_matrix_is_read_only_and_built_once(self,
+                                                              monkeypatch):
+        model = self._model()
+        stacks = []
+        stack = np.stack
+        monkeypatch.setattr(np, "stack",
+                            lambda *a, **k: stacks.append(1) or stack(*a, **k))
+        nu = model.stoichiometry_matrix
+        for _ in range(3):
+            model.guarded_rates(np.ones((4, 2)))
+        assert model.stoichiometry_matrix is nu
+        assert len(stacks) == 1
+        assert np.array_equal(nu, [[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        with pytest.raises(ValueError, match="read-only"):
+            nu[0, 0] = 5.0
