@@ -1,6 +1,6 @@
 """Record the benchmark's end-to-end metrics in one JSON file.
 
-    python3 bench/run.py --out BENCH_8.json [--tier1-log tier1.log]
+    python3 bench/run.py --out BENCH_9.json [--tier1-log tier1.log]
 
 Run it from the root of a fastslow checkout. It runs
 ``perfbench/run.py --trace 0`` for every workload that ``BENCHMARK.json``
@@ -9,7 +9,10 @@ and seed by seed, and reads each run's ``result.json``; it times nothing
 itself. The file it writes holds, per workload, the median and quartiles
 of every end-to-end metric with the raw values and the correctness record
 of the runs (fail count, outputs changed from the reference digests); the
-``src/fastslow/*.py`` line count; and the machine record of the first run.
+``src/fastslow/*.py`` line count, in total and per file; the machine
+record of the first run; and, for each bundled ``_quick`` config, the
+median of 3 wall times of ``python -m fastslow.cli run <name> --workers 1``
+as its ``finished in X.Xs`` summary line reports them (0.1 s resolution).
 ``--tier1-log`` adds the Tier-1 outcome counts, time and ``--durations``
 table parsed from a saved pytest log.
 """
@@ -18,13 +21,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SEEDS = (1, 2, 3, 4, 5)
+QUICK_RUNS = 3
 
 
 def quartiles(values) -> dict:
@@ -81,9 +87,43 @@ def parse_tier1_log(text: str) -> dict:
     return out
 
 
-def src_lines(root: Path) -> int:
-    return sum(len(p.read_text().splitlines())
-               for p in sorted((root / "src" / "fastslow").glob("*.py")))
+def src_lines(root: Path) -> dict:
+    """Line count of each ``src/fastslow/*.py`` file."""
+    return {p.name: len(p.read_text().splitlines())
+            for p in sorted((root / "src" / "fastslow").glob("*.py"))}
+
+
+_FINISHED = re.compile(r": \S+ finished in (?P<s>[\d.]+)s -> ")
+
+
+def parse_finished_seconds(stdout: str) -> float:
+    """Seconds of the ``<name>: <analysis> finished in X.Xs -> <paths>``
+    summary line that ``fastslow run`` prints."""
+    match = _FINISHED.search(stdout)
+    if match is None:
+        raise ValueError(f"no 'finished in' summary line in {stdout!r}")
+    return float(match["s"])
+
+
+def quick_config_times(root: Path) -> dict:
+    """Median and values of ``QUICK_RUNS`` summary-line wall times of every
+    bundled ``_quick`` config, run one at a time with ``--workers 1``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    configs = root / "src" / "fastslow" / "configs"
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(p.stem for p in configs.glob("*_quick.cfg")):
+            print(f"fastslow run {name}", file=sys.stderr)
+            values = [parse_finished_seconds(subprocess.run(
+                [sys.executable, "-m", "fastslow.cli", "run", name,
+                 "--workers", "1", "--out", tmp], cwd=root, env=env,
+                check=True, capture_output=True, text=True).stdout)
+                for _ in range(QUICK_RUNS)]
+            out[name] = {"median": statistics.median(values),
+                         "values": values}
+    return out
 
 
 def run_workload(root: Path, workload: str, seed: int,
@@ -100,7 +140,7 @@ def run_workload(root: Path, workload: str, seed: int,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path,
-                        help="JSON file to write, e.g. BENCH_8.json")
+                        help="JSON file to write, e.g. BENCH_9.json")
     parser.add_argument("--tier1-log", type=Path,
                         help="saved output of the Tier-1 pytest run")
     args = parser.parse_args(argv)
@@ -120,9 +160,11 @@ def main(argv=None) -> int:
     env = dict(next(iter(results.values()))[0]["env"])
     for key in ("loadavg_before", "loadavg_after"):
         env.pop(key, None)
-    record = {"seconds": seconds, "src_lines": src_lines(root),
-              "env": env,
-              "workloads": {w: summarise(r) for w, r in results.items()}}
+    lines = src_lines(root)
+    record = {"seconds": seconds, "src_lines": sum(lines.values()),
+              "src_file_lines": lines, "env": env,
+              "workloads": {w: summarise(r) for w, r in results.items()},
+              "quick_configs_s": quick_config_times(root)}
     if args.tier1_log:
         record["tier1"] = parse_tier1_log(args.tier1_log.read_text())
     args.out.write_text(json.dumps(record, indent=1) + "\n")

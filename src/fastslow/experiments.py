@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +31,8 @@ from .fluctuations import (BasinSpec, first_passage_times,
                            ks_distance, quasipotential,
                            quasipotential_derivative)
 from .jump import birth_death, ssa_final_states, tau_leap_final_states
-from .models import NonDiffusiveModel, fixed_points, make_model
+from .models import (DoubleWellModel, LinearOUModel, NonDiffusiveModel,
+                     fixed_points)
 from .rng import RngStream
 from .schemes import SchemeConfig, config_for_lambda
 
@@ -39,117 +41,60 @@ class ConfigError(Exception):
     """Invalid experiment configuration; carries best-effort line info."""
 
     def __init__(self, message, *, line=None, key=None):
-        loc = []
-        if key is not None:
-            loc.append(f"key {key!r}")
-        if line is not None:
-            loc.append(f"line {line}")
+        loc = [f"key {key!r}"] if key is not None else []
+        loc += [f"line {line}"] if line is not None else []
         suffix = f" ({', '.join(loc)})" if loc else ""
         super().__init__(message + suffix)
         self.line = line
         self.key = key
 
 
-ANALYSES = ("histogram", "variance_vs_lambda", "mfpt_vs_lambda", "fpt_cdf",
-            "quasipotential", "jump_compare")
+REQUIRED = object()  # default of a key that every config must set
 
-_MODEL_KEYS = {
-    "linear_ou": {"theta": float, "mu": float, "sigma": float},
-    "double_well": {"theta": float, "mu": float, "sigma": float},
-    "non_diffusive": {"nu": float, "sigma": float},
-    "birth_death": {"birth": float, "death": float, "eps": float},
-}
+# domains: (predicate, description); list values are checked element-wise
+POSITIVE = (lambda v: math.isfinite(v) and v > 0, "positive and finite")
+FINITE = (math.isfinite, "finite")
+NON_NEGATIVE = (lambda v: math.isfinite(v) and v >= 0,
+                "finite and non-negative")
+AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+
+
+def _one_of(*choices):
+    return (lambda v: v in choices, f"one of {choices}")
 
 
 def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part.strip()) for part in text.split(",") if part.strip())
+def _list(item):
+    """Parser of a nonempty comma-separated list of ``item`` values."""
+    def parse(text: str) -> tuple:
+        parts = [part.strip() for part in text.split(",") if part.strip()]
+        if not parts:
+            raise ValueError("empty list")
+        return tuple(item(part) for part in parts)
+    return parse
 
 
-def _parse_str_list(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+_EXPERIMENT_KEYS = {"analysis": (str, REQUIRED, None),
+                    "title": (str, "", None), "seed": (int, REQUIRED, None)}
 
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part.strip()) for part in text.split(",") if part.strip())
-
-
-# per-analysis schema: section -> key -> (parser, required, default)
-def _schema(analysis: str) -> dict:
-    experiment = {
-        "analysis": (str, True, None),
-        "title": (str, False, ""),
-        "seed": (int, True, None),
-    }
-    scheme_common = {
-        "eps": (float, True, None),
-        "micro_dt": (float, True, None),
-        "macro_dt": (float, True, None),
-    }
-    model = {"name": (str, True, None)}  # parameter keys checked separately
-    if analysis in ("histogram", "variance_vs_lambda"):
-        scheme = dict(scheme_common)
-        scheme.update({
-            "lambdas": (_parse_int_list, True, None),
-            "t": (float, True, None),
-            "burn_in": (float, False, 0.0),
-        })
-        ana = {
-            "schemes": (_parse_str_list, True, None),
-            "n_replicas": (int, False, 1),
-            "x0": (_parse_float_list, False, (0.0,)),
-        }
-        if analysis == "histogram":
-            ana.update({
-                "bin_min": (float, True, None),
-                "bin_max": (float, True, None),
-                "n_bins": (int, True, None),
-            })
-        return {"experiment": experiment, "model": model, "scheme": scheme,
-                "analysis": ana}
-    if analysis in ("mfpt_vs_lambda", "fpt_cdf"):
-        scheme = dict(scheme_common)
-        if analysis == "mfpt_vs_lambda":
-            scheme["lambdas"] = (_parse_int_list, True, None)
-        else:
-            scheme["lambda"] = (int, True, None)
-        ana = {
-            "schemes": (_parse_str_list, True, None),
-            "n_samples": (int, True, None),
-            "t_cap": (float, True, None),
-            "start": (float, True, None),
-            "threshold": (float, True, None),
-            "direction": (str, True, None),
-            "equil_fast_time": (float, False, 50.0),
-        }
-        if analysis == "mfpt_vs_lambda":
-            ana["ldp_curve"] = (_parse_bool, False, False)
-        return {"experiment": experiment, "model": model, "scheme": scheme,
-                "analysis": ana}
-    if analysis == "quasipotential":
-        ana = {
-            "x_min": (float, True, None),
-            "x_max": (float, True, None),
-            "n_points": (int, True, None),
-        }
-        return {"experiment": experiment, "model": model, "analysis": ana}
-    if analysis == "jump_compare":
-        ana = {
-            "x0": (float, True, None),
-            "t": (float, True, None),
-            "tau": (float, True, None),
-            "n_runs": (int, True, None),
-        }
-        return {"experiment": experiment, "model": model, "analysis": ana}
-    raise ConfigError(f"unknown analysis {analysis!r}; expected one of {ANALYSES}")
+# model name -> (constructor, parameter keys); a parameter the config does
+# not set is left to the constructor's default (and out of the config hash)
+_SLOW_FAST = {k: (float, None, FINITE) for k in ("theta", "mu", "sigma")}
+_MODELS = {
+    "linear_ou": (LinearOUModel, _SLOW_FAST),
+    "double_well": (DoubleWellModel, _SLOW_FAST),
+    "non_diffusive": (NonDiffusiveModel, {k: (float, None, FINITE)
+                                          for k in ("nu", "sigma")}),
+    "birth_death": (birth_death, {"birth": (float, None, NON_NEGATIVE),
+                                  "death": (float, None, NON_NEGATIVE),
+                                  "eps": (float, None, POSITIVE)}),
+}
 
 
 @dataclass
@@ -202,9 +147,8 @@ def parse_config(path, name: str | None = None) -> ExperimentConfig:
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as err:
-        lineno = getattr(err, "lineno", None)
         raise ConfigError(f"config syntax error in {path}: {err}",
-                          line=lineno) from err
+                          line=getattr(err, "lineno", None)) from err
 
     if not parser.has_section("experiment") or not parser.has_option(
             "experiment", "analysis"):
@@ -212,109 +156,78 @@ def parse_config(path, name: str | None = None) -> ExperimentConfig:
     analysis = parser.get("experiment", "analysis").strip()
     if analysis not in ANALYSES:
         raise ConfigError(f"unknown analysis {analysis!r}; expected one of "
-                          f"{ANALYSES}",
+                          f"{tuple(ANALYSES)}",
                           line=_find_line(text, "experiment", "analysis"))
-    schema = _schema(analysis)
-
+    spec = ANALYSES[analysis]
+    sections = {"experiment": _EXPERIMENT_KEYS,
+                "model": {"name": (str, REQUIRED, None)}, **spec.sections}
     for section in parser.sections():
-        if section not in schema:
+        if section not in sections:
             raise ConfigError(f"unexpected section [{section}] for analysis "
                               f"{analysis!r}", line=_find_line(text, section))
     parsed: dict[str, dict] = {}
-    for section, keys in schema.items():
+    for section, keys in sections.items():
         if section not in parser:
-            if any(req for (_, req, _) in keys.values()):
-                raise ConfigError(f"missing required section [{section}]")
-            parsed[section] = {k: d for k, (_, _, d) in keys.items()}
-            continue
+            raise ConfigError(f"missing required section [{section}]")
         got = dict(parser.items(section))
-        out = {}
-        model_name = got.get("name", "").strip() if section == "model" else None
-        allowed = dict(keys)
         if section == "model":
-            if not model_name:
-                raise ConfigError("missing model name",
-                                  line=_find_line(text, "model"))
-            if model_name not in _MODEL_KEYS:
+            model = got.get("name", "").strip()
+            if model not in spec.models:
                 raise ConfigError(
-                    f"unknown model {model_name!r}; builtins: "
-                    f"{sorted(_MODEL_KEYS)}",
-                    line=_find_line(text, "model", "name"))
-            allowed.update({k: (fn, False, None)
-                            for k, fn in _MODEL_KEYS[model_name].items()})
+                    f"model {model!r} is not available for analysis "
+                    f"{analysis!r}; expected one of {spec.models}",
+                    line=_find_line(text, "model", "name"), key="name")
+            keys = {**keys, **_MODELS[model][1]}
         for key in got:
-            if key not in allowed:
+            if key not in keys:
                 raise ConfigError(
                     f"unknown key {key!r} in section [{section}] for analysis "
                     f"{analysis!r}", line=_find_line(text, section, key),
                     key=key)
-        for key, (fn, required, default) in allowed.items():
-            if key in got:
-                try:
-                    out[key] = fn(got[key])
-                except (ValueError, TypeError) as err:
-                    raise ConfigError(
-                        f"bad value for {key!r} in [{section}]: {err}",
-                        line=_find_line(text, section, key), key=key) from err
-            elif required:
-                raise ConfigError(f"missing required key {key!r} in "
-                                  f"[{section}]", key=key,
-                                  line=_find_line(text, section))
-            elif default is not None or section != "model":
-                out[key] = default
-        parsed[section] = out
+        out = parsed[section] = {}
+        for key, (parse, default, domain) in keys.items():
+            if key not in got:
+                if default is REQUIRED:
+                    raise ConfigError(f"missing required key {key!r} in "
+                                      f"[{section}]", key=key,
+                                      line=_find_line(text, section))
+                if default is not None:
+                    out[key] = default
+                continue
+            try:
+                value = parse(got[key])
+            except (ValueError, TypeError) as err:
+                raise ConfigError(
+                    f"bad value for {key!r} in [{section}]: {err}",
+                    line=_find_line(text, section, key), key=key) from err
+            items = value if isinstance(value, tuple) else (value,)
+            bad = [v for v in items if domain and not domain[0](v)]
+            if bad:
+                raise ConfigError(f"{key} must be {domain[1]}, got {bad[0]!r}",
+                                  line=_find_line(text, section, key), key=key)
+            out[key] = value
 
-    model_params = {k: v for k, v in parsed["model"].items()
-                    if k != "name" and v is not None}
-    exp = parsed["experiment"]
-    cfg = ExperimentConfig(
-        name=name or path.stem,
-        analysis=analysis,
-        title=exp.get("title", ""),
-        seed=int(exp["seed"]),
-        model_name=parsed["model"]["name"],
-        model_params=model_params,
-        scheme=parsed.get("scheme", {}),
-        params=parsed.get("analysis", {}),
-    )
-    _validate_semantics(cfg)
+    exp, model = parsed["experiment"], parsed["model"]
+    cfg = ExperimentConfig(name or path.stem, analysis, exp["title"],
+                           exp["seed"], model.pop("name"), model,
+                           parsed.get("scheme", {}), parsed["analysis"])
+    _check_relations(cfg)
+    try:
+        _model(cfg)
+    except ValueError as err:
+        raise ConfigError(f"bad [model] parameters: {err}",
+                          line=_find_line(text, "model")) from err
     return cfg
 
 
-def _validate_semantics(cfg: ExperimentConfig) -> None:
-    sde_analyses = ("histogram", "variance_vs_lambda", "mfpt_vs_lambda",
-                    "fpt_cdf")
-    if cfg.analysis in sde_analyses:
-        if cfg.model_name == "birth_death":
-            raise ConfigError(f"analysis {cfg.analysis!r} needs an SDE model, "
-                              f"not {cfg.model_name!r}")
-        for scheme in cfg.params.get("schemes", ()):
-            if scheme not in ENSEMBLE_SCHEMES:
-                raise ConfigError(f"scheme {scheme!r} is not available for "
-                                  f"analysis {cfg.analysis!r}; expected one "
-                                  f"of {ENSEMBLE_SCHEMES}", key="schemes")
-    if cfg.analysis in ("mfpt_vs_lambda", "fpt_cdf"):
-        direction = cfg.params["direction"]
-        allowed = ("upcrossing", "downcrossing")
-        if cfg.analysis == "fpt_cdf":
-            allowed += ("both",)
-        if direction not in allowed:
-            raise ConfigError(f"direction must be one of {allowed}, got "
-                              f"{direction!r}", key="direction")
-    if cfg.analysis == "quasipotential" and cfg.model_name != "non_diffusive":
-        raise ConfigError("quasipotential analysis requires the "
-                          "non_diffusive model")
-    if cfg.analysis == "jump_compare" and cfg.model_name != "birth_death":
-        raise ConfigError("jump_compare requires the birth_death model")
-    values = {**cfg.model_params, **cfg.scheme, **cfg.params}
-    nonneg = ("burn_in", "equil_fast_time")
-    nonneg += ("x0",) if cfg.analysis == "jump_compare" else ()
-    for key in ("x_min", "x_max", "bin_min", "bin_max", "start",
-                "threshold") + nonneg:
-        value = values.get(key, 0.0)
-        if not math.isfinite(value) or (key in nonneg and value < 0):
-            kind = "finite and non-negative" if key in nonneg else "finite"
-            raise ConfigError(f"{key} must be {kind}, got {value}", key=key)
+def _check_relations(cfg: ExperimentConfig) -> None:
+    """The checks that tie keys together; the domains check single keys."""
+    values = {**cfg.scheme, **cfg.params}
+    for scheme in values.get("schemes", ()):
+        if scheme not in ENSEMBLE_SCHEMES:
+            raise ConfigError(f"scheme {scheme!r} is not available for "
+                              f"analysis {cfg.analysis!r}; expected one "
+                              f"of {ENSEMBLE_SCHEMES}", key="schemes")
     for lo, hi in (("x_min", "x_max"), ("bin_min", "bin_max")):
         if lo in values and values[lo] >= values[hi]:
             raise ConfigError(f"{lo} must be below {hi}, got {values[lo]} >= "
@@ -326,23 +239,19 @@ def _validate_semantics(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"threshold {thr} must lie "
                               f"{'above' if up else 'below'} start {start}",
                               key="threshold")
-    for key in ("n_replicas", "n_samples", "n_bins", "n_runs", "n_points"):
-        if key in values and values[key] < 1:
-            raise ConfigError(f"{key} must be positive, got {values[key]}",
-                              key=key)
-    for key in ("lambdas", "lambda"):
-        if key in values and any(lam < 1 for lam in np.atleast_1d(values[key])):
-            raise ConfigError(f"every {key} value must be at least 1, got "
-                              f"{values[key]}", key=key)
-    for key in ("t", "tau", "t_cap", "eps", "micro_dt", "macro_dt"):
-        if key in values and not (math.isfinite(values[key]) and values[key] > 0):
-            raise ConfigError(f"{key} must be positive and finite, got "
-                              f"{values[key]}", key=key)
+    if "burn_in" in values:
+        t_chain = values["t"] / values["n_replicas"]
+        if values["burn_in"] >= t_chain:
+            raise ConfigError(f"burn_in must be below the per-chain time "
+                              f"t / n_replicas = {t_chain}, got "
+                              f"{values['burn_in']}", key="burn_in")
 
 
-def _model_kwargs(cfg: ExperimentConfig) -> dict:
-    rename = {"sigma": "sigma_f"}
-    return {rename.get(k, k): v for k, v in cfg.model_params.items()}
+def _model(cfg: ExperimentConfig):
+    """The builtin model of ``cfg``, built with its config parameters."""
+    build = _MODELS[cfg.model_name][0]
+    return build(**{("sigma_f" if k == "sigma" else k): v
+                    for k, v in cfg.model_params.items()})
 
 
 def _scheme_config(cfg: ExperimentConfig, lam: int) -> SchemeConfig:
@@ -369,19 +278,13 @@ class OutputTable:
 
 def _scheme_lambda_tasks(cfg):
     """(scheme, lam) pairs; the direct scheme ignores lambda."""
-    tasks = []
-    for scheme in cfg.params["schemes"]:
-        if scheme == "direct":
-            tasks.append((scheme, 1))
-        else:
-            for lam in cfg.scheme["lambdas"]:
-                tasks.append((scheme, int(lam)))
-    return tasks
+    return [(scheme, lam) for scheme in cfg.params["schemes"]
+            for lam in ((1,) if scheme == "direct" else cfg.scheme["lambdas"])]
 
 
 def _run_stationary(cfg: ExperimentConfig, executor) -> list[OutputTable]:
     """Histogram or variance of pooled stationary samples per (scheme, lam)."""
-    model = make_model(cfg.model_name, **_model_kwargs(cfg)).system()
+    model = _model(cfg).system()
     base = RngStream(cfg.seed)
     n_chains = cfg.params["n_replicas"]
     starts = np.asarray(cfg.params["x0"], dtype=float)
@@ -389,6 +292,7 @@ def _run_stationary(cfg: ExperimentConfig, executor) -> list[OutputTable]:
     if cfg.analysis == "histogram":
         edges = np.linspace(cfg.params["bin_min"], cfg.params["bin_max"],
                             cfg.params["n_bins"] + 1)
+        bounds = ["-inf", *(repr(float(e)) for e in edges), "inf"]
         table = OutputTable("histogram", ["scheme", "lam", "bin_left",
                                           "bin_right", "count"], [])
     else:
@@ -404,18 +308,14 @@ def _run_stationary(cfg: ExperimentConfig, executor) -> list[OutputTable]:
                                repr(float(np.var(samples, ddof=1)))])
             continue
         hist = histogram_of_samples(samples, edges)
-        table.rows.append([scheme, lam, "-inf", repr(float(edges[0])),
-                           hist.underflow])
-        for i, count in enumerate(hist.counts):
-            table.rows.append([scheme, lam, repr(float(edges[i])),
-                               repr(float(edges[i + 1])), int(count)])
-        table.rows.append([scheme, lam, repr(float(edges[-1])), "inf",
-                           hist.overflow])
+        counts = [hist.underflow, *map(int, hist.counts), hist.overflow]
+        table.rows += [[scheme, lam, bounds[i], bounds[i + 1], count]
+                       for i, count in enumerate(counts)]
     return [table]
 
 
 def _run_mfpt(cfg: ExperimentConfig, executor) -> list[OutputTable]:
-    model = make_model(cfg.model_name, **_model_kwargs(cfg)).system()
+    model = _model(cfg).system()
     basin = BasinSpec(cfg.params["start"], cfg.params["threshold"],
                       cfg.params["direction"])
     lambdas = list(cfg.scheme["lambdas"])
@@ -436,8 +336,7 @@ def _run_mfpt(cfg: ExperimentConfig, executor) -> list[OutputTable]:
     if cfg.params["ldp_curve"] and hmm_points and len(hmm_points) >= 2:
         _, b, r2 = fit_log_mfpt_inverse_lambda(hmm_points)
         v_barrier = b * cfg.scheme["eps"]
-        lam0 = hmm_points[0].lam
-        mfpt0 = hmm_points[0].mfpt
+        lam0, mfpt0 = hmm_points[0].lam, hmm_points[0].mfpt
         for lam in lambdas:
             pred = ldp_escape_prediction(v_barrier, cfg.scheme["eps"], lam,
                                          (lam0, mfpt0))
@@ -452,14 +351,13 @@ def _run_mfpt(cfg: ExperimentConfig, executor) -> list[OutputTable]:
 
 
 def _run_fpt_cdf(cfg: ExperimentConfig, executor) -> list[OutputTable]:
-    model = make_model(cfg.model_name, **_model_kwargs(cfg)).system()
+    model = _model(cfg).system()
     lam = cfg.scheme["lambda"]
     start, thr = cfg.params["start"], cfg.params["threshold"]
-    if cfg.params["direction"] == "both":
-        basins = [BasinSpec(start, thr, "upcrossing"),
-                  BasinSpec(thr, start, "downcrossing")]
-    else:
-        basins = [BasinSpec(start, thr, cfg.params["direction"])]
+    direction = cfg.params["direction"]
+    basins = ([BasinSpec(start, thr, "upcrossing"),
+               BasinSpec(thr, start, "downcrossing")] if direction == "both"
+              else [BasinSpec(start, thr, direction)])
     rows = []
     extra = {}
     for basin in basins:
@@ -483,18 +381,13 @@ def _run_fpt_cdf(cfg: ExperimentConfig, executor) -> list[OutputTable]:
 
 
 def _run_quasipotential(cfg: ExperimentConfig, executor) -> list[OutputTable]:
-    model = NonDiffusiveModel(nu=cfg.model_params.get("nu", 1.0),
-                              sigma_f=cfg.model_params.get("sigma",
-                                                           math.sqrt(3.0)))
+    model = _model(cfg)
     left, mid, right = fixed_points(model)
     grid = np.linspace(cfg.params["x_min"], cfg.params["x_max"],
                        cfg.params["n_points"])
-    rows = []
-    for x in grid:
-        rows.append([repr(float(x)),
-                     repr(quasipotential(model, float(x), left)),
-                     repr(quasipotential_derivative(model, float(x))),
-                     repr(float(model.averaged_drift(x)))])
+    rows = [[repr(float(x)), repr(quasipotential(model, float(x), left)),
+             repr(quasipotential_derivative(model, float(x))),
+             repr(float(model.averaged_drift(x)))] for x in grid]
     barrier_left = quasipotential(model, mid, left)
     barrier_right = quasipotential(model, mid, right)
     extra = {
@@ -511,9 +404,7 @@ def _run_quasipotential(cfg: ExperimentConfig, executor) -> list[OutputTable]:
 
 
 def _run_jump_compare(cfg: ExperimentConfig, executor) -> list[OutputTable]:
-    model = birth_death(cfg.model_params.get("birth", 1.0),
-                        cfg.model_params.get("death", 1.0),
-                        cfg.model_params.get("eps", 0.01))
+    model = _model(cfg)
     base = RngStream(cfg.seed)
     n_runs = cfg.params["n_runs"]
     x0 = [cfg.params["x0"]]
@@ -525,23 +416,68 @@ def _run_jump_compare(cfg: ExperimentConfig, executor) -> list[OutputTable]:
     ssa = run_blocks(lambda ids: ssa_final_states(model, x0, t_end, ids, base))
     tau = run_blocks(lambda ids: tau_leap_final_states(
         model, x0, t_end, cfg.params["tau"], ids, base))
-    rows = []
-    for method, vals in (("ssa", ssa), ("tau_leap", tau)):
-        rows.append([method, n_runs, repr(float(vals.mean())),
-                     repr(float(vals.var(ddof=1))),
-                     repr(ks_distance(vals, ssa))])
+    rows = [[method, n_runs, repr(float(vals.mean())),
+             repr(float(vals.var(ddof=1))), repr(ks_distance(vals, ssa))]
+            for method, vals in (("ssa", ssa), ("tau_leap", tau))]
     return [OutputTable("jump",
                         ["method", "n_runs", "mean", "variance", "ks_vs_ssa"],
                         rows)]
 
 
-_RUNNERS = {
-    "histogram": _run_stationary,
-    "variance_vs_lambda": _run_stationary,
-    "mfpt_vs_lambda": _run_mfpt,
-    "fpt_cdf": _run_fpt_cdf,
-    "quasipotential": _run_quasipotential,
-    "jump_compare": _run_jump_compare,
+@dataclass(frozen=True)
+class Analysis:
+    """One analysis: its runner, the models it accepts and its config keys
+    as section -> key -> (parser, default or REQUIRED, domain or None)."""
+
+    runner: Callable
+    models: tuple
+    sections: dict
+
+
+_SDE_MODELS = ("linear_ou", "double_well", "non_diffusive")
+_STEPS = {key: (float, REQUIRED, POSITIVE)
+          for key in ("eps", "micro_dt", "macro_dt")}
+_LAMBDAS = {"lambdas": (_list(int), REQUIRED, AT_LEAST_1)}
+_POOLED_SCHEME = {**_STEPS, **_LAMBDAS, "t": (float, REQUIRED, POSITIVE),
+                  "burn_in": (float, 0.0, NON_NEGATIVE)}
+_POOLED = {"schemes": (_list(str), REQUIRED, None),
+           "n_replicas": (int, 1, AT_LEAST_1),
+           "x0": (_list(float), (0.0,), FINITE)}
+_PASSAGE = {"schemes": (_list(str), REQUIRED, None),
+            "n_samples": (int, REQUIRED, AT_LEAST_1),
+            "t_cap": (float, REQUIRED, POSITIVE),
+            "start": (float, REQUIRED, FINITE),
+            "threshold": (float, REQUIRED, FINITE),
+            "equil_fast_time": (float, 50.0, NON_NEGATIVE)}
+_CROSSINGS = ("upcrossing", "downcrossing")
+
+ANALYSES = {
+    "histogram": Analysis(_run_stationary, _SDE_MODELS, {
+        "scheme": _POOLED_SCHEME,
+        "analysis": {**_POOLED, "bin_min": (float, REQUIRED, FINITE),
+                     "bin_max": (float, REQUIRED, FINITE),
+                     "n_bins": (int, REQUIRED, AT_LEAST_1)}}),
+    "variance_vs_lambda": Analysis(_run_stationary, _SDE_MODELS, {
+        "scheme": _POOLED_SCHEME, "analysis": _POOLED}),
+    "mfpt_vs_lambda": Analysis(_run_mfpt, _SDE_MODELS, {
+        "scheme": {**_STEPS, **_LAMBDAS},
+        "analysis": {**_PASSAGE,
+                     "direction": (str, REQUIRED, _one_of(*_CROSSINGS)),
+                     "ldp_curve": (_parse_bool, False, None)}}),
+    "fpt_cdf": Analysis(_run_fpt_cdf, _SDE_MODELS, {
+        "scheme": {**_STEPS, "lambda": (int, REQUIRED, AT_LEAST_1)},
+        "analysis": {**_PASSAGE,
+                     "direction": (str, REQUIRED,
+                                   _one_of(*_CROSSINGS, "both"))}}),
+    "quasipotential": Analysis(_run_quasipotential, ("non_diffusive",), {
+        "analysis": {"x_min": (float, REQUIRED, POSITIVE),
+                     "x_max": (float, REQUIRED, FINITE),
+                     "n_points": (int, REQUIRED, AT_LEAST_1)}}),
+    "jump_compare": Analysis(_run_jump_compare, ("birth_death",), {
+        "analysis": {"x0": (float, REQUIRED, NON_NEGATIVE),
+                     "t": (float, REQUIRED, POSITIVE),
+                     "tau": (float, REQUIRED, POSITIVE),
+                     "n_runs": (int, REQUIRED, AT_LEAST_1)}}),
 }
 
 
@@ -592,7 +528,7 @@ def run_experiment(config_path, out_dir, *, name=None, seed=None,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    tables = _RUNNERS[cfg.analysis](cfg, executor)
+    tables = ANALYSES[cfg.analysis].runner(cfg, executor)
     paths = []
     for table in tables:
         paths.extend(_write_table(out_dir, cfg, table, json_mirror))

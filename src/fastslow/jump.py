@@ -35,6 +35,9 @@ from .sde import Trajectory
 
 _ORTHANT_TOL = 1e-12
 _SSA_CHUNK = 512  # SSA draws per generator per refill
+# numpy's largest Poisson mean; above it ``poisson`` raises a bare ValueError
+_POISSON_LAM_MAX = (np.iinfo(np.int64).max
+                    - 10 * math.sqrt(np.iinfo(np.int64).max))
 
 
 @dataclass(frozen=True)
@@ -224,20 +227,25 @@ def _ssa(model, x0, T, exp_gens, uni_gens, on_event=lambda t, x: None):
     return final, absorbed
 
 
-def _tau_windows(model, x0, T, tau, gens):
-    """Lockstep tau-leap lanes from x0 to T, one per generator; yields
-    ``(t, x)`` with x (B, dim) at t = 0 and after every window."""
+def _tau_windows(model, x0, T, tau, gens, ids):
+    """Lockstep tau-leap lanes from x0 to T, one per generator and run id;
+    yields ``(t, x)`` with x (B, dim) at t = 0 and after every window."""
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be positive and finite, got {tau}")
     x0, x, counts = _lanes(model, x0, T, len(gens))
     nu = model.stoichiometry_matrix
     t = 0.0
     yield t, x
-    for _ in range(math.ceil(T / tau)):
+    for window in range(math.ceil(T / tau)):
         dt = min(tau, T - t)
-        lam = (_lane_rates(model, x) * (dt / model.eps)).T.tolist()  # B x m
+        lam = _lane_rates(model, x) * (dt / model.eps)  # (m, B)
+        if (lam > _POISSON_LAM_MAX).any():
+            k, i = np.argwhere(lam > _POISSON_LAM_MAX)[0]
+            raise OverflowError(
+                f"tau-leap mean {lam[k, i]:.4g} of channel {k} is above numpy's"
+                f" Poisson limit (run {ids[i]}, window {window}, t = {t!r})")
         counts += np.array([[g.poisson(l) for l in lane]
-                            for g, lane in zip(gens, lam)],
+                            for g, lane in zip(gens, lam.T.tolist())],
                            dtype=np.int64).reshape(counts.shape)
         x = x0[None, :] + model.eps * (counts @ nu)
         t += dt
@@ -272,7 +280,7 @@ def tau_leap_run(model: JumpModel, x0, T: float, tau: float,
     moves by eps times the net stoichiometry. Records every window end.
     """
     times, states = zip(*((t, x[0]) for t, x in _tau_windows(
-        model, x0, T, tau, [stream.generator])))
+        model, x0, T, tau, [stream.generator], [0])))
     return Trajectory(np.array(times), np.array(states),
                       _meta(model, "tau_leap", stream, False))
 
@@ -300,6 +308,6 @@ def tau_leap_final_states(model: JumpModel, x0, T: float, tau: float, ids,
     """
     ids = _run_ids(ids)
     for _, x in _tau_windows(model, x0, T, tau,
-                             base.children(ids[:, None]).generators()):
+                             base.children(ids[:, None]).generators(), ids):
         pass
     return x

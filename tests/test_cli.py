@@ -42,6 +42,199 @@ class TestRegistry:
         assert all({"name", "description"} <= set(r) for r in rows)
 
 
+# the parse of every bundled config as recorded before the analysis
+# table replaced the per-analysis schema code: name -> (config hash,
+# analysis, model name, model params, scheme, analysis params)
+_BUNDLED_PARSES = {
+    "fig_clt_hist":
+        ("ae6405fcadba", "histogram", "linear_ou",
+         {"theta": 1.0, "mu": 0.5, "sigma": 5.0},
+         {"eps": 0.01,
+          "micro_dt": 0.1,
+          "macro_dt": 0.08,
+          "lambdas": (1, 2, 5),
+          "t": 10000.0,
+          "burn_in": 50.0},
+         {"schemes": ("direct", "hmm", "phmm"),
+          "n_replicas": 8,
+          "x0": (0.0,),
+          "bin_min": -4.5,
+          "bin_max": 4.5,
+          "n_bins": 90}),
+    "fig_clt_hist_quick":
+        ("94bed37dc04c", "histogram", "linear_ou",
+         {"theta": 1.0, "mu": 0.5, "sigma": 5.0},
+         {"eps": 0.01,
+          "micro_dt": 0.1,
+          "macro_dt": 0.08,
+          "lambdas": (2, 5),
+          "t": 400.0,
+          "burn_in": 20.0},
+         {"schemes": ("direct", "hmm", "phmm"),
+          "n_replicas": 4,
+          "x0": (0.0,),
+          "bin_min": -4.5,
+          "bin_max": 4.5,
+          "n_bins": 45}),
+    "fig_clt_var":
+        ("e3b03f519f32", "variance_vs_lambda", "linear_ou",
+         {"theta": 1.0, "mu": 0.5, "sigma": 5.0},
+         {"eps": 0.01,
+          "micro_dt": 0.1,
+          "macro_dt": 0.08,
+          "lambdas": (1, 2, 3, 4, 5, 6, 7, 8),
+          "t": 10000.0,
+          "burn_in": 50.0},
+         {"schemes": ("hmm", "phmm"), "n_replicas": 4, "x0": (0.0,)}),
+    "fig_clt_var_quick":
+        ("fbeb70fc0963", "variance_vs_lambda", "linear_ou",
+         {"theta": 1.0, "mu": 0.5, "sigma": 5.0},
+         {"eps": 0.01,
+          "micro_dt": 0.1,
+          "macro_dt": 0.08,
+          "lambdas": (1, 2, 4, 8),
+          "t": 1000.0,
+          "burn_in": 50.0},
+         {"schemes": ("hmm", "phmm"), "n_replicas": 4, "x0": (0.0,)}),
+    "fig_ldp_fpt_cdf":
+        ("33d49d5dbb07", "fpt_cdf", "double_well",
+         {"theta": 1.0, "mu": 1.0, "sigma": 15.0},
+         {"eps": 0.001, "micro_dt": 0.05, "macro_dt": 0.06, "lambda": 5},
+         {"schemes": ("direct", "hmm", "phmm"),
+          "n_samples": 200,
+          "t_cap": 2000.0,
+          "start": -1.0,
+          "threshold": 1.0,
+          "direction": "upcrossing",
+          "equil_fast_time": 50.0}),
+    "fig_ldp_fpt_cdf2":
+        ("c6cb0539e216", "fpt_cdf", "non_diffusive",
+         {"nu": 1.0, "sigma": 1.7320508075688772},
+         {"eps": 0.05, "micro_dt": 0.01, "macro_dt": 0.1, "lambda": 2},
+         {"schemes": ("direct", "hmm", "phmm"),
+          "n_samples": 200,
+          "t_cap": 100000.0,
+          "start": 0.555,
+          "threshold": 2.459,
+          "direction": "both",
+          "equil_fast_time": 50.0}),
+    "fig_ldp_fpt_cdf2_quick":
+        ("14d8394a57ef", "fpt_cdf", "non_diffusive",
+         {"nu": 1.0, "sigma": 1.7320508075688772},
+         {"eps": 0.05, "micro_dt": 0.01, "macro_dt": 0.1, "lambda": 2},
+         {"schemes": ("direct", "hmm", "phmm"),
+          "n_samples": 24,
+          "t_cap": 400.0,
+          "start": 2.459,
+          "threshold": 0.555,
+          "direction": "downcrossing",
+          "equil_fast_time": 50.0}),
+    "fig_ldp_fpt_cdf_quick":
+        ("0ca731efe6c4", "fpt_cdf", "double_well",
+         {"theta": 1.0, "mu": 1.0, "sigma": 15.0},
+         {"eps": 0.001, "micro_dt": 0.05, "macro_dt": 0.06, "lambda": 5},
+         {"schemes": ("hmm", "phmm"),
+          "n_samples": 16,
+          "t_cap": 300.0,
+          "start": -1.0,
+          "threshold": 1.0,
+          "direction": "upcrossing",
+          "equil_fast_time": 50.0}),
+    "fig_ldp_hist":
+        ("b9cb898adb40", "histogram", "double_well",
+         {"theta": 1.0, "mu": 1.0, "sigma": 15.0},
+         {"eps": 0.001,
+          "micro_dt": 0.05,
+          "macro_dt": 0.05,
+          "lambdas": (5,),
+          "t": 50000.0,
+          "burn_in": 50.0},
+         {"schemes": ("direct", "hmm", "phmm"),
+          "n_replicas": 25,
+          "x0": (-1.0, 1.0),
+          "bin_min": -2.5,
+          "bin_max": 2.5,
+          "n_bins": 100}),
+    "fig_ldp_hist_quick":
+        ("c37da5dc7d58", "histogram", "double_well",
+         {"theta": 1.0, "mu": 1.0, "sigma": 15.0},
+         {"eps": 0.001,
+          "micro_dt": 0.05,
+          "macro_dt": 0.05,
+          "lambdas": (5,),
+          "t": 400.0,
+          "burn_in": 20.0},
+         {"schemes": ("direct", "hmm", "phmm"),
+          "n_replicas": 4,
+          "x0": (-1.0, 1.0),
+          "bin_min": -2.5,
+          "bin_max": 2.5,
+          "n_bins": 50}),
+    "fig_ldp_mfpt":
+        ("8a5572ddaec4", "mfpt_vs_lambda", "double_well",
+         {"theta": 1.0, "mu": 1.0, "sigma": 15.0},
+         {"eps": 0.001,
+          "micro_dt": 0.05,
+          "macro_dt": 0.06,
+          "lambdas": (1, 2, 3, 5)},
+         {"schemes": ("hmm", "phmm"),
+          "n_samples": 200,
+          "t_cap": 2000.0,
+          "start": -1.0,
+          "threshold": 1.0,
+          "direction": "upcrossing",
+          "equil_fast_time": 50.0,
+          "ldp_curve": True}),
+    "fig_ldp_mfpt_quick":
+        ("49161f32a5b0", "mfpt_vs_lambda", "double_well",
+         {"theta": 1.0, "mu": 1.0, "sigma": 15.0},
+         {"eps": 0.001,
+          "micro_dt": 0.05,
+          "macro_dt": 0.06,
+          "lambdas": (2, 3, 5)},
+         {"schemes": ("hmm", "phmm"),
+          "n_samples": 12,
+          "t_cap": 300.0,
+          "start": -1.0,
+          "threshold": 1.0,
+          "direction": "upcrossing",
+          "equil_fast_time": 50.0,
+          "ldp_curve": True}),
+    "fig_num_quasi":
+        ("37757dd4f193", "quasipotential", "non_diffusive",
+         {"nu": 1.0, "sigma": 1.7320508075688772}, {},
+         {"x_min": 0.3, "x_max": 3.2, "n_points": 200}),
+    "fig_num_quasi_quick":
+        ("27fe2ae5d49e", "quasipotential", "non_diffusive",
+         {"nu": 1.0, "sigma": 1.7320508075688772}, {},
+         {"x_min": 0.3, "x_max": 3.2, "n_points": 60}),
+    "jump_tau_leap":
+        ("5d3192881eb5", "jump_compare", "birth_death",
+         {"birth": 1.0, "death": 1.0, "eps": 0.01}, {},
+         {"x0": 1.0, "t": 10.0, "tau": 0.05, "n_runs": 10000}),
+    "jump_tau_leap_quick":
+        ("7184f1a91dde", "jump_compare", "birth_death",
+         {"birth": 1.0, "death": 1.0, "eps": 0.01}, {},
+         {"x0": 1.0, "t": 6.0, "tau": 0.05, "n_runs": 1500}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUNDLED_PARSES))
+def test_bundled_config_parse_is_pinned(name):
+    cfg = parse_config(bundled_configs()[name], name=name)
+    got = (cfg.config_hash(), cfg.analysis, cfg.model_name, cfg.model_params,
+           cfg.scheme, cfg.params)
+    assert got == _BUNDLED_PARSES[name]
+    assert _typed(got) == _typed(_BUNDLED_PARSES[name])
+
+
+def _typed(parse):
+    """``parse`` with every value as its repr, which tells 1 from 1.0 and a
+    tuple from a list; dict keys in sorted order."""
+    return [sorted((k, repr(v)) for k, v in part.items())
+            if isinstance(part, dict) else repr(part) for part in parse]
+
+
 class TestArgumentHandling:
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -316,21 +509,58 @@ def test_averaged_scheme_is_rejected_by_ensemble_analyses(tmp_path, analysis):
     ("mfpt_vs_lambda", "equil_fast_time", "-1"),
     ("jump_compare", "x0", "nan"),
     ("jump_compare", "x0", "-1"),
+    ("variance_vs_lambda", "sigma", "nan"),
+    ("mfpt_vs_lambda", "theta", "inf"),
+    ("jump_compare", "birth", "nan"),
+    ("jump_compare", "death", "inf"),
+    ("mfpt_vs_lambda", "lambdas", ","),
+    ("variance_vs_lambda", "lambdas", ","),
+    ("histogram", "schemes", ","),
+    ("variance_vs_lambda", "burn_in", "20"),
+    ("variance_vs_lambda", "x0", "nan"),
+    ("histogram", "x0", "nan"),
+    ("quasipotential", "x_min", "0"),
 ])
 def test_bad_value_exits_2(tmp_path, capsys, analysis, key, value):
     # these used to crash inside the run (ZeroDivisionError, ValueError,
     # OverflowError), hang, or exit 0 with nan or empty tables instead of
     # failing as config errors
-    text = _config_text(analysis)
-    line = re.compile(rf"^{key} = .*$", re.M)
-    text = (line.sub(f"{key} = {value}", text) if line.search(text)
-            else text + f"{key} = {value}\n")
     path = tmp_path / "exp.cfg"
-    path.write_text(text)
+    path.write_text(_set_key(_config_text(analysis), key, value))
     assert main(["run", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert f"key {key!r}" in err
     assert "unknown key" not in err
+
+
+@pytest.mark.parametrize("model, analysis, key, value", [
+    ("linear_ou", "variance_vs_lambda", "mu", "2"),
+    ("double_well", "mfpt_vs_lambda", "mu", "-1"),
+    ("non_diffusive", "quasipotential", "nu", "0"),
+    ("linear_ou", "histogram", "theta", "0"),
+])
+def test_model_out_of_range_exits_2(tmp_path, capsys, model, analysis, key,
+                                    value):
+    # the model constructors reject these; they used to end in a traceback
+    text = _config_text(analysis).replace("name = linear_ou",
+                                          f"name = {model}")
+    path = tmp_path / "exp.cfg"
+    path.write_text(_set_key(text, key, value))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "[model]" in err and key in err
+
+
+def _set_key(text, key, value):
+    """``text`` with ``key = value``: replaced where the key is set, else
+    added to [model] (model parameters) or to the last section."""
+    line = re.compile(rf"^{key} = .*$", re.M)
+    if line.search(text):
+        return line.sub(f"{key} = {value}", text)
+    if key in ("theta", "mu", "sigma", "nu", "birth", "death"):
+        return re.sub(r"^name = .*$", rf"\g<0>\n{key} = {value}", text,
+                      count=1, flags=re.M)
+    return text + f"{key} = {value}\n"
 
 
 class TestNumericalFailure:

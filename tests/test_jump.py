@@ -274,6 +274,18 @@ class TestTauLeap:
         assert traj.times[-1] == pytest.approx(1.05)
         assert len(traj) == 6  # 4 full windows + 1 partial + initial
 
+    def test_mean_above_the_poisson_limit_names_channel_run_and_window(self):
+        # numpy's poisson raises a bare "lam value too large" above ~9.2e18
+        with pytest.raises(OverflowError, match=r"channel 0 .*\(run 3, "
+                           r"window 0, t = 0\.0\)"):
+            tau_leap_final_states(birth_death(1e19, 1.0, 0.01), [1.0], 1.0,
+                                  0.1, [3, 4], RngStream(1))
+        # window 0 draws about 1e18 births; the death mean then reaches 1e20
+        with pytest.raises(OverflowError, match=r"channel 1 .*\(run 5, "
+                           r"window 1, t = 0\.1\)"):
+            tau_leap_final_states(birth_death(1e17, 1e3, 0.01), [1.0], 1.0,
+                                  0.1, [5, 9], RngStream(1))
+
     def test_ks_decreases_with_tau(self):
         model = birth_death(1.0, 1.0, 0.01)
         base = RngStream(88)
