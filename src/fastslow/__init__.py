@@ -14,11 +14,8 @@ processes.
 __version__ = "0.1.0"
 
 from .rng import RngStream
-from .sde import (FastSlowModel, IntegrationFailure, ScalarOU, Trajectory,
-                  direct_integrate)
-from .schemes import (MacroState, SchemeConfig, averaged_step,
-                      config_for_lambda, hmm_micro_burst, hmm_step, phmm_step,
-                      run_scheme)
+from .sde import FastSlowModel, IntegrationFailure, ScalarOU, Trajectory
+from .schemes import SchemeConfig, averaged_step, config_for_lambda, run_scheme
 from .models import (BUILTIN_MODELS, DoubleWellModel, LinearOUModel,
                      NonDiffusiveModel, clt_stationary_variance_linear,
                      empirical_averaged_drift, fixed_points, make_model)
@@ -38,9 +35,7 @@ __all__ = [
     "__version__",
     "RngStream",
     "FastSlowModel", "IntegrationFailure", "ScalarOU", "Trajectory",
-    "direct_integrate",
-    "MacroState", "SchemeConfig", "averaged_step", "config_for_lambda",
-    "hmm_micro_burst", "hmm_step", "phmm_step", "run_scheme",
+    "SchemeConfig", "averaged_step", "config_for_lambda", "run_scheme",
     "BUILTIN_MODELS", "DoubleWellModel", "LinearOUModel", "NonDiffusiveModel",
     "clt_stationary_variance_linear", "empirical_averaged_drift",
     "fixed_points", "make_model",

@@ -213,7 +213,9 @@ def parse_config(path, name: str | None = None) -> ExperimentConfig:
                            parsed.get("scheme", {}), parsed["analysis"])
     _check_relations(cfg)
     try:
-        _model(cfg)
+        model = _model(cfg)
+        if analysis == "quasipotential":  # its runner needs two wells
+            fixed_points(model)
     except ValueError as err:
         raise ConfigError(f"bad [model] parameters: {err}",
                           line=_find_line(text, "model")) from err
@@ -239,6 +241,11 @@ def _check_relations(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"threshold {thr} must lie "
                               f"{'above' if up else 'below'} start {start}",
                               key="threshold")
+    if "macro_dt" in values:
+        try:
+            _scheme_config(cfg, 1)
+        except ValueError as err:
+            raise ConfigError(str(err), key="macro_dt") from err
     if "burn_in" in values:
         t_chain = values["t"] / values["n_replicas"]
         if values["burn_in"] >= t_chain:

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import bisect
 
-from .ensemble import _fast_mean, _ou_path
+from .ensemble import _burst, _fast_mean, _one_lane
 from .rng import RngStream
-from .schemes import _euler_burst
-from .sde import FastSlowModel, ScalarOU
+from .sde import FastSlowModel, IntegrationFailure, ScalarOU
 
 
 def _scalar_system(name, f_ew, decay_ew, mean_ew, sigma_const, averaged):
@@ -222,20 +221,22 @@ def empirical_averaged_drift(model: FastSlowModel, x, micro_dt: float,
     m_avg = math.ceil(t_avg / micro_dt)
     if m_avg < 1:
         raise ValueError("t_avg must cover at least one micro step")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-
-    if model.scalar_ou is not None and x_arr.shape == (1,):
-        sou = model.scalar_ou
-        xi = stream.normals(m_burn + m_avg)[None, :]
-        y_path = _ou_path(sou, x_arr, _fast_mean(sou, x_arr), xi, micro_dt)
-        f_path = np.asarray(sou.f(x_arr[:, None], y_path), dtype=float)
-        return np.atleast_1d(f_path[0, m_burn:].mean())
-
-    xi = stream.normals((m_burn + m_avg, model.fast_dim))
-    _, y = _euler_burst(model, x_arr, np.zeros(model.fast_dim), xi[:m_burn],
-                        micro_dt)
-    f_sum, _ = _euler_burst(model, x_arr, y, xi[m_burn:], micro_dt, m_burn)
-    return f_sum / m_avg
+    x_lane = _one_lane(model, np.atleast_1d(np.asarray(x, dtype=float)))
+    if model.scalar_ou is not None:
+        y = _fast_mean(model.scalar_ou, x_lane)
+    else:
+        y = np.zeros((1, model.fast_dim))
+    xi = stream.normals((m_burn + m_avg) * model.fast_dim)[None, :]
+    cut = m_burn * model.fast_dim
+    if m_burn:
+        _, y = _burst(model, x_lane, y, xi[:, :cut], micro_dt)
+    try:
+        f_avg, _ = _burst(model, x_lane, y, xi[:, cut:], micro_dt)
+    except IntegrationFailure as err:
+        raise IntegrationFailure(
+            "non-finite fast state in the averaging window",
+            micro_index=m_burn + err.micro_index) from err
+    return f_avg.reshape(-1)
 
 
 def fixed_points(model: NonDiffusiveModel, x_max: float = 10.0):

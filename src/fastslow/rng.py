@@ -16,12 +16,15 @@ here so outputs can be reproduced externally):
 * equilibration burst of replica ``j``     -> ``chain.child(-1, j)``
 * sequential draws of a direct integration -> ``chain.child(-2, 0)``
 
-``run_scheme`` integrates one path with no chain key, so its streams hang
-directly off ``base = RngStream(root_seed)``:
+``run_scheme`` runs one lane of the same drivers with no chain key, so its
+streams hang directly off ``base = RngStream(root_seed)``:
 
 * direct scheme, all sequential draws      -> ``base.child(-2, 0)``
 * hmm burst at macro step ``n``            -> ``base.child(0, n)``
 * phmm burst of replica ``j`` at step ``n`` -> ``base.child(j, n)``
+
+A lane with e fast components draws e normals per micro or direct step,
+step-major, from its one stream.
 
 Blocks of streams. A :class:`StreamBlock` holds B streams as their folded
 Philox key halves, two (B,) uint64 arrays. Key parts fold in one at a time,

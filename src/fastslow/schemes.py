@@ -1,4 +1,4 @@
-"""Macro-steppers over a fast-slow model: averaged, HMM and parallel HMM.
+"""Multiscale schemes over a fast-slow model: averaged, HMM and parallel HMM.
 
 All three schemes advance the slow variables with macro step ``macro_dt``.
 The HMM estimates the averaged drift from one short burst of the fast
@@ -7,6 +7,10 @@ step advances slow time by ``eps * micro_dt``); the parallel variant
 averages ``lam`` independent bursts instead, which restores the correct
 fluctuation statistics. Burst length M is derived from
 ``macro_dt = lam * M * eps * micro_dt``.
+
+This module holds the scheme configuration, the averaged Euler step and
+:func:`run_scheme`, which runs one path; the bursts and direct Euler steps
+of every scheme are the lane drivers of :mod:`fastslow.ensemble`.
 """
 
 from __future__ import annotations
@@ -15,13 +19,12 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
+from .ensemble import _direct_path, _macro_path, _one_lane
 from .rng import RngStream
-from .sde import (FastSlowModel, IntegrationFailure, Trajectory, _as_point,
-                  direct_integrate)
+from .sde import FastSlowModel, IntegrationFailure, Trajectory, _as_point
 
 
 @dataclass(frozen=True)
@@ -87,26 +90,6 @@ def config_for_lambda(cfg: SchemeConfig, lam: int) -> SchemeConfig:
     return replace(cfg, lam=lam, macro_dt=m * slow_per_micro)
 
 
-@dataclass(frozen=True)
-class MacroState:
-    """Macro iterate: step index n, slow value x, and the carried fast states.
-
-    ``replica_fast`` has shape (k, e) with k = 1 for HMM and k = lam for the
-    parallel scheme.
-    """
-
-    n: int
-    x: np.ndarray
-    replica_fast: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
-        rf = np.asarray(self.replica_fast, dtype=float)
-        if rf.ndim == 1:
-            rf = rf[None, :]
-        object.__setattr__(self, "replica_fast", rf)
-
-
 def averaged_step(F, x, dt: float) -> np.ndarray:
     """One forward Euler step x + dt * F(x) of the averaged flow."""
     if not dt > 0:
@@ -118,95 +101,6 @@ def averaged_step(F, x, dt: float) -> np.ndarray:
     return out
 
 
-def _euler_burst(model: FastSlowModel, x, y, xi: np.ndarray, dt: float,
-                 first: int = 0):
-    """One Euler-Maruyama fast step at frozen x per row of ``xi``.
-
-    Returns ``(f_sum, y_end)``, f summed over the post-update states; a
-    failure's ``micro_index`` counts from ``first``.
-    """
-    sq_dt = math.sqrt(dt)
-    f_sum = np.zeros(model.slow_dim)
-    for m in range(xi.shape[0]):
-        y = (y + dt * np.asarray(model.g(x, y), dtype=float)
-             + sq_dt * (np.asarray(model.sigma(x, y), dtype=float) @ xi[m]))
-        if not np.isfinite(y).all():
-            raise IntegrationFailure("non-finite fast state in micro burst",
-                                     micro_index=first + m + 1)
-        f_sum += np.asarray(model.f(x, y), dtype=float)
-    return f_sum, y
-
-
-def hmm_micro_burst(model: FastSlowModel, x_frozen, y0, cfg: SchemeConfig,
-                    stream: RngStream):
-    """Advance the unit-rate fast process for one burst at frozen x.
-
-    Runs M = cfg.micro_count Euler-Maruyama micro steps
-
-        y_{m+1} = y_m + dt g(x, y_m) + sqrt(dt) sigma(x, y_m) xi_m
-
-    and returns ``(f_avg, y_end)`` where f_avg averages f(x, y_m) over the
-    post-update states m = 1..M. The Gaussian block for the whole burst is
-    drawn from ``stream`` in one call of shape (M, e).
-    """
-    x = _as_point(x_frozen, model.slow_dim, "x_frozen")
-    y = _as_point(y0, model.fast_dim, "y0")
-    xi = stream.normals((cfg.micro_count, model.fast_dim))
-    f_sum, y = _euler_burst(model, x, y, xi, cfg.micro_dt)
-    return f_sum / cfg.micro_count, y
-
-
-def _replica_step(model: FastSlowModel, state: MacroState, cfg: SchemeConfig,
-                  streams: Sequence[RngStream]) -> MacroState:
-    """Burst replica j with streams[j] at frozen x_n, then step x by the
-    replica mean of f_avg."""
-    f_bar = np.zeros(model.slow_dim)
-    y_new = np.empty_like(state.replica_fast)
-    for j, stream in enumerate(streams):
-        try:
-            f_avg_j, y_new[j] = hmm_micro_burst(
-                model, state.x, state.replica_fast[j], cfg, stream)
-        except IntegrationFailure as err:
-            raise IntegrationFailure("replica burst failed",
-                                     macro_index=state.n,
-                                     micro_index=err.micro_index,
-                                     replica=j) from err
-        f_bar += f_avg_j
-    f_bar /= len(streams)
-    x_new = state.x + cfg.macro_dt * f_bar
-    if not np.isfinite(x_new).all():
-        raise IntegrationFailure("non-finite slow state", macro_index=state.n)
-    return MacroState(state.n + 1, x_new, y_new)
-
-
-def hmm_step(model: FastSlowModel, state: MacroState, cfg: SchemeConfig,
-             stream: RngStream) -> MacroState:
-    """One HMM macro step: burst at frozen x_n, then x_{n+1} = x_n + dt f_avg.
-
-    The burst's final fast state is carried into the returned MacroState.
-    """
-    if state.replica_fast.shape[0] != 1:
-        raise ValueError("hmm_step expects a single carried fast state")
-    return _replica_step(model, state, cfg, [stream])
-
-
-def phmm_step(model: FastSlowModel, state: MacroState, cfg: SchemeConfig,
-              streams: Sequence[RngStream]) -> MacroState:
-    """One parallel-HMM macro step from ``lam`` independent bursts.
-
-    Replica j advances its own fast copy with its own stream; the slow
-    update uses the replica average ``x + dt * mean_j(f_avg_j)``, reduced in
-    ascending replica order.
-    """
-    lam = cfg.lam
-    if state.replica_fast.shape[0] != lam:
-        raise ValueError(f"expected {lam} carried fast states, "
-                         f"got {state.replica_fast.shape[0]}")
-    if len(streams) != lam:
-        raise ValueError(f"expected {lam} streams, got {len(streams)}")
-    return _replica_step(model, state, cfg, streams)
-
-
 SCHEMES = ("direct", "averaged", "hmm", "phmm")
 
 
@@ -216,29 +110,32 @@ def run_scheme(model: FastSlowModel, scheme: str, x0, y0, cfg: SchemeConfig,
 
     ``scheme`` is one of direct | averaged | hmm | phmm. Macro schemes take
     ceil(T / macro_dt) steps and record every macro iterate; ``direct``
-    integrates at step eps*micro_dt and records every step. All randomness
-    derives from cfg.root_seed through keyed substreams; :mod:`fastslow.rng`
-    documents the key layout.
+    integrates at step eps*micro_dt and records every step. ``direct``,
+    ``hmm`` and ``phmm`` run one lane of the ensemble drivers of
+    :mod:`fastslow.ensemble`, so any :class:`FastSlowModel` works. All
+    randomness derives from cfg.root_seed through keyed substreams;
+    :mod:`fastslow.rng` documents the key layout.
+
+    Raises:
+        ValueError: for an unknown scheme, a horizon that is not positive
+            and finite or is shorter than one step, or a point or field of
+            the wrong shape.
+        IntegrationFailure: with the time and step, or macro and micro
+            index, of the first non-finite state; a burst failure also
+            names the failing replica (0 for hmm, j < lam for phmm).
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"T must be positive and finite, got {T}")
+    step = cfg.eps * cfg.micro_dt if scheme == "direct" else cfg.macro_dt
+    if T < step:
+        raise ValueError(f"T must cover at least one step of {step}")
+    n_steps = math.ceil(T / step)
     base = RngStream(cfg.root_seed)
     meta = {"scheme": scheme, "config_hash": cfg.config_hash(),
             "seed": cfg.root_seed, "model": model.name, "lam": cfg.lam,
             "eps": cfg.eps}
-
-    if scheme == "direct":
-        h = cfg.eps * cfg.micro_dt
-        traj = direct_integrate(model, x0, y0, cfg.eps, h, T,
-                                base.child(-2, 0))
-        traj.meta.update(meta)
-        return traj
-
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError(f"T must be positive and finite, got {T}")
-    if T < cfg.macro_dt:
-        raise ValueError("T must cover at least one macro step")
-    n_steps = math.ceil(T / cfg.macro_dt)
     x = _as_point(x0, model.slow_dim, "x0")
     states = [x.copy()]
     if scheme == "averaged":
@@ -251,19 +148,26 @@ def run_scheme(model: FastSlowModel, scheme: str, x0, y0, cfg: SchemeConfig,
     else:
         y = _as_point(y0, model.fast_dim, "y0")
         model.check_shapes(x, y)
-        n_rep = cfg.lam if scheme == "phmm" else 1
-        state = MacroState(0, x, np.repeat(y[None, :], n_rep, axis=0))
-        for n in range(n_steps):
+        x, y = _one_lane(model, x), _one_lane(model, y)
+        lane = np.zeros(1, dtype=int)  # the chain id failures report
+        if scheme == "direct":
+            rec = _direct_path(model, cfg, lane, x, y,
+                               [base.child(-2, 0).generator], n_steps, 1)
+        else:
+            k = cfg.lam if scheme == "phmm" else 1
             try:
-                if scheme == "hmm":
-                    state = hmm_step(model, state, cfg, base.child(0, n))
-                else:
-                    streams = [base.child(j, n) for j in range(cfg.lam)]
-                    state = phmm_step(model, state, cfg, streams)
+                rec = _macro_path(model, cfg, lane, x,
+                                  np.repeat(y[:, None], k, axis=1),
+                                  base.children(np.arange(k)[:, None]),
+                                  n_steps)
             except IntegrationFailure as err:
+                burst = err.__cause__  # on one lane its index is the replica
+                if burst is None:
+                    raise
                 raise IntegrationFailure(
-                    f"{scheme} failed", time=n * cfg.macro_dt, macro_index=n,
-                    micro_index=err.micro_index, replica=err.replica) from err
-            states.append(state.x.copy())
-    times = np.arange(n_steps + 1) * cfg.macro_dt
+                    "non-finite fast state in a replica burst", time=err.time,
+                    macro_index=err.macro_index, micro_index=err.micro_index,
+                    replica=burst.replica) from err
+        states = rec.reshape(n_steps + 1, -1)
+    times = np.arange(n_steps + 1) * step
     return Trajectory(times, np.array(states), meta)

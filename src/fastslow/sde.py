@@ -1,4 +1,4 @@
-"""Fast-slow system definitions and the direct Euler-Maruyama integrator.
+"""Fast-slow system definitions: models, trajectories and failures.
 
 The systems handled here couple d slow components x with e fast components
 y::
@@ -6,19 +6,17 @@ y::
     dx/dt = f(x, y)
     dy    = (1/eps) g(x, y) dt + (1/sqrt(eps)) sigma(x, y) dW
 
-The direct integrator resolves the stiff system at the fast scale; the
-multiscale schemes live in :mod:`fastslow.schemes`.
+The direct Euler-Maruyama step that resolves the stiff system at the fast
+scale, and the micro bursts of the multiscale schemes, are the lane
+drivers of :mod:`fastslow.ensemble`; :mod:`fastslow.schemes` runs them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .rng import RngStream
 
 
 class IntegrationFailure(RuntimeError):
@@ -52,8 +50,9 @@ class ScalarOU:
 
     Declares that d = e = 1, that the fast drift is linear in y,
     ``g(x, y) = decay(x) * (mean(x) - y)``, and that the diffusion amplitude
-    is the constant ``sigma``. The batched ensemble engine uses this to
-    advance micro bursts with a C-level linear recurrence.
+    is the constant ``sigma``. The lane drivers use it to vectorise lanes
+    and to advance micro bursts with a C-level linear recurrence; the
+    ensemble entry points require it.
     """
 
     decay: Callable[[np.ndarray], np.ndarray]
@@ -75,7 +74,7 @@ class FastSlowModel:
         averaged_drift: optional closed-form averaged slow drift F(x),
             required by the ``averaged`` scheme.
         scalar_ou: optional :class:`ScalarOU` structure hint enabling the
-            fast batched code paths.
+            vectorised lanes and the ensemble drivers.
         name: label recorded in trajectory metadata.
 
     All callables must be pure; output shapes are checked against (d, e) on
@@ -147,54 +146,3 @@ def _as_point(value, dim: int, label: str) -> np.ndarray:
     if arr.shape != (dim,):
         raise ValueError(f"{label} must have shape ({dim},), got {arr.shape}")
     return arr
-
-
-def direct_integrate(model: FastSlowModel, x0, y0, eps: float, h: float,
-                     T: float, stream: RngStream) -> Trajectory:
-    """Integrate the full system over [0, T], recording the slow path.
-
-    Performs ``ceil(T/h)`` Euler-Maruyama steps and records every state
-    (the initial state included). Wiener
-    increments are consumed from ``stream`` in step order, so results do
-    not depend on internal chunking.
-
-    Raises:
-        ValueError: for ``eps``, ``h`` or ``T`` not positive and finite.
-        IntegrationFailure: carrying the step index of the first
-            non-finite state.
-    """
-    for name, value in (("eps", eps), ("h", h), ("T", T)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-    if T < h:
-        raise ValueError("T must be at least one step h")
-    x = _as_point(x0, model.slow_dim, "x0")
-    y = _as_point(y0, model.fast_dim, "y0")
-    model.check_shapes(x, y)
-    n_steps = math.ceil(T / h)
-    sq_h_eps = math.sqrt(h / eps)
-    h_eps = h / eps
-
-    rec_times = [0.0]
-    rec_states = [x.copy()]
-    chunk = 4096
-    step = 0
-    while step < n_steps:
-        todo = min(chunk, n_steps - step)
-        xi = stream.normals((todo, model.fast_dim))
-        for m in range(todo):
-            x_new = x + h * np.asarray(model.f(x, y), dtype=float)
-            y = (y + h_eps * np.asarray(model.g(x, y), dtype=float)
-                 + sq_h_eps * (np.asarray(model.sigma(x, y), dtype=float) @ xi[m]))
-            x = x_new
-            step += 1
-            if not (np.isfinite(x).all() and np.isfinite(y).all()):
-                raise IntegrationFailure(
-                    "non-finite state in direct integration",
-                    time=step * h, step=step)
-            rec_times.append(step * h)
-            rec_states.append(x.copy())
-
-    meta = {"scheme": "direct", "eps": eps, "h": h,
-            "seed": stream.root_seed, "model": model.name}
-    return Trajectory(np.array(rec_times), np.array(rec_states), meta)

@@ -474,7 +474,14 @@ def test_averaged_scheme_is_rejected_by_ensemble_analyses(tmp_path, analysis):
         parse_config(path)
 
 
-@pytest.mark.parametrize("analysis, key, value", [
+def _bad_rows(rows):
+    """Rows (analysis, key, value[, named]) as parameters with the ids
+    analysis-key-value; the error names ``key`` unless ``named`` is given."""
+    return [pytest.param(*row[:3], row[3] if len(row) > 3 else row[1],
+                         id="-".join(row[:3])) for row in rows]
+
+
+@pytest.mark.parametrize("analysis, key, value, named", _bad_rows([
     ("variance_vs_lambda", "n_replicas", "0"),
     ("mfpt_vs_lambda", "n_samples", "-1"),
     ("histogram", "n_bins", "0"),
@@ -520,8 +527,11 @@ def test_averaged_scheme_is_rejected_by_ensemble_analyses(tmp_path, analysis):
     ("variance_vs_lambda", "x0", "nan"),
     ("histogram", "x0", "nan"),
     ("quasipotential", "x_min", "0"),
-])
-def test_bad_value_exits_2(tmp_path, capsys, analysis, key, value):
+    ("variance_vs_lambda", "macro_dt", "1e-9"),
+    # eps * micro_dt = 0.05 does not divide macro_dt = 0.08
+    ("variance_vs_lambda", "micro_dt", "5", "macro_dt"),
+]))
+def test_bad_value_exits_2(tmp_path, capsys, analysis, key, value, named):
     # these used to crash inside the run (ZeroDivisionError, ValueError,
     # OverflowError), hang, or exit 0 with nan or empty tables instead of
     # failing as config errors
@@ -529,7 +539,7 @@ def test_bad_value_exits_2(tmp_path, capsys, analysis, key, value):
     path.write_text(_set_key(_config_text(analysis), key, value))
     assert main(["run", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert f"key {key!r}" in err
+    assert f"key {named!r}" in err
     assert "unknown key" not in err
 
 
@@ -538,6 +548,8 @@ def test_bad_value_exits_2(tmp_path, capsys, analysis, key, value):
     ("double_well", "mfpt_vs_lambda", "mu", "-1"),
     ("non_diffusive", "quasipotential", "nu", "0"),
     ("linear_ou", "histogram", "theta", "0"),
+    ("non_diffusive", "quasipotential", "nu", "5"),
+    ("non_diffusive", "quasipotential", "sigma", "100"),
 ])
 def test_model_out_of_range_exits_2(tmp_path, capsys, model, analysis, key,
                                     value):

@@ -1,5 +1,6 @@
-"""The batched lockstep engine must reproduce the reference integrators'
-statistics and be invariant to block composition and executors."""
+"""The lane drivers: the ScalarOU back-end must match the per-point
+back-end to rounding, and every lane must be invariant to block
+composition, executors and whether it runs alone."""
 
 from concurrent.futures import ThreadPoolExecutor
 
@@ -11,7 +12,8 @@ from scipy.signal import lfilter
 
 import fastslow as fs
 from fastslow import RngStream, SchemeConfig
-from fastslow.ensemble import (_linear_recurrence, burst_batch,
+from fastslow.ensemble import (_direct_generators, _direct_path,
+                               _linear_recurrence, _macro_path, burst_batch,
                                direct_samples, first_passage_block,
                                pooled_stationary_samples, scheme_samples)
 from fastslow.rng import StreamBlock
@@ -23,17 +25,23 @@ def dw_cfg():
                         root_seed=11)
 
 
+def _hintless(model):
+    return fs.FastSlowModel(1, 1, model.f, model.g, model.sigma)
+
+
 def test_batched_burst_matches_reference(dw_cfg):
-    base = RngStream(11)
+    # the per-point back-end is the reference of the ScalarOU one
+    streams = RngStream(11).children([[0, 4]])
     for model in (fs.DoubleWellModel().system(),
                   fs.NonDiffusiveModel().system()):
-        ref_f, ref_y = fs.hmm_micro_burst(model, [0.7], [0.3], dw_cfg,
-                                          base.child(0, 4))
+        ref_f, ref_y = burst_batch(_hintless(model), np.array([[0.7]]),
+                                   np.array([[0.3]]), streams,
+                                   dw_cfg.micro_count, dw_cfg.micro_dt)
         bat_f, bat_y = burst_batch(model, np.array([0.7]), np.array([0.3]),
-                                   base.children([[0, 4]]), dw_cfg.micro_count,
+                                   streams, dw_cfg.micro_count,
                                    dw_cfg.micro_dt)
-        assert bat_f[0] == pytest.approx(ref_f[0], abs=1e-12)
-        assert bat_y[0] == pytest.approx(ref_y[0], abs=1e-12)
+        assert bat_f[0] == pytest.approx(ref_f[0, 0], abs=1e-12)
+        assert bat_y[0] == pytest.approx(ref_y[0, 0], abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -79,13 +87,15 @@ def test_burst_batch_needs_one_stream_per_chain(dw_cfg):
 
 
 def test_batched_rejects_models_without_structure(dw_cfg):
-    generic = fs.FastSlowModel(1, 1,
-                               f=lambda x, y: y - x,
-                               g=lambda x, y: -y,
-                               sigma=lambda x, y: np.eye(1))
+    # the ensemble entry points start lanes at the ScalarOU fast mean
+    generic = _hintless(fs.LinearOUModel().system())
+    base = RngStream(1)
     with pytest.raises(ValueError, match="ScalarOU"):
-        burst_batch(generic, np.zeros(1), np.zeros(1),
-                    RngStream(1).children(np.zeros((1, 0), dtype=int)), 5, 0.1)
+        pooled_stationary_samples(generic, "hmm", dw_cfg, 0.0, None, 10.0, 2,
+                                  1.0, base)
+    with pytest.raises(ValueError, match="ScalarOU"):
+        fs.first_passage_times(generic, "direct", dw_cfg,
+                               fs.BasinSpec(0.0, 0.3), 2, 1.0)
 
 
 def test_scheme_samples_block_invariance(dw_cfg):
@@ -105,17 +115,52 @@ def test_scheme_samples_block_invariance(dw_cfg):
 
 
 def test_direct_samples_match_reference_integrator(dw_cfg):
+    # the per-point back-end on the same keys is the reference
     model = fs.DoubleWellModel().system()
     base = RngStream(21)
     times, rec = direct_samples(model, dw_cfg, -1.0, 0.5, 1.0, [4], base,
                                 record_dt=0.05)
     h = dw_cfg.eps * dw_cfg.micro_dt
     stride = round(0.05 / h)
-    ref = fs.direct_integrate(model, [-1.0], [0.5], dw_cfg.eps, h, 1.0,
-                              base.child(4, -2, 0))
-    ref_times, ref_x = ref.times[::stride], ref.slow()[::stride]
-    assert np.allclose(times, ref_times[:len(times)])
-    assert np.allclose(rec[:, 0], ref_x[:len(times)], atol=1e-9)
+    ref = _direct_path(_hintless(model), dw_cfg, np.array([4]),
+                       np.array([[-1.0]]), np.array([[0.5]]),
+                       _direct_generators(base, np.array([4])),
+                       len(times) - 1, stride)
+    assert np.allclose(times, np.arange(len(times)) * stride * h)
+    assert np.allclose(rec[:, 0], ref[:, 0, 0], atol=1e-9)
+
+
+_BUILTINS = {"linear_ou": fs.LinearOUModel(),
+             "double_well": fs.DoubleWellModel(sigma_f=7.5),
+             "non_diffusive": fs.NonDiffusiveModel()}
+
+
+@pytest.mark.parametrize("scheme", ["direct", "hmm", "phmm"])
+@pytest.mark.parametrize("name", sorted(_BUILTINS))
+def test_lane_alone_equals_lane_in_block(name, scheme):
+    # the single-versus-batched contract: run_scheme's one lane is bitwise
+    # the same lane of a three-lane driver call on the same stream keys
+    model = _BUILTINS[name].system()
+    cfg = fs.config_for_lambda(SchemeConfig(eps=4e-3, lam=1, macro_dt=0.05,
+                                            micro_dt=0.05, root_seed=5), 3)
+    x0, y0 = np.array([-1.0, 0.4, 1.3]), np.array([-1.0, 0.2, 0.9])
+    base = RngStream(cfg.root_seed)
+    ids = np.arange(3)
+    if scheme == "direct":
+        t_end = 0.2
+        rec = _direct_path(model, cfg, ids, x0, y0,
+                           [base.child(-2, 0).generator for _ in ids],
+                           round(t_end / (cfg.eps * cfg.micro_dt)), 1)
+    else:
+        t_end = 20 * cfg.macro_dt
+        k = cfg.lam if scheme == "phmm" else 1
+        rec = _macro_path(model, cfg, ids, x0,
+                          np.repeat(y0[:, None], k, axis=1),
+                          base.children(np.tile(np.arange(k), 3)[:, None]),
+                          20)
+    for i in ids:
+        alone = fs.run_scheme(model, scheme, [x0[i]], [y0[i]], cfg, t_end)
+        assert np.array_equal(alone.slow(), rec[:, i])
 
 
 @pytest.mark.parametrize("scheme", ["direct", "hmm", "phmm"])

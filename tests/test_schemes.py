@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import fastslow as fs
-from fastslow import (MacroState, RngStream, SchemeConfig, averaged_step,
-                      config_for_lambda, hmm_micro_burst, hmm_step, phmm_step,
-                      run_scheme)
+from fastslow import (RngStream, SchemeConfig, averaged_step,
+                      config_for_lambda, run_scheme)
+from fastslow.ensemble import burst_batch
 
 
 def _cfg(**kw):
@@ -60,36 +60,44 @@ class TestAveragedStep:
             assert averaged_step(F, [1.0], dt)[0] == pytest.approx(1.0)
 
 
+def _burst(model, x, y, m_count, dt, seed):
+    """One burst of one lane of a d = e = 1 model on stream ``seed``."""
+    lane = (1,) if model.scalar_ou else (1, 1)
+    f_avg, y_end = burst_batch(model, np.full(lane, x), np.full(lane, y),
+                               RngStream(seed).children([[0]]), m_count, dt)
+    return float(f_avg.flat[0]), float(y_end.flat[0])
+
+
+def _hintless(model):
+    return fs.FastSlowModel(1, 1, model.f, model.g, model.sigma)
+
+
 class TestMicroBurst:
+    # builtin models run on both field back-ends: ScalarOU and per-point
     def test_frozen_fast_state(self):
         m = fs.FastSlowModel(1, 1,
                              f=lambda x, y: x + 2 * y,
                              g=lambda x, y: np.zeros(1),
                              sigma=lambda x, y: np.zeros((1, 1)))
-        cfg = SchemeConfig(eps=1e-2, lam=1, macro_dt=1e-3, micro_dt=0.1,
-                           root_seed=7)
-        assert cfg.micro_count == 1
-        f_avg, y_end = hmm_micro_burst(m, [3.0], [0.25], cfg, RngStream(7))
-        assert f_avg[0] == pytest.approx(3.5)
-        assert y_end[0] == 0.25
+        f_avg, y_end = _burst(m, 3.0, 0.25, 1, 0.1, 7)
+        assert f_avg == pytest.approx(3.5)
+        assert y_end == 0.25
 
     def test_noiseless_burst_sits_at_fast_fixed_point(self):
         m = fs.LinearOUModel(sigma_f=0.0).system()
-        cfg = SchemeConfig(eps=1e-2, lam=1, macro_dt=10.0, micro_dt=0.1,
-                           root_seed=7)  # M = 10^4
-        f_avg, y_end = hmm_micro_burst(m, [1.0], [0.5], cfg, RngStream(7))
-        assert abs(f_avg[0] - (-0.5)) < 1e-6
-        assert abs(y_end[0] - 0.5) < 1e-12
+        for model in (m, _hintless(m)):
+            f_avg, y_end = _burst(model, 1.0, 0.5, 10 ** 4, 0.1, 7)
+            assert abs(f_avg - (-0.5)) < 1e-6
+            assert abs(y_end - 0.5) < 1e-12
 
     def test_ergodic_average_of_fast_ou(self):
         # x frozen at 0: f-average tends to the ergodic mean 0 within
         # 3 * sqrt(sigma^2 / (2 theta^2 T_fast)) with T_fast = M * dt
         m = fs.LinearOUModel(sigma_f=5.0).system()
-        cfg = SchemeConfig(eps=1e-2, lam=1, macro_dt=100.0, micro_dt=0.1,
-                           root_seed=21)  # M = 10^5
-        f_avg, _ = hmm_micro_burst(m, [0.0], [0.0], cfg, RngStream(21))
         band = 3 * math.sqrt(25.0 / (2 * 1e4))
-        assert abs(f_avg[0]) < band
+        for model in (m, _hintless(m)):
+            f_avg, _ = _burst(model, 0.0, 0.0, 10 ** 5, 0.1, 21)
+            assert abs(f_avg) < band
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_burst_failure_carries_micro_index(self):
@@ -100,8 +108,23 @@ class TestMicroBurst:
         cfg = SchemeConfig(eps=1e-2, lam=1, macro_dt=0.1, micro_dt=1.0,
                            root_seed=7)
         with pytest.raises(fs.IntegrationFailure) as err:
-            hmm_micro_burst(m, [0.0], [3.0], cfg, RngStream(7))
-        assert err.value.micro_index is not None
+            run_scheme(m, "hmm", [0.0], [3.0], cfg, T=1.0)
+        # y runs 30, 2.7e4, 2e13, 8e39, 5e119, then overflows on step 6
+        assert err.value.macro_index == 0
+        assert err.value.micro_index == 6
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_scalar_burst_failure_carries_micro_index(self):
+        # decay -1 at dt = 1 doubles y each micro step: 2^1024 overflows
+        sou = fs.ScalarOU(decay=lambda x: np.full_like(x, -1.0),
+                          mean=lambda x: np.zeros_like(x), sigma=0.0,
+                          f=lambda x, y: y)
+        m = fs.FastSlowModel(1, 1, lambda x, y: y, lambda x, y: y,
+                             lambda x, y: np.zeros((1, 1)), scalar_ou=sou)
+        for model in (m, _hintless(m)):
+            with pytest.raises(fs.IntegrationFailure) as err:
+                _burst(model, 0.0, 1.0, 2000, 1.0, 1)
+            assert err.value.micro_index == 1024
 
 
 class TestSteppers:
@@ -110,30 +133,30 @@ class TestSteppers:
                              f=lambda x, y: np.zeros(1),
                              g=lambda x, y: -y,
                              sigma=lambda x, y: np.eye(1))
-        state = MacroState(0, [0.7], [[0.1]])
-        out = hmm_step(m, state, _cfg(), RngStream(7).child(0, 0))
-        assert out.n == 1
-        assert out.x[0] == 0.7
-        assert out.replica_fast.shape == (1, 1)
+        cfg = _cfg()
+        traj = run_scheme(m, "hmm", [0.7], [0.1], cfg, T=3 * cfg.macro_dt)
+        assert np.array_equal(traj.slow(), [0.7] * 4)
 
     def test_fast_state_is_carried_between_steps(self):
+        # two macro steps by hand: the second burst starts where the first
+        # ended, at the new slow value
         m = fs.LinearOUModel().system()
         cfg = _cfg()
-        base = RngStream(cfg.root_seed)
-        s1 = hmm_step(m, MacroState(0, [1.0], [[0.3]]), cfg, base.child(0, 0))
-        f_avg, y_end = hmm_micro_burst(m, [1.0], [0.3], cfg,
-                                       RngStream(cfg.root_seed).child(0, 0))
-        assert np.array_equal(s1.replica_fast[0], y_end)
+        traj = run_scheme(m, "hmm", [1.0], [0.3], cfg, T=2 * cfg.macro_dt)
+        keys = RngStream(cfg.root_seed).children([[0]])
+        x, y = np.array([1.0]), np.array([0.3])
+        for n in range(2):
+            f_avg, y = burst_batch(m, x, y, keys.child(n), cfg.micro_count,
+                                   cfg.micro_dt)
+            x = x + cfg.macro_dt * f_avg
+            assert traj.slow()[n + 1] == x[0]
 
     def test_phmm_matches_hmm_at_lambda_one(self):
         m = fs.LinearOUModel().system()
         cfg = _cfg()
-        base = RngStream(cfg.root_seed)
-        a = hmm_step(m, MacroState(0, [1.0], [[0.0]]), cfg, base.child(0, 0))
-        b = phmm_step(m, MacroState(0, [1.0], [[0.0]]), cfg,
-                      [base.child(0, 0)])
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.replica_fast, b.replica_fast)
+        a = run_scheme(m, "hmm", [1.0], [0.0], cfg, T=5 * cfg.macro_dt)
+        b = run_scheme(m, "phmm", [1.0], [0.0], cfg, T=5 * cfg.macro_dt)
+        assert np.array_equal(a.states, b.states)
 
     def test_constant_slow_drift_ignores_lambda(self):
         m = fs.FastSlowModel(1, 1,
@@ -142,17 +165,38 @@ class TestSteppers:
                              sigma=lambda x, y: np.eye(1))
         for lam in (1, 4):
             cfg = _cfg(lam=lam)
-            streams = [RngStream(9).child(j, 0) for j in range(lam)]
-            out = phmm_step(m, MacroState(0, [1.0], [[0.0]] * lam), cfg,
-                            streams)
-            assert out.x[0] == pytest.approx(1.0 + cfg.macro_dt * 2.5)
+            traj = run_scheme(m, "phmm", [1.0], [0.0], cfg, T=cfg.macro_dt)
+            assert traj.slow()[1] == pytest.approx(1.0 + cfg.macro_dt * 2.5)
 
-    def test_phmm_replica_count_is_checked(self):
+    def test_phmm_averages_lam_replica_bursts(self):
+        # replica j of the one path draws from root.child(j, n)
         m = fs.LinearOUModel().system()
         cfg = _cfg(lam=2)
-        with pytest.raises(ValueError, match="carried fast states"):
-            phmm_step(m, MacroState(0, [1.0], [[0.0]]), cfg,
-                      [RngStream(1), RngStream(2)])
+        traj = run_scheme(m, "phmm", [1.0], [0.0], cfg, T=cfg.macro_dt)
+        f_avg, _ = burst_batch(m, np.ones(2), np.zeros(2),
+                               RngStream(cfg.root_seed).children([[0, 0],
+                                                                  [1, 0]]),
+                               cfg.micro_count, cfg.micro_dt)
+        assert traj.slow()[1] == 1.0 + cfg.macro_dt * f_avg.mean()
+
+    def test_phmm_burst_failure_names_the_replica(self):
+        # y turns infinite the step after it passes 1.5, so replica j fails
+        # one step after its noise walk from the keys (j, 0) first does
+        m = fs.FastSlowModel(1, 1, f=lambda x, y: y,
+                             g=lambda x, y: np.where(y > 1.5, np.inf, 0.0),
+                             sigma=lambda x, y: np.eye(1))
+        cfg = SchemeConfig(eps=1e-2, lam=4, macro_dt=0.4, micro_dt=1.0,
+                           root_seed=6)
+        walks = np.cumsum(RngStream(cfg.root_seed).children(
+            [[j, 0] for j in range(4)]).normals(cfg.micro_count), axis=1)
+        crossed = walks[:, :-1] > 1.5
+        rep = int(np.argmax(crossed.any(axis=1)))
+        assert rep > 0 and crossed[rep + 1:].any()  # not the first, not alone
+        with pytest.raises(fs.IntegrationFailure) as err:
+            run_scheme(m, "phmm", [0.0], [0.0], cfg, T=cfg.macro_dt)
+        assert err.value.macro_index == 0
+        assert err.value.replica == rep
+        assert err.value.micro_index == int(np.argmax(crossed[rep])) + 2
 
 
 class TestRunScheme:

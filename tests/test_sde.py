@@ -3,8 +3,15 @@ import pytest
 from scipy.linalg import expm
 
 import fastslow as fs
-from fastslow import (FastSlowModel, IntegrationFailure, RngStream,
-                      Trajectory, direct_integrate)
+from fastslow import (FastSlowModel, IntegrationFailure, SchemeConfig,
+                      Trajectory, run_scheme)
+
+
+def _direct(model, x0, y0, eps, h, T, seed=1):
+    """``run_scheme`` direct at step h = eps * micro_dt."""
+    cfg = SchemeConfig(eps=eps, lam=1, macro_dt=h, micro_dt=h / eps,
+                       root_seed=seed)
+    return run_scheme(model, "direct", x0, y0, cfg, T)
 
 
 def _zero_model(d=2, e=3):
@@ -19,24 +26,9 @@ def _zero_model(d=2, e=3):
 
 def test_zero_fields_leave_state_unchanged():
     m = _zero_model()
-    traj = direct_integrate(m, [1.0, -2.0], [0.5, 0.5, 0.5], eps=0.1,
-                            h=0.25, T=1.0, stream=RngStream(1))
+    traj = _direct(m, [1.0, -2.0], [0.5, 0.5, 0.5], eps=0.1, h=0.25, T=1.0)
     assert np.array_equal(traj.times, [0.0, 0.25, 0.5, 0.75, 1.0])
     assert all(np.array_equal(row, [1.0, -2.0]) for row in traj.states)
-
-
-def test_direct_integrate_validates_arguments():
-    m = fs.LinearOUModel().system()
-    for eps, h, name in ((0.01, 0.0, "h"), (0.01, -0.01, "h"),
-                         (0.01, np.inf, "h"), (0.01, np.nan, "h"),
-                         (0.0, 1e-3, "eps"), (-0.1, 1e-3, "eps"),
-                         (-0.1, -0.01, "eps"), (np.inf, 1e-3, "eps"),
-                         (np.nan, 1e-3, "eps")):
-        with pytest.raises(ValueError, match=f"^{name} must be positive"):
-            direct_integrate(m, [1.0], [0.0], eps, h, 1.0, RngStream(1))
-    for t_end in (np.nan, np.inf, -np.inf, 0.0, -1.0):
-        with pytest.raises(ValueError, match="^T must be positive and finite"):
-            direct_integrate(m, [1.0], [0.0], 0.01, 1e-3, t_end, RngStream(1))
 
 
 def test_noiseless_fast_relaxation_matches_matrix_exponential():
@@ -48,7 +40,7 @@ def test_noiseless_fast_relaxation_matches_matrix_exponential():
     h = eps * 0.1
     # one step past t = 0.1: the slow update x' = x + h (y - x) gives back
     # the fast state y(0.1) from the recorded slow path
-    traj = direct_integrate(m, [1.0], [0.0], eps, h, 101 * h, RngStream(3))
+    traj = _direct(m, [1.0], [0.0], eps, h, 101 * h, seed=3)
     assert len(traj) == 102
     x, x_next = traj.slow()[100], traj.slow()[101]
     y = x + (x_next - x) / h
@@ -61,8 +53,7 @@ def test_noiseless_fast_relaxation_matches_matrix_exponential():
 
 def test_single_step_trajectory_has_two_points():
     m = _zero_model(1, 1)
-    traj = direct_integrate(m, [0.0], [0.0], eps=0.1, h=0.5, T=0.5,
-                            stream=RngStream(1))
+    traj = _direct(m, [0.0], [0.0], eps=0.1, h=0.5, T=0.5)
     assert len(traj) == 2
     assert traj.meta["scheme"] == "direct"
 
@@ -74,8 +65,7 @@ def test_deterministic_euler_recursion():
                       g=lambda x, y: np.zeros(1),
                       sigma=lambda x, y: np.zeros((1, 1)))
     h, T, x0 = 0.01, 1.0, 2.0
-    traj = direct_integrate(m, [x0], [0.0], eps=1.0, h=h, T=T,
-                            stream=RngStream(1))
+    traj = _direct(m, [x0], [0.0], eps=0.1, h=h, T=T)
     expected = x0 * (1 - h) ** round(T / h)
     assert traj.slow()[-1] == pytest.approx(expected, rel=1e-12)
     # every step is recorded
@@ -89,10 +79,10 @@ def test_blowup_is_reported_with_step_index():
                       g=lambda x, y: np.zeros(1),
                       sigma=lambda x, y: np.zeros((1, 1)))
     with pytest.raises(IntegrationFailure) as err:
-        direct_integrate(m, [4.0], [0.0], eps=1.0, h=1.0, T=50.0,
-                         stream=RngStream(1))
-    assert err.value.step is not None
-    assert err.value.time is not None
+        _direct(m, [4.0], [0.0], eps=0.1, h=1.0, T=50.0)
+    # x runs 68, 3.1e5, 3.1e16, 3.0e49, 2.7e148, then overflows on step 6
+    assert err.value.step == 6
+    assert err.value.time == 6.0
 
 
 def test_dimension_mismatch_is_rejected():
@@ -101,7 +91,7 @@ def test_dimension_mismatch_is_rejected():
                         g=lambda x, y: np.zeros(1),
                         sigma=lambda x, y: np.zeros((1, 1)))
     with pytest.raises(ValueError, match="f returned shape"):
-        direct_integrate(bad, [0.0, 0.0], [0.0], 1.0, 0.1, 1.0, RngStream(1))
+        _direct(bad, [0.0, 0.0], [0.0], 0.1, 0.1, 1.0)
 
 
 def test_trajectory_invariants():
