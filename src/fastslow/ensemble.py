@@ -412,8 +412,15 @@ def _equilibrate_fast(model, cfg, x, ids, base, equil_fast_time, k):
     m_eq = max(1, round(equil_fast_time / cfg.micro_dt))
     xx = np.repeat(x, k)
     streams = _replica_streams(base, ids, k, -1)
-    _, y_end = burst_batch(model, xx, _fast_mean(sou, xx), streams, m_eq,
-                           cfg.micro_dt)
+    try:
+        _, y_end = burst_batch(model, xx, _fast_mean(sou, xx), streams, m_eq,
+                               cfg.micro_dt)
+    except IntegrationFailure as err:
+        chain, rep = divmod(err.replica, k)
+        raise IntegrationFailure(
+            f"non-finite fast state in the equilibration burst of replica "
+            f"{rep}", micro_index=err.micro_index,
+            replica=int(ids[chain])) from err
     return y_end.reshape(len(ids), k)
 
 

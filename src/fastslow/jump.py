@@ -8,11 +8,14 @@ and draws Poisson jump counts per window.
 
 Draw conventions (fixed so single runs and batched ensembles agree bitwise):
 the i-th SSA event consumes the i-th value of the stream's exponential
-substream ``stream.child(0)`` and of its uniform substream ``stream.child(1)``;
-a tau-leap window draws one scalar ``poisson(lam_k)`` per channel k, in
-channel order, from the stream's main generator: numpy's scalar and array
-Poisson paths run the same sampler, so a window consumes exactly what one
-``poisson(lam_vector)`` call would, without its Python-level checks.
+substream ``stream.child(0)`` and of its uniform substream ``stream.child(1)``.
+Tau-leap window w of an m-channel model consumes values w*m to w*m + m - 1
+of the uniforms ``random()`` of the stream's main generator, one per
+channel in channel order, zero-rate channels included; a run draws them in
+chunks of at most ``_TAU_CHUNK`` windows. Channel k of the window fires
+the smallest n with P(Poisson(lam_k) <= n) > u_k: an inverse-CDF count
+that depends on its own mean and uniform only. Window w ends at
+``min((w + 1) * tau, T)``, so the last record is exactly T.
 
 An SSA event with uniform u fires the first channel whose cumulative rate
 exceeds u times the last cumulative rate, and its waiting time divides by
@@ -29,13 +32,16 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from scipy import special
 
 from .rng import RngStream
 from .sde import Trajectory
 
 _ORTHANT_TOL = 1e-12
 _SSA_CHUNK = 512  # SSA draws per generator per refill
-# numpy's largest Poisson mean; above it ``poisson`` raises a bare ValueError
+_TAU_CHUNK = 64  # tau-leap windows per uniform refill
+_SEARCH_LAM_MAX = 30.0  # Poisson means below it take the CDF search
+# largest tau-leap mean: a count 10 standard deviations above it fits int64
 _POISSON_LAM_MAX = (np.iinfo(np.int64).max
                     - 10 * math.sqrt(np.iinfo(np.int64).max))
 
@@ -227,28 +233,128 @@ def _ssa(model, x0, T, exp_gens, uni_gens, on_event=lambda t, x: None):
     return final, absorbed
 
 
+def _poisson_search(lam, u):
+    """Smallest n with P(Poisson(lam) <= n) > u for 1-D float arrays, by
+    summing the CDF from 0.
+
+    Near u = 1 the summed CDF can stop growing at or below u (at lam = 25
+    it stalls at 1 - 2**-53); such a draw ends at the first term too small
+    to change the sum, whose probability is below half an ulp of 1.
+    """
+    n = np.empty(lam.size, dtype=np.int64)
+    idx = np.arange(lam.size)
+    u = u.copy()  # a stalled draw's u is set to -1 to end its search
+    # lam is a contiguous copy, so np.exp runs one loop whatever the block
+    p = np.exp(-lam)
+    cdf = p.copy()
+    cnt = np.zeros(lam.size, dtype=np.int64)  # terms with cdf <= u so far
+    k = 0
+    while True:
+        going = cdf <= u
+        live = np.count_nonzero(going)
+        if 2 * live <= going.size:
+            # compact once half the draws have settled
+            n[idx[~going]] = cnt[~going]
+            if not live:
+                return n
+            idx, lam, u, p, cdf, cnt = (a[going] for a in
+                                        (idx, lam, u, p, cdf, cnt))
+            going = True
+        cnt += going
+        k += 1
+        p *= lam
+        p /= k
+        new = cdf + p
+        np.copyto(u, -1.0, where=new == cdf)  # settled draws stay settled
+        cdf = new
+
+
+def _poisson_quantile(lam, u):
+    """Smallest n with P(Poisson(lam) <= n) > u for 1-D float arrays of
+    means of at least 30: the ceiling of the three-term Cornish-Fisher
+    quantile, corrected by one ``pdtr`` step each way.
+
+    For means from 30 to 1e4 and u in [1e-12, 1 - 1e-12] the ceiling is
+    within one count of the quantile that ``pdtr`` gives, at the same cost
+    for every mean (``scipy.special.pdtrik`` slows with the mean and gives
+    NaN above about 1e12). Far up the tail of means above about 1e6
+    ``pdtr`` is itself too close to 1, so there the correction can take
+    one count off a right start.
+    """
+    # uniforms from ``Generator.random`` lie in {0} and [2**-53, 1 - 2**-53],
+    # where |z| < 8.3: the clip moves only u = 0
+    z = np.clip(special.ndtri(u), -8.3, 8.3)
+    s = np.sqrt(lam)
+    n = np.maximum(np.ceil(lam + z * s + (z * z - 1.0) / 6.0
+                           + (z - z ** 3) / (72.0 * s)), 0.0)
+    n = np.where((n > 0) & (special.pdtr(n - 1, lam) > u), n - 1, n)
+    n = np.where(special.pdtr(n, lam) <= u, n + 1, n)
+    return n.astype(np.int64)
+
+
+def _poisson_counts(lam, u):
+    """Poisson counts by inversion: the smallest n with P(N <= n) > u.
+
+    ``lam`` and ``u`` are 1-D float arrays, means in [0, _POISSON_LAM_MAX]
+    and uniforms in [0, 1). Means below ``_SEARCH_LAM_MAX`` take
+    ``_poisson_search``, the others ``_poisson_quantile``; every count
+    depends on its own (lam, u) only.
+    """
+    near = lam < _SEARCH_LAM_MAX
+    n = np.empty(lam.size, dtype=np.int64)
+    n[near] = _poisson_search(lam[near], u[near])
+    if not near.all():
+        n[~near] = _poisson_quantile(lam[~near], u[~near])
+    return n
+
+
+def _window_count(T, tau):
+    """The fewest windows of length tau that reach T: window w ends at
+    ``min((w + 1) * tau, T)``, so no window is empty and the last ends at
+    exactly T, whichever way ``T / tau`` rounds."""
+    n = math.ceil(T / tau)
+    if n and (n - 1) * tau >= T:
+        return n - 1
+    return n + 1 if n * tau < T else n
+
+
 def _tau_windows(model, x0, T, tau, gens, ids):
     """Lockstep tau-leap lanes from x0 to T, one per generator and run id;
-    yields ``(t, x)`` with x (B, dim) at t = 0 and after every window."""
+    yields ``(t, x)`` with x (B, dim) at t = 0 and after every window.
+
+    Each window takes m uniforms per run, one per channel in channel
+    order, read from chunks of at most ``_TAU_CHUNK`` windows that every
+    run draws from its own generator.
+    """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be positive and finite, got {tau}")
     x0, x, counts = _lanes(model, x0, T, len(gens))
     nu = model.stoichiometry_matrix
+    n_runs, m = counts.shape
+    n_windows = _window_count(T, tau)
     t = 0.0
     yield t, x
-    for window in range(math.ceil(T / tau)):
-        dt = min(tau, T - t)
-        lam = _lane_rates(model, x) * (dt / model.eps)  # (m, B)
-        if (lam > _POISSON_LAM_MAX).any():
-            k, i = np.argwhere(lam > _POISSON_LAM_MAX)[0]
+    for window in range(n_windows):
+        if window % _TAU_CHUNK == 0:
+            size = min(_TAU_CHUNK, n_windows - window)
+            draws = np.empty((n_runs, size * m))
+            for row, g in zip(draws, gens):
+                g.random(out=row)
+            # (window, channel, run): one window's uniforms match lam (m, B)
+            unis = draws.reshape(n_runs, size, m).transpose(1, 2, 0).copy()
+        end = min((window + 1) * tau, T)
+        lam = _lane_rates(model, x) * ((end - t) / model.eps)  # (m, B)
+        over = ~(lam <= _POISSON_LAM_MAX)
+        if over.any():
+            k, i = np.argwhere(over)[0]
             raise OverflowError(
-                f"tau-leap mean {lam[k, i]:.4g} of channel {k} is above numpy's"
-                f" Poisson limit (run {ids[i]}, window {window}, t = {t!r})")
-        counts += np.array([[g.poisson(l) for l in lane]
-                            for g, lane in zip(gens, lam.T.tolist())],
-                           dtype=np.int64).reshape(counts.shape)
+                f"tau-leap mean {lam[k, i]:.4g} of channel {k} is above "
+                f"{_POISSON_LAM_MAX:.4g}, where counts could overflow int64"
+                f" (run {ids[i]}, window {window}, t = {t!r})")
+        counts += _poisson_counts(
+            lam.ravel(), unis[window % _TAU_CHUNK].ravel()).reshape(m, -1).T
         x = x0[None, :] + model.eps * (counts @ nu)
-        t += dt
+        t = end
         yield t, x
 
 
@@ -276,8 +382,9 @@ def tau_leap_run(model: JumpModel, x0, T: float, tau: float,
     """Tau-leaping: frozen propensities per window, Poisson jump counts.
 
     Windows have length ``tau`` (a shorter final window closes [0, T]); per
-    window, channel k fires Poisson(a_k(x) tau / eps) times and the state
-    moves by eps times the net stoichiometry. Records every window end.
+    window, channel k fires Poisson(a_k(x) tau / eps) times, drawn by
+    inversion of one uniform, and the state moves by eps times the net
+    stoichiometry. Records every window end, the last at exactly T.
     """
     times, states = zip(*((t, x[0]) for t, x in _tau_windows(
         model, x0, T, tau, [stream.generator], [0])))

@@ -2,6 +2,7 @@
 statistics tests and the acceptance suite reuse one set of runs. Wall times
 of the heavy fixtures are recorded for the acceptance runtime caps."""
 
+import importlib.util
 import time
 from pathlib import Path
 
@@ -16,6 +17,18 @@ from fastslow.ensemble import pooled_stationary_samples
 @pytest.fixture(scope="session")
 def timings():
     return {}
+
+
+@pytest.fixture(scope="session")
+def seed_sweep():
+    """``bench/seed_sweep.py``: its ``GATES`` hold the computation and the
+    thresholds of each statistical gate that the tests check on one seed."""
+    spec = importlib.util.spec_from_file_location(
+        "seed_sweep", Path(__file__).resolve().parents[1] / "bench"
+        / "seed_sweep.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -10,12 +10,11 @@ import time
 import numpy as np
 
 import fastslow as fs
-from fastslow import (NonDiffusiveModel, RngStream, SchemeConfig,
+from fastslow import (NonDiffusiveModel, SchemeConfig,
                       fit_log_mfpt_inverse_lambda, hamiltonian_nondiffusive,
                       ks_distance, occupancy_fraction,
                       quasipotential, quasipotential_derivative, run_scheme)
 from fastslow.cli import bundled_configs, main
-from fastslow.jump import birth_death, ssa_final_states, tau_leap_final_states
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -166,24 +165,14 @@ def test_criterion_07_fixed_points():
             f"within 1e-2), unstable {mid:.4f} (need in (1.5, 2.0))")
 
 
-def test_criterion_08_tau_leaping_fidelity():
+def test_criterion_08_tau_leaping_fidelity(seed_sweep):
+    gate = seed_sweep.GATES["criterion_08"]
     start = time.perf_counter()
-    model = birth_death(1.0, 1.0, eps=1e-2)
-    base = RngStream(31415)
-    ids = np.arange(10 ** 4)
-    # relaxation time of the mean is 1/death = 1, so tau = 0.05 relaxation
-    # times; T = 10 relaxation times from the stationary mean
-    ssa = ssa_final_states(model, [1.0], 10.0, ids, base)[:, 0]
-    tau = tau_leap_final_states(model, [1.0], 10.0, 0.05, ids, base)[:, 0]
-    mean_dev = abs(tau.mean() / ssa.mean() - 1.0)
-    var_dev = abs(tau.var(ddof=1) / ssa.var(ddof=1) - 1.0)
-    ks = ks_distance(ssa, tau)
+    values = gate.run(31415)
     elapsed = time.perf_counter() - start
-    ok = mean_dev < 0.05 and var_dev < 0.10 and ks < 0.05 and elapsed < 120
-    _report(8, ok,
-            f"mean dev = {mean_dev:.4f} (need < 0.05), variance dev = "
-            f"{var_dev:.4f} (need < 0.10), KS = {ks:.4f} (need < 0.05), "
-            f"n = {ids.size}, runtime {elapsed:.0f}s (cap 120s)")
+    ok = gate.passes(values) and elapsed < 120
+    _report(8, ok, f"{gate.describe(values)}, runtime {elapsed:.0f}s "
+                   f"(cap 120s)")
 
 
 def test_criterion_09_worker_count_determinism(tmp_path, quick_bodies_w1,

@@ -88,3 +88,35 @@ def test_finished_seconds_are_read_from_the_summary_line(stdout, seconds):
 def test_missing_summary_line_is_an_error():
     with pytest.raises(ValueError, match="no 'finished in' summary line"):
         bench.parse_finished_seconds("config error: bad value\n")
+
+
+def test_sweep_summary_counts_passes_and_finds_the_smallest_margin(
+        seed_sweep):
+    sweep = seed_sweep
+    gate = sweep.Gate("fake", "tests/test_x.py::test_fake",
+                      (sweep.Limit("ks", 0.05),
+                       sweep.Limit("drop", 0.02, strict=False)),
+                      run=None)
+    values = {1: {"ks": 0.01, "drop": 0.02},    # drop at its bound: passes
+              2: {"ks": 0.05, "drop": -0.01},   # ks at its bound: fails
+              3: {"ks": 0.03, "drop": 0.025}}   # drop over its bound
+    summary = sweep.summarise(gate, values)
+    assert (summary["seeds"], summary["passed"]) == (3, 1)
+    ks, drop = summary["limits"]
+    assert (ks["passed"], ks["worst_seed"]) == (2, 2)
+    assert ks["min_margin"] == 0.0
+    assert (drop["passed"], drop["worst_seed"]) == (2, 3)
+    assert drop["min_margin"] == pytest.approx(-0.005)
+    text = sweep.format_summary(summary)
+    assert "passed 1/3 seeds" in text
+    assert "ks < 0.05: 2/3, smallest margin 0 (seed 2)" in text
+    assert "drop <= 0.02: 2/3, smallest margin -0.005 (seed 3)" in text
+
+
+def test_sweep_gates_name_their_tests(seed_sweep):
+    # each named test exists and checks its gate through the table
+    for name, gate in seed_sweep.GATES.items():
+        path, _, test = gate.test.partition("::")
+        source = (Path(__file__).resolve().parents[1] / path).read_text()
+        assert f"def {test.split('::')[-1]}(" in source
+        assert f'GATES["{name}"]' in source

@@ -222,6 +222,24 @@ def test_pooled_samples_burn_in_validation():
 
 
 @pytest.mark.parametrize("scheme", ["direct", "hmm", "phmm"])
+def test_equilibration_failure_names_the_chain(scheme):
+    # decay -1 at micro_dt 1 doubles the fast state every equilibration
+    # step, so it overflows after about 1,025 of the 2,000 steps
+    sou = fs.ScalarOU(decay=lambda x: np.full_like(x, -1.0),
+                      mean=lambda x: np.zeros_like(x), sigma=1.0,
+                      f=lambda x, y: y)
+    model = fs.FastSlowModel(1, 1, f=lambda x, y: y, g=lambda x, y: y,
+                             sigma=lambda x, y: np.eye(1), scalar_ou=sou)
+    cfg = SchemeConfig(eps=0.01, lam=2, macro_dt=0.1, micro_dt=1.0,
+                       root_seed=1)
+    with pytest.raises(fs.IntegrationFailure,
+                       match="equilibration burst of replica 0") as err:
+        first_passage_block(model, scheme, cfg, fs.BasinSpec(0.0, 1.0),
+                            [5, 6], 1.0, RngStream(1), equil_fast_time=2000.0)
+    assert err.value.replica == 5
+
+
+@pytest.mark.parametrize("scheme", ["direct", "hmm", "phmm"])
 def test_first_passage_block_invariance(double_well_model, dw_basin, scheme):
     # direct lanes leave the block only at the end of a 512-step chunk; the
     # shorter direct cap (400,000 steps) leaves some lanes censored

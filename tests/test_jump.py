@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from fastslow import (JumpModel, Reaction, RngStream, birth_death,
                       ks_distance, ssa_final_states, ssa_run,
                       tau_leap_final_states, tau_leap_run)
+from fastslow.jump import (_SEARCH_LAM_MAX, _TAU_CHUNK, _poisson_counts,
+                           _tau_windows)
 from fastslow.rng import StreamBlock
 
 
@@ -268,6 +271,36 @@ class TestTauLeap:
             traj = tau_leap_run(model, [1.0], 3.0, 0.1, base.child(i))
             assert traj.states[-1, 0] == finals[i, 0]
 
+    @pytest.mark.parametrize("t_end, tau", [(2.1, 0.3), (0.14, 0.02),
+                                            (0.07, 0.01), (6.0, 0.05)])
+    def test_windows_end_exactly_at_the_horizon(self, t_end, tau):
+        # T / tau rounds to just above an integer for the first three
+        model, base = birth_death(), RngStream(1)
+        path = tau_leap_run(model, [1.0], t_end, tau, base.child(2))
+        assert path.times[-1] == t_end
+        assert np.all(np.diff(path.times) > 0)
+        assert len(path) == round(t_end / tau) + 1
+        finals = tau_leap_final_states(model, [1.0], t_end, tau, [0, 1, 2],
+                                       base)
+        assert np.array_equal(finals[2], path.states[-1])
+
+    def test_run_alone_and_in_a_block_of_8_match_across_a_refill(self):
+        # 70 windows, so the uniforms are drawn again after window 64;
+        # species 3 has Poisson means near 80, the others below 1
+        model = _cyclic_network([1.0, 2.0, 0.5, 400.0], [1.0, 0.5, 2.0, 1.0],
+                                0.7, 0.05)
+        x0 = np.array([1.0, 2.35, 0.8, 400.0])
+        base, t_end, tau = RngStream(12), 0.7, 0.01
+        path = tau_leap_run(model, x0, t_end, tau, base.child(3))
+        assert len(path) == 71 > _TAU_CHUNK + 1
+        ids = np.arange(8)
+        block = _tau_windows(model, x0, t_end, tau,
+                             base.children(ids[:, None]).generators(), ids)
+        for (t, x), t_lone, x_lone in zip(block, path.times, path.states,
+                                          strict=True):
+            assert t == t_lone
+            assert np.array_equal(x[3], x_lone)
+
     def test_partial_final_window(self):
         traj = tau_leap_run(birth_death(1.0, 1.0, 0.01), [1.0], 1.05, 0.25,
                             RngStream(5))
@@ -275,7 +308,7 @@ class TestTauLeap:
         assert len(traj) == 6  # 4 full windows + 1 partial + initial
 
     def test_mean_above_the_poisson_limit_names_channel_run_and_window(self):
-        # numpy's poisson raises a bare "lam value too large" above ~9.2e18
+        # counts of means above ~9.2e18 could overflow int64
         with pytest.raises(OverflowError, match=r"channel 0 .*\(run 3, "
                            r"window 0, t = 0\.0\)"):
             tau_leap_final_states(birth_death(1e19, 1.0, 0.01), [1.0], 1.0,
@@ -286,20 +319,11 @@ class TestTauLeap:
             tau_leap_final_states(birth_death(1e17, 1e3, 0.01), [1.0], 1.0,
                                   0.1, [5, 9], RngStream(1))
 
-    def test_ks_decreases_with_tau(self):
-        model = birth_death(1.0, 1.0, 0.01)
-        base = RngStream(88)
-        n = 10000
-        ssa = ssa_final_states(model, [1.0], 10.0, np.arange(n),
-                               base.child(0))[:, 0]
-        ks = {}
-        for j, tau in enumerate((0.2, 0.1, 0.05)):
-            tl = tau_leap_final_states(model, [1.0], 10.0, tau, np.arange(n),
-                                       base.child(j + 1))[:, 0]
-            ks[tau] = ks_distance(ssa, tl)
-        noise = 2 * math.sqrt(2.0 / n)
-        assert ks[0.1] <= ks[0.2] + noise
-        assert ks[0.05] <= ks[0.1] + noise
+    def test_ks_decreases_with_tau(self, seed_sweep):
+        # KS against the SSA does not grow as tau shrinks, up to KS noise
+        gate = seed_sweep.GATES["ks_decreases_with_tau"]
+        values = gate.run(88)
+        assert gate.passes(values), gate.describe(values)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=15, deadline=None)
@@ -342,22 +366,43 @@ def test_determinism_same_seed_same_path():
     assert np.array_equal(a.states, b.states)
 
 
-@given(st.lists(st.sampled_from([0.0, 1e-300, 1e-3, 0.5, 3.3,
-                                 np.nextafter(10.0, 0.0), 9.99, 10.0,
-                                 np.nextafter(10.0, 11.0), 25.0, 1e3, 1e5]),
-                min_size=1, max_size=12),
-       st.integers(0, 2 ** 32))
-@settings(max_examples=60, deadline=None)
-def test_scalar_poisson_draws_match_one_vector_draw(lams, seed):
-    # a tau-leap window draws one scalar per channel; it must consume
-    # exactly what one poisson(lam_vector) call on the same key consumes
-    vector = RngStream(seed).generator.poisson(np.array(lams))
-    gen = RngStream(seed).generator
-    scalars = [gen.poisson(lam) for lam in lams]
-    assert np.array_equal(np.array(scalars, dtype=np.int64), vector)
-    follow = RngStream(seed).generator
-    follow.poisson(np.array(lams))
-    assert gen.random() == follow.random()
+_EDGE_UNIFORMS = [0.0, 1.0 - 2.0 ** -53]
+_MEANS = [0.0, 1e-300, 1e-3, 9.99, np.nextafter(_SEARCH_LAM_MAX, 0.0),
+          _SEARCH_LAM_MAX, np.nextafter(_SEARCH_LAM_MAX, 1e3), 1e3, 1e6]
+
+
+@given(st.lists(
+    st.tuples(st.sampled_from(_MEANS),
+              st.sampled_from(_EDGE_UNIFORMS)
+              | st.floats(0.0, 1.0, exclude_max=True))
+    # at 1e18 float64 spaces counts 128 apart, and scipy's pdtr is far off
+    # in the upper tail of large means (P(N > lam + 5 sd) is 100 times too
+    # small at 1e12), so it can only check the quartiles and the edges
+    | st.tuples(st.just(1e18), st.sampled_from(_EDGE_UNIFORMS
+                                               + [0.25, 0.5, 0.75])),
+    min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_poisson_counts_invert_the_cdf(draws):
+    lam, u = (np.array(col) for col in zip(*draws))
+    n = _poisson_counts(lam, u)
+    slack = np.where(lam >= 2.0 ** 53, np.spacing(lam), 0.0)
+    below = np.where(n > 0, special.pdtr(n - 1 - slack, lam), 0.0)
+    assert (below <= u + 1e-12).all()
+    assert (u < special.pdtr(n + slack, lam) + 1e-12).all()
+    assert (n[lam == 0.0] == 0).all()
+    for i in range(lam.size):  # a draw's count does not depend on its block
+        assert _poisson_counts(lam[i:i + 1], u[i:i + 1])[0] == n[i]
+
+
+@pytest.mark.parametrize("lam", [3.3, 29.9, 1e3])
+def test_poisson_counts_mean_and_variance(lam):
+    size = 10 ** 5
+    n = _poisson_counts(np.full(size, lam),
+                        RngStream(17).generator.random(size))
+    assert abs(n.mean() - lam) < 5 * math.sqrt(lam / size)
+    # the sample variance of Poisson(lam) has variance ~ (2 lam^2 + lam) / n
+    assert abs(n.var(ddof=1) - lam) < 5 * math.sqrt((2 * lam ** 2 + lam)
+                                                    / size)
 
 
 def _reference_guarded_rates(model, x):
