@@ -19,8 +19,7 @@ from .schemes import SchemeConfig, averaged_step, config_for_lambda, run_scheme
 from .models import (BUILTIN_MODELS, DoubleWellModel, LinearOUModel,
                      NonDiffusiveModel, clt_stationary_variance_linear,
                      empirical_averaged_drift, fixed_points, make_model)
-from .fluctuations import (BasinSpec, FirstPassageSample, FptSummary,
-                           HistogramResult, MfptPoint,
+from .fluctuations import (BasinSpec, FptSummary, HistogramResult, MfptPoint,
                            first_passage_times, fit_log_mfpt_inverse_lambda,
                            hamiltonian_nondiffusive, histogram,
                            histogram_of_samples, ks_distance,
@@ -39,7 +38,7 @@ __all__ = [
     "BUILTIN_MODELS", "DoubleWellModel", "LinearOUModel", "NonDiffusiveModel",
     "clt_stationary_variance_linear", "empirical_averaged_drift",
     "fixed_points", "make_model",
-    "BasinSpec", "FirstPassageSample", "FptSummary",
+    "BasinSpec", "FptSummary",
     "HistogramResult", "MfptPoint", "first_passage_times",
     "fit_log_mfpt_inverse_lambda", "hamiltonian_nondiffusive", "histogram",
     "histogram_of_samples", "ks_distance", "ldp_escape_prediction",

@@ -19,8 +19,9 @@ burst and one direct Euler step:
 * Models without the hint, of any (d, e): lanes are (B, d) and (B, e)
   arrays, and ``f``, ``g`` and ``sigma`` are called lane by lane.
 
-Macro drivers fold each lane's key prefix once, then only the macro index
-per step. The ensemble entry points (:func:`pooled_stationary_samples`,
+Every run steps its lanes, :class:`_MacroLanes` or :class:`_DirectLanes`,
+through one chunked loop, :func:`_chunks`. Macro lanes fold each lane's key
+prefix once, then only the macro index per step. The ensemble entry points (:func:`pooled_stationary_samples`,
 :func:`scheme_samples`, :func:`direct_samples`, :func:`first_passage_block`)
 need the hint: they start (B,) lanes, by default at the fast mean.
 """
@@ -150,6 +151,15 @@ def burst_batch(model: FastSlowModel, x: np.ndarray, y: np.ndarray,
     return _burst(model, x, y, xi, dt)
 
 
+def _burst_failure(err, ids, k, burst, **where):
+    """A burst failure of a block of k replicas per chain, naming the chain
+    id and the replica."""
+    chain, rep = divmod(err.replica, k)
+    return IntegrationFailure(
+        f"non-finite fast state in the {burst} of replica {rep}",
+        micro_index=err.micro_index, replica=int(ids[chain]), **where)
+
+
 def _replica_streams(base, ids, k, *middle):
     """Streams ``base.child(cid, *middle, rep)`` of k replicas per chain."""
     cids = np.repeat(ids, k)
@@ -158,47 +168,45 @@ def _replica_streams(base, ids, k, *middle):
          np.tile(np.arange(k), len(ids))]))
 
 
-def _first_bad_lane(*lanes) -> int:
-    """The first lane (leading index) holding a non-finite value."""
-    ok = [np.isfinite(a).reshape(len(a), -1).all(axis=1) for a in lanes]
-    return int(np.argmax(~np.logical_and.reduce(ok)))
+class _MacroLanes:
+    """HMM/PHMM lanes: chain ids, slow lanes x, k fast replicas per chain
+    ``yrep`` (B, k) + fast lane shape, and the replicas' key prefix (B * k
+    streams). A chunk is one macro step, whose bursts draw from
+    ``prefix.child(s)`` for step index s."""
 
+    chunk = 1
 
-def _macro_advance(model, cfg, ids, x, yrep, n, prefix):
-    """Advance all chains one macro step; bursts draw from ``prefix.child(n)``.
+    def __init__(self, model, cfg, ids, x, yrep, prefix):
+        self.model, self.cfg, self.dt = model, cfg, cfg.macro_dt
+        self.ids, self.x, self.yrep, self.prefix = ids, x, yrep, prefix
 
-    ``yrep`` holds k fast replicas per chain, shape (B, k) + fast lane shape.
-    """
-    n_chains, k = yrep.shape[:2]
-    try:
-        f_avg, y_end = burst_batch(
-            model, np.repeat(x, k, axis=0),
-            yrep.reshape((n_chains * k,) + yrep.shape[2:]), prefix.child(n),
-            cfg.micro_count, cfg.micro_dt)
-    except IntegrationFailure as err:
-        chain, rep = divmod(err.replica, k)
-        raise IntegrationFailure(
-            f"non-finite fast state in the burst of replica {rep}",
-            time=n * cfg.macro_dt, macro_index=n,
-            micro_index=err.micro_index, replica=int(ids[chain])) from err
-    x_new = x + cfg.macro_dt * f_avg.reshape(
-        (n_chains, k) + f_avg.shape[1:]).mean(axis=1)
-    if not np.isfinite(x_new).all():
-        raise IntegrationFailure("non-finite slow state",
-                                 time=n * cfg.macro_dt, macro_index=n,
-                                 replica=int(ids[_first_bad_lane(x_new)]))
-    return x_new, y_end.reshape(yrep.shape)
+    def advance(self, s, n):
+        """Macro step s; returns the slow and fast lanes after it, each
+        stacked along a leading axis of length 1."""
+        model, cfg, x, yrep = self.model, self.cfg, self.x, self.yrep
+        n_chains, k = yrep.shape[:2]
+        try:
+            f_avg, y_end = burst_batch(
+                model, np.repeat(x, k, axis=0),
+                yrep.reshape((n_chains * k,) + yrep.shape[2:]),
+                self.prefix.child(s), cfg.micro_count, cfg.micro_dt)
+        except IntegrationFailure as err:
+            raise _burst_failure(err, self.ids, k, "burst",
+                                 time=s * cfg.macro_dt, macro_index=s) from err
+        self.x = x + cfg.macro_dt * f_avg.reshape(
+            (n_chains, k) + f_avg.shape[1:]).mean(axis=1)
+        self.yrep = y_end.reshape(yrep.shape)
+        return self.x[None], self.yrep[None]
 
+    def keep(self, mask):
+        self.ids, self.x = self.ids[mask], self.x[mask]
+        self.yrep = self.yrep[mask]
+        self.prefix = self.prefix[np.repeat(mask, self.yrep.shape[1])]
 
-def _macro_path(model, cfg, ids, x, yrep, prefix, n_steps):
-    """Slow lanes x after each of ``n_steps`` macro steps, stacked after the
-    start: shape (n_steps + 1,) + x.shape."""
-    rec = np.empty((n_steps + 1,) + x.shape)
-    rec[0] = x
-    for n in range(n_steps):
-        x, yrep = _macro_advance(model, cfg, ids, x, yrep, n, prefix)
-        rec[n + 1] = x
-    return rec
+    def failure(self, s, lane):
+        return IntegrationFailure("non-finite slow state",
+                                  time=s * self.dt, macro_index=s,
+                                  replica=int(self.ids[lane]))
 
 
 def _fast_mean(sou, x: np.ndarray) -> np.ndarray:
@@ -236,77 +244,111 @@ def _direct_generators(base, ids):
 
 
 def _ou_steps(sou, cfg, x, y, xi):
-    """Direct Euler steps of ScalarOU lanes (B,); the noise is scaled once
-    per chunk and stored step-major."""
+    """Direct Euler steps of ScalarOU lanes (B,) driven by normals xi (B, n):
+    the slow and fast lanes after each step, shape (n, B) each. The noise
+    is scaled once per chunk and stored step-major."""
     noise = np.multiply(sou.sigma * math.sqrt(cfg.micro_dt), xi.T, order="C")
-    h = cfg.eps * cfg.micro_dt
-    for m in range(xi.shape[1]):
+    h, dt = cfg.eps * cfg.micro_dt, cfg.micro_dt
+    xs, ys = np.empty_like(noise), np.empty_like(noise)
+    for z, x_out, y_out in zip(noise, xs, ys):
         f_val = sou.f(x, y)
-        y = y + cfg.micro_dt * sou.decay(x) * (sou.mean(x) - y) + noise[m]
-        x = x + h * f_val
-        yield m, x, y
+        y = np.add(y + dt * sou.decay(x) * (sou.mean(x) - y), z, y_out)
+        x = np.add(x, h * f_val, x_out)
+    return xs, ys
 
 
 def _point_steps(model, cfg, x, y, xi):
     """Direct Euler steps of lanes x (B, d), y (B, e) of a model without
-    the hint, with normals xi (B, n_steps, e). The lanes are updated in
-    place in one copy of x and y, which every step yields."""
+    the hint, with normals xi (B, n, e): the lanes after each step, shapes
+    (n, B, d) and (n, B, e). A lane stops at its first non-finite step, so
+    no field sees a non-finite state; :func:`_chunks` raises there."""
     h, dt = cfg.eps * cfg.micro_dt, cfg.micro_dt
     sq_dt = math.sqrt(dt)
-    x, y = x.copy(), y.copy()
-    lanes = list(zip(x, y))  # row views, written in place
-    for m in range(xi.shape[1]):
-        for lane, (x_l, y_l) in enumerate(lanes):
+    xs = np.empty((xi.shape[1],) + x.shape)
+    ys = np.empty((xi.shape[1],) + y.shape)
+    for lane, (x_l, y_l) in enumerate(zip(x, y)):
+        for m, z in enumerate(xi[lane]):
             x_new = x_l + h * np.asarray(model.f(x_l, y_l), dtype=float)
-            y_l[...] = _point_step(model, x_l, y_l, xi[lane, m], dt, sq_dt)
-            x_l[...] = x_new
-        yield m, x, y
+            y_l = ys[m, lane] = _point_step(model, x_l, y_l, z, dt, sq_dt)
+            x_l = xs[m, lane] = x_new
+            if not (np.isfinite(x_l).all() and np.isfinite(y_l).all()):
+                break
+    return xs, ys
 
 
-def _direct_chunk(model, cfg, x, y, gens, n_steps):
-    """Iterator of (m, x, y) after each of ``n_steps`` direct Euler steps.
+class _DirectLanes:
+    """Direct Euler lanes: chain ids, slow and fast lanes x and y, and one
+    generator per lane. A chunk is 512 steps, whose ``512 * e`` normals
+    each lane first draws from its generator; a lane's draws are sequential
+    in its own generator, so its path depends neither on how a run is cut
+    into chunks nor on which lanes share a chunk."""
 
-    Lane i first draws its ``n_steps * e`` normals from ``gens[i]``; a
-    lane's draws are sequential in its own generator, so the path does not
-    depend on how a run is cut into chunks or which lanes share a chunk.
-    """
-    xi = np.empty((len(gens), n_steps * model.fast_dim))
-    for row, g in zip(xi, gens):
-        g.standard_normal(out=row)
-    if model.scalar_ou is not None:
-        return _ou_steps(model.scalar_ou, cfg, x, y, xi)
-    return _point_steps(model, cfg, x, y,
-                        xi.reshape(len(gens), n_steps, model.fast_dim))
+    chunk = 512
+
+    def __init__(self, model, cfg, ids, x, y, gens):
+        self.model, self.cfg, self.dt = model, cfg, cfg.eps * cfg.micro_dt
+        self.ids, self.x, self.y, self.gens = ids, x, y, gens
+
+    def advance(self, s, n):
+        """Steps s + 1 .. s + n; returns the slow and fast lanes after each,
+        stacked along a leading axis of length n."""
+        model = self.model
+        xi = np.empty((len(self.gens), n * model.fast_dim))
+        for row, g in zip(xi, self.gens):
+            g.standard_normal(out=row)
+        if model.scalar_ou is not None:
+            xs, ys = _ou_steps(model.scalar_ou, self.cfg, self.x, self.y, xi)
+        else:
+            xs, ys = _point_steps(model, self.cfg, self.x, self.y,
+                                  xi.reshape(len(xi), n, model.fast_dim))
+        self.x, self.y = xs[-1], ys[-1]
+        return xs, ys
+
+    def keep(self, mask):
+        self.ids, self.x, self.y = self.ids[mask], self.x[mask], self.y[mask]
+        self.gens = [g for g, kept in zip(self.gens, mask) if kept]
+
+    def failure(self, s, lane):
+        return IntegrationFailure("non-finite state in direct integration",
+                                  time=(s + 1) * self.dt, step=s + 1,
+                                  replica=int(self.ids[lane]))
 
 
-_DIRECT_DRAW = 4096  # direct steps a lane draws at a time (at least a record)
+def _chunks(lanes, n_steps):
+    """Advance ``lanes`` over at most ``n_steps`` steps, one chunk at a time.
 
-
-def _direct_path(model, cfg, ids, x, y, gens, n_rec, stride):
-    """Slow lanes x at every ``stride``-th of ``n_rec * stride`` direct
-    steps, stacked after the start: shape (n_rec + 1,) + x.shape.
+    Yields (s, path) per chunk: ``path[j]`` holds the slow lanes after step
+    s + j + 1. Between chunks the caller may stop lanes with
+    ``lanes.keep(mask)``; the loop ends early once no lane is left.
 
     Raises:
-        IntegrationFailure: with the step, time and chain id of the first
-            record holding a non-finite lane.
+        IntegrationFailure: before a chunk is yielded, if a slow or fast
+            lane is non-finite in it; built by ``lanes.failure`` from the
+            index of the first such step and that step's first bad lane.
     """
-    h = cfg.eps * cfg.micro_dt
-    rec = np.empty((n_rec + 1,) + x.shape)
-    rec[0] = x
-    per_draw = max(1, _DIRECT_DRAW // stride)
-    for r0 in range(0, n_rec, per_draw):
-        chunk = _direct_chunk(model, cfg, x, y, gens,
-                              min(per_draw, n_rec - r0) * stride)
-        for m, x, y in chunk:
-            if (m + 1) % stride:
-                continue
-            r = r0 + (m + 1) // stride
-            if not (np.isfinite(x).all() and np.isfinite(y).all()):
-                raise IntegrationFailure(
-                    "non-finite state in direct integration",
-                    time=r * stride * h, step=r * stride,
-                    replica=int(ids[_first_bad_lane(x, y)]))
-            rec[r] = x
+    s = 0
+    while s < n_steps and lanes.ids.size:
+        path, fast = lanes.advance(s, min(lanes.chunk, n_steps - s))
+        if not (np.isfinite(path).all() and np.isfinite(fast).all()):
+            n, width = path.shape[:2]
+            ok = (np.isfinite(path).reshape(n, width, -1).all(axis=2)
+                  & np.isfinite(fast).reshape(n, width, -1).all(axis=2))
+            j, lane = divmod(int(np.argmin(ok)), width)
+            raise lanes.failure(s + j, lane)
+        yield s, path
+        s += len(path)
+
+
+def _fixed_horizon(lanes, n_steps, stride=1):
+    """Slow lanes at every ``stride``-th of ``n_steps`` steps, stacked after
+    the start: shape (n_steps // stride + 1,) + x.shape."""
+    rec = np.empty((n_steps // stride + 1,) + lanes.x.shape)
+    rec[0] = lanes.x
+    for s, path in _chunks(lanes, n_steps):
+        j = -(s + 1) % stride  # the chunk's first recorded row
+        rows = path[j::stride]
+        r = (s + 1 + j) // stride
+        rec[r:r + len(rows)] = rows
     return rec
 
 
@@ -335,12 +377,11 @@ def scheme_samples(model: FastSlowModel, scheme: str, cfg, x0, y0,
     """
     _check_scheme(scheme, ("hmm", "phmm"))
     ids = np.asarray(ids, dtype=int)
-    n_chains = ids.size
+    k = cfg.lam if scheme == "phmm" else 1
     n_steps = math.ceil(t_chain / cfg.macro_dt)
-    x, yrep = _start_arrays(model, x0, y0, n_chains,
-                            cfg.lam if scheme == "phmm" else 1)
-    rec = _macro_path(model, cfg, ids, x, yrep,
-                      _replica_streams(base, ids, yrep.shape[1]), n_steps)
+    x, yrep = _start_arrays(model, x0, y0, ids.size, k)
+    rec = _fixed_horizon(_MacroLanes(model, cfg, ids, x, yrep,
+                                     _replica_streams(base, ids, k)), n_steps)
     times = np.arange(n_steps + 1) * cfg.macro_dt
     return times, rec
 
@@ -360,8 +401,9 @@ def direct_samples(model: FastSlowModel, cfg, x0, y0, t_chain: float, ids,
     stride = max(1, round(record_dt / h))
     n_rec = math.ceil(t_chain / (stride * h))
     x, yrep = _start_arrays(model, x0, y0, ids.size, 1)
-    rec = _direct_path(model, cfg, ids, x, yrep[:, 0],
-                       _direct_generators(base, ids), n_rec, stride)
+    rec = _fixed_horizon(_DirectLanes(model, cfg, ids, x, yrep[:, 0],
+                                      _direct_generators(base, ids)),
+                         n_rec * stride, stride)
     times = np.arange(n_rec + 1) * (stride * h)
     return times, rec
 
@@ -416,11 +458,7 @@ def _equilibrate_fast(model, cfg, x, ids, base, equil_fast_time, k):
         _, y_end = burst_batch(model, xx, _fast_mean(sou, xx), streams, m_eq,
                                cfg.micro_dt)
     except IntegrationFailure as err:
-        chain, rep = divmod(err.replica, k)
-        raise IntegrationFailure(
-            f"non-finite fast state in the equilibration burst of replica "
-            f"{rep}", micro_index=err.micro_index,
-            replica=int(ids[chain])) from err
+        raise _burst_failure(err, ids, k, "equilibration burst") from err
     return y_end.reshape(len(ids), k)
 
 
@@ -435,61 +473,30 @@ def first_passage_block(model: FastSlowModel, scheme: str, cfg, basin,
     arrays aligned with ``ids``; censored chains carry elapsed = t_cap.
     Direct lanes step in chunks of 512 steps and leave at the end of the
     chunk in which they crossed; macro lanes leave after the crossing step.
+    Each lane records its first crossing step.
     """
     _check_scheme(scheme)
     k = cfg.lam if scheme == "phmm" else 1
     ids = np.asarray(ids, dtype=int)
-    n_total = ids.size
+    x = np.full(ids.size, float(basin.start_point))
+    yrep = _equilibrate_fast(model, cfg, x, ids, base, equil_fast_time, k)
+    if scheme == "direct":
+        lanes = _DirectLanes(model, cfg, ids, x, yrep[:, 0],
+                             _direct_generators(base, ids))
+    else:
+        lanes = _MacroLanes(model, cfg, ids, x, yrep,
+                            _replica_streams(base, ids, k))
     up = basin.direction == "upcrossing"
     thr = basin.target_threshold
-
-    def crossed(xv):
-        return xv >= thr if up else xv <= thr
-
-    elapsed = np.full(n_total, float(t_cap))
-    censored = np.ones(n_total, dtype=bool)
-    x = np.full(n_total, float(basin.start_point))
-    pos = np.arange(n_total)
-    yrep = _equilibrate_fast(model, cfg, x, ids, base, equil_fast_time, k)
-
-    if scheme == "direct":
-        y = yrep[:, 0]
-        gens = _direct_generators(base, ids)
-        h = cfg.eps * cfg.micro_dt
-        n_cap = math.ceil(t_cap / h)
-        step = 0
-        while pos.size and step < n_cap:
-            todo = min(512, n_cap - step)
-            # chains that cross keep integrating until the chunk ends; the
-            # first crossing in the recorded path is latched
-            path = np.empty((todo, pos.size))
-            for m, x, y in _direct_chunk(model, cfg, x, y, gens, todo):
-                path[m] = x
-            cross = crossed(path)
+    elapsed = np.full(ids.size, float(t_cap))
+    censored = np.ones(ids.size, dtype=bool)
+    pos = np.arange(ids.size)
+    for s, path in _chunks(lanes, math.ceil(t_cap / lanes.dt)):
+        cross = path >= thr if up else path <= thr
+        if cross.any():
             hit = cross.any(axis=0)
-            elapsed[pos[hit]] = (step + cross.argmax(axis=0)[hit] + 1) * h
+            elapsed[pos[hit]] = (s + cross.argmax(axis=0)[hit] + 1) * lanes.dt
             censored[pos[hit]] = False
-            step += todo
-            keep = ~hit
-            pos, x, y = pos[keep], x[keep], y[keep]
-            gens = [g for g, kp in zip(gens, keep) if kp]
-            if pos.size and not (np.isfinite(x).all() and np.isfinite(y).all()):
-                bad = int(np.argmax(~(np.isfinite(x) & np.isfinite(y))))
-                raise IntegrationFailure("non-finite state in passage sampling",
-                                         time=step * h, replica=int(ids[pos[bad]]))
-        return elapsed, censored
-
-    prefix = _replica_streams(base, ids, k)
-    n_cap = math.ceil(t_cap / cfg.macro_dt)
-    n = 0
-    while pos.size and n < n_cap:
-        x, yrep = _macro_advance(model, cfg, ids[pos], x, yrep, n, prefix)
-        n += 1
-        hit = crossed(x)
-        if hit.any():
-            elapsed[pos[hit]] = n * cfg.macro_dt
-            censored[pos[hit]] = False
-            keep = ~hit
-            pos, x, yrep = pos[keep], x[keep], yrep[keep]
-            prefix = prefix[np.repeat(keep, k)]
+            pos = pos[~hit]
+            lanes.keep(~hit)
     return elapsed, censored

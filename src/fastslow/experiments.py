@@ -370,16 +370,16 @@ def _run_fpt_cdf(cfg: ExperimentConfig, executor) -> list[OutputTable]:
     for basin in basins:
         for scheme in cfg.params["schemes"]:
             scfg = _scheme_config(cfg, lam if scheme != "direct" else 1)
-            samples = first_passage_times(
+            elapsed, censored = first_passage_times(
                 model, scheme, scfg, basin, cfg.params["n_samples"],
                 cfg.params["t_cap"],
                 equil_fast_time=cfg.params["equil_fast_time"],
                 executor=executor)
-            good = sorted(s.elapsed for s in samples if not s.censored)
-            n_total = len(samples)
+            good = np.sort(elapsed[~censored])
+            n_total = elapsed.size
             extra[f"censored-{scheme}-{basin.direction}"] = (
-                f"{n_total - len(good)}/{n_total}")
-            for i, t_val in enumerate(good, start=1):
+                f"{n_total - good.size}/{n_total}")
+            for i, t_val in enumerate(good.tolist(), start=1):
                 rows.append([scheme, scfg.lam, basin.direction, repr(t_val),
                              repr(i / n_total)])
     return [OutputTable("fpt_cdf",

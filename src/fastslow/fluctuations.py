@@ -10,7 +10,7 @@ quasi-potential of the non-diffusive builtin model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
@@ -124,24 +124,10 @@ class BasinSpec:
             raise ValueError("downcrossing threshold must lie below the start point")
 
 
-@dataclass(frozen=True)
-class FirstPassageSample:
-    """One passage attempt; censored attempts carry elapsed = t_cap."""
-
-    elapsed: float
-    scheme: str
-    lam: int
-    censored: bool = False
-
-    def __post_init__(self):
-        if not self.elapsed > 0:
-            raise ValueError("elapsed must be positive")
-
-
 def first_passage_times(model: FastSlowModel, scheme: str, cfg: SchemeConfig,
                         basin: BasinSpec, n_samples: int, t_cap: float,
                         equil_fast_time: float = 50.0, block_size: int = 64,
-                        executor=None) -> list[FirstPassageSample]:
+                        executor=None) -> tuple[np.ndarray, np.ndarray]:
     """Sample first-passage times of the slow variable for one scheme.
 
     Each sample starts at basin.start_point with a fast state equilibrated
@@ -149,7 +135,8 @@ def first_passage_times(model: FastSlowModel, scheme: str, cfg: SchemeConfig,
     threshold crossing or ``t_cap``. Sample i draws from the substreams of
     ``RngStream(cfg.root_seed)`` keyed by i, so results do not depend on
     block size, executor or worker count.
-    Censored runs are returned flagged and should be excluded from means.
+    Returns (elapsed, censored) arrays in sample order; censored samples
+    carry elapsed = t_cap and should be excluded from means.
 
     Raises:
         RuntimeError: if every sample was censored.
@@ -169,8 +156,7 @@ def first_passage_times(model: FastSlowModel, scheme: str, cfg: SchemeConfig,
         raise RuntimeError(
             f"all {n_samples} passage samples were censored at t_cap={t_cap}; "
             "increase t_cap")
-    return [FirstPassageSample(float(e), scheme, cfg.lam, bool(c))
-            for e, c in zip(elapsed, censored)]
+    return elapsed, censored
 
 
 @dataclass(frozen=True)
@@ -181,19 +167,21 @@ class FptSummary:
     n_total: int
 
 
-def summarize_fpt(samples: list[FirstPassageSample]) -> FptSummary:
+def summarize_fpt(elapsed: np.ndarray, censored: np.ndarray) -> FptSummary:
     """Mean and standard error of the uncensored passage times."""
-    good = np.array([s.elapsed for s in samples if not s.censored])
-    n_cens = sum(1 for s in samples if s.censored)
+    good = elapsed[~censored]
     if good.size == 0:
         raise RuntimeError("no uncensored samples to summarize")
     stderr = float(good.std(ddof=1) / math.sqrt(good.size)) if good.size > 1 else float("nan")
-    return FptSummary(float(good.mean()), stderr, n_cens, len(samples))
+    return FptSummary(float(good.mean()), stderr, elapsed.size - good.size,
+                      elapsed.size)
 
 
 @dataclass(frozen=True)
 class MfptPoint:
-    """One row of a mean-first-passage-time sweep."""
+    """One row of a mean-first-passage-time sweep, with its passage times
+    and censoring flags in sample order (left out of ``==``, which compares
+    the row)."""
 
     scheme: str
     lam: int
@@ -202,7 +190,8 @@ class MfptPoint:
     stderr: float
     n_censored: int
     n_samples: int
-    samples: tuple = ()
+    elapsed: np.ndarray = field(compare=False)
+    censored: np.ndarray = field(compare=False)
 
 
 def mean_first_passage_vs_lambda(model: FastSlowModel, scheme: str,
@@ -220,13 +209,13 @@ def mean_first_passage_vs_lambda(model: FastSlowModel, scheme: str,
     points = []
     for lam in lambdas:
         cfg = config_for_lambda(cfg_base, int(lam))
-        samples = first_passage_times(model, scheme, cfg, basin, n_samples,
-                                      t_cap, equil_fast_time=equil_fast_time,
-                                      executor=executor)
-        s = summarize_fpt(samples)
+        elapsed, censored = first_passage_times(
+            model, scheme, cfg, basin, n_samples, t_cap,
+            equil_fast_time=equil_fast_time, executor=executor)
+        s = summarize_fpt(elapsed, censored)
         points.append(MfptPoint(scheme, int(lam), cfg.macro_dt, s.mfpt,
-                                s.stderr, s.n_censored, s.n_total,
-                                tuple(samples)))
+                                s.stderr, s.n_censored, s.n_total, elapsed,
+                                censored))
     return points
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ensemble import _direct_path, _macro_path, _one_lane
+from .ensemble import _DirectLanes, _fixed_horizon, _MacroLanes, _one_lane
 from .rng import RngStream
 from .sde import FastSlowModel, IntegrationFailure, Trajectory, _as_point
 
@@ -151,23 +151,23 @@ def run_scheme(model: FastSlowModel, scheme: str, x0, y0, cfg: SchemeConfig,
         x, y = _one_lane(model, x), _one_lane(model, y)
         lane = np.zeros(1, dtype=int)  # the chain id failures report
         if scheme == "direct":
-            rec = _direct_path(model, cfg, lane, x, y,
-                               [base.child(-2, 0).generator], n_steps, 1)
+            lanes = _DirectLanes(model, cfg, lane, x, y,
+                                 [base.child(-2, 0).generator])
         else:
             k = cfg.lam if scheme == "phmm" else 1
-            try:
-                rec = _macro_path(model, cfg, lane, x,
-                                  np.repeat(y[:, None], k, axis=1),
-                                  base.children(np.arange(k)[:, None]),
-                                  n_steps)
-            except IntegrationFailure as err:
-                burst = err.__cause__  # on one lane its index is the replica
-                if burst is None:
-                    raise
-                raise IntegrationFailure(
-                    "non-finite fast state in a replica burst", time=err.time,
-                    macro_index=err.macro_index, micro_index=err.micro_index,
-                    replica=burst.replica) from err
+            lanes = _MacroLanes(model, cfg, lane, x,
+                                np.repeat(y[:, None], k, axis=1),
+                                base.children(np.arange(k)[:, None]))
+        try:
+            rec = _fixed_horizon(lanes, n_steps)
+        except IntegrationFailure as err:
+            burst = err.__cause__  # on one lane its index is the replica
+            if burst is None:
+                raise
+            raise IntegrationFailure(
+                "non-finite fast state in a replica burst", time=err.time,
+                macro_index=err.macro_index, micro_index=err.micro_index,
+                replica=burst.replica) from err
         states = rec.reshape(n_steps + 1, -1)
     times = np.arange(n_steps + 1) * step
     return Trajectory(times, np.array(states), meta)

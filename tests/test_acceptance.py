@@ -100,14 +100,13 @@ def test_criterion_04_mfpt_collapse(dw_mfpt_points, timings):
 
 def test_criterion_05_fpt_distribution_fidelity(dw_mfpt_points,
                                                 dw_direct_fpt):
-    def uncensored(samples):
-        return np.array([s.elapsed for s in samples if not s.censored])
+    def uncensored(scheme):
+        point = [p for p in dw_mfpt_points[scheme] if p.lam == 5][0]
+        return point.elapsed[~point.censored]
 
-    direct = uncensored(dw_direct_fpt)
-    phmm5 = uncensored([p for p in dw_mfpt_points["phmm"]
-                        if p.lam == 5][0].samples)
-    hmm5 = uncensored([p for p in dw_mfpt_points["hmm"]
-                       if p.lam == 5][0].samples)
+    elapsed, censored = dw_direct_fpt
+    direct = elapsed[~censored]
+    phmm5, hmm5 = uncensored("phmm"), uncensored("hmm")
     ks_phmm = ks_distance(direct, phmm5)
     ks_hmm = ks_distance(direct, hmm5)
     ok = ks_phmm < 0.15 and ks_hmm > 0.5

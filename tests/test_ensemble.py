@@ -12,8 +12,9 @@ from scipy.signal import lfilter
 
 import fastslow as fs
 from fastslow import RngStream, SchemeConfig
-from fastslow.ensemble import (_direct_generators, _direct_path,
-                               _linear_recurrence, _macro_path, burst_batch,
+from fastslow.ensemble import (_direct_generators, _DirectLanes,
+                               _fixed_horizon, _linear_recurrence,
+                               _MacroLanes, _start_arrays, burst_batch,
                                direct_samples, first_passage_block,
                                pooled_stationary_samples, scheme_samples)
 from fastslow.rng import StreamBlock
@@ -122,12 +123,33 @@ def test_direct_samples_match_reference_integrator(dw_cfg):
                                 record_dt=0.05)
     h = dw_cfg.eps * dw_cfg.micro_dt
     stride = round(0.05 / h)
-    ref = _direct_path(_hintless(model), dw_cfg, np.array([4]),
-                       np.array([[-1.0]]), np.array([[0.5]]),
-                       _direct_generators(base, np.array([4])),
-                       len(times) - 1, stride)
+    ref = _fixed_horizon(_DirectLanes(_hintless(model), dw_cfg,
+                                      np.array([4]), np.array([[-1.0]]),
+                                      np.array([[0.5]]),
+                                      _direct_generators(base, np.array([4]))),
+                         (len(times) - 1) * stride, stride)
     assert np.allclose(times, np.arange(len(times)) * stride * h)
     assert np.allclose(rec[:, 0], ref[:, 0, 0], atol=1e-9)
+
+
+@pytest.mark.parametrize("stride", [3, 700])
+def test_direct_records_cross_chunk_boundaries(dw_cfg, stride):
+    # neither stride divides the 512-step chunk, so records fall at every
+    # offset within a chunk, and at 700 some chunks hold no record
+    model = fs.DoubleWellModel().system()
+    base = RngStream(8)
+    ids = np.arange(3, 6)
+    h = dw_cfg.eps * dw_cfg.micro_dt
+    n_rec = 1500 // stride + 1
+    _, rec = direct_samples(model, dw_cfg, -0.5, None,
+                            (n_rec - 0.5) * stride * h, ids, base,
+                            record_dt=stride * h)
+    x, yrep = _start_arrays(model, -0.5, None, ids.size, 1)
+    every = _fixed_horizon(_DirectLanes(model, dw_cfg, ids, x, yrep[:, 0],
+                                        _direct_generators(base, ids)),
+                           n_rec * stride)
+    assert rec.shape == (n_rec + 1, ids.size)
+    assert np.array_equal(rec, every[::stride])
 
 
 _BUILTINS = {"linear_ou": fs.LinearOUModel(),
@@ -148,16 +170,16 @@ def test_lane_alone_equals_lane_in_block(name, scheme):
     ids = np.arange(3)
     if scheme == "direct":
         t_end = 0.2
-        rec = _direct_path(model, cfg, ids, x0, y0,
-                           [base.child(-2, 0).generator for _ in ids],
-                           round(t_end / (cfg.eps * cfg.micro_dt)), 1)
+        lanes = _DirectLanes(model, cfg, ids, x0, y0,
+                             [base.child(-2, 0).generator for _ in ids])
+        rec = _fixed_horizon(lanes, round(t_end / (cfg.eps * cfg.micro_dt)))
     else:
         t_end = 20 * cfg.macro_dt
         k = cfg.lam if scheme == "phmm" else 1
-        rec = _macro_path(model, cfg, ids, x0,
-                          np.repeat(y0[:, None], k, axis=1),
-                          base.children(np.tile(np.arange(k), 3)[:, None]),
-                          20)
+        lanes = _MacroLanes(model, cfg, ids, x0,
+                            np.repeat(y0[:, None], k, axis=1),
+                            base.children(np.tile(np.arange(k), 3)[:, None]))
+        rec = _fixed_horizon(lanes, 20)
     for i in ids:
         alone = fs.run_scheme(model, scheme, [x0[i]], [y0[i]], cfg, t_end)
         assert np.array_equal(alone.slow(), rec[:, i])
@@ -273,53 +295,113 @@ class _ScriptedNormals:
         self.pos += out.size
 
 
-def test_direct_passage_latches_the_first_crossing(monkeypatch):
-    # decay * micro_dt = 1 and mean 0 make each direct step set y to
-    # s * xi exactly, and f = y moves x by h * y one step later; scripted
-    # draws then place every crossing on a chosen step
-    cfg = SchemeConfig(eps=0.01, lam=1, macro_dt=0.005, micro_dt=0.5,
-                       root_seed=1)
-    h = cfg.eps * cfg.micro_dt
+def _scripted_lanes(monkeypatch, start_y, script=None):
+    """Scripted noise for a model with decay * micro_dt = 1 and mean 0,
+    whose every fast step sets y to sqrt(micro_dt) * xi exactly: each
+    burst's last normal of lane i is ``start_y[i]`` (the others are 0), so
+    the equilibrated fast state and every macro step's burst end at
+    ``sqrt(micro_dt) * start_y[i]``; direct lane i draws ``script[i]``."""
+    def normals(self, m):
+        out = np.zeros((len(self), m))
+        out[:, -1] = start_y
+        return out
+
+    monkeypatch.setattr(StreamBlock, "normals", normals)
+    if script is not None:
+        monkeypatch.setattr(StreamBlock, "generators", lambda self: [
+            _ScriptedNormals(row) for row in script])
+
+
+def _scripted_model():
+    """f = y, g = -2 y: with micro_dt = 0.5 each fast step sets y to its
+    scaled normal, and x moves by h * y one step later."""
     sou = fs.ScalarOU(decay=lambda x: np.full_like(x, 2.0),
                       mean=lambda x: np.zeros_like(x), sigma=1.0,
                       f=lambda x, y: y)
-    model = fs.FastSlowModel(1, 1, f=lambda x, y: y,
-                             g=lambda x, y: -2.0 * y,
-                             sigma=lambda x, y: np.eye(1), scalar_ou=sou)
+    return fs.FastSlowModel(1, 1, f=lambda x, y: y,
+                            g=lambda x, y: -2.0 * y,
+                            sigma=lambda x, y: np.eye(1), scalar_ou=sou)
+
+
+_SCRIPTED_CFG = SchemeConfig(eps=0.01, lam=1, macro_dt=0.005, micro_dt=0.5,
+                             root_seed=1)
+
+
+def test_direct_passage_latches_the_first_crossing(monkeypatch):
+    # scripted draws place every crossing on a chosen step
+    cfg = _SCRIPTED_CFG
+    h = cfg.eps * cfg.micro_dt
     kick = 1000.0  # one kicked step moves x by h * sqrt(0.5) * 1000 = 3.5
     n_cap = 1100   # chunks of 512, 512 and 76 steps
-    start_y = np.array([kick, 0.0, 0.0, 0.0, 0.0])  # lane 0: step 1
-    script = np.zeros((5, n_cap))
+    start_y = np.array([kick, 0.0, 0.0, 0.0, 0.0, 0.0])  # lane 0: step 1
+    script = np.zeros((6, n_cap))
     script[1, 510] = kick                           # lane 1: step 512
     script[2, 511] = kick                           # lane 2: step 513
     script[3, 98], script[3, 99] = kick, -3 * kick  # lane 3: up at step
     script[3, 298] = 5 * kick                       # 100, down, up again
     # lane 4 never crosses
-
-    def equilibrated(self, m):
-        out = np.zeros((len(self), m))
-        out[:, -1] = start_y
-        return out
-
-    monkeypatch.setattr(StreamBlock, "normals", equilibrated)
-    monkeypatch.setattr(StreamBlock, "generators",
-                        lambda self: [_ScriptedNormals(row) for row in script])
+    script[5, n_cap - 2] = kick                     # lane 5: step n_cap
+    _scripted_lanes(monkeypatch, start_y, script)
 
     # step-by-step reference: test every lane after every step
     s_amp = np.sqrt(cfg.micro_dt)
-    ref = np.full(5, n_cap * h)
-    for lane in range(5):
+    ref = np.full(6, n_cap * h)
+    for lane in range(6):
         x, y = 0.0, s_amp * start_y[lane]
         for step in range(n_cap):
             x, y = x + h * y, s_amp * script[lane, step]
             if x >= 1.0:
                 ref[lane] = (step + 1) * h
                 break
-    assert np.array_equal(ref, [1 * h, 512 * h, 513 * h, 100 * h, n_cap * h])
+    assert np.array_equal(ref, [1 * h, 512 * h, 513 * h, 100 * h, n_cap * h,
+                                n_cap * h])
 
-    elapsed, censored = first_passage_block(model, "direct", cfg,
+    elapsed, censored = first_passage_block(_scripted_model(), "direct", cfg,
                                             fs.BasinSpec(0.0, 1.0),
-                                            np.arange(5), n_cap * h,
+                                            np.arange(6), n_cap * h,
                                             RngStream(1))
     assert np.array_equal(elapsed, ref)
-    assert censored.tolist() == [False, False, False, False, True]
+    # a passage on the last step ends at t_cap and still counts
+    assert censored.tolist() == [False, False, False, False, True, False]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_direct_passage_failure_names_chain_and_step(monkeypatch):
+    # lane 1 draws inf on step 601, which makes its fast state non-finite
+    # there and its slow state one step later
+    cfg = _SCRIPTED_CFG
+    h = cfg.eps * cfg.micro_dt
+    script = np.zeros((3, 1024))
+    script[1, 600] = np.inf
+    _scripted_lanes(monkeypatch, np.zeros(3), script)
+    with pytest.raises(fs.IntegrationFailure,
+                       match="non-finite state in direct integration") as err:
+        first_passage_block(_scripted_model(), "direct", cfg,
+                            fs.BasinSpec(0.0, 1.0), [7, 8, 9], 1024 * h,
+                            RngStream(1))
+    assert err.value.replica == 8
+    assert err.value.step == 601
+    assert err.value.time == 601 * h
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("scheme", ["hmm", "phmm"])
+def test_macro_passage_failure_names_chain_and_macro_index(monkeypatch,
+                                                           scheme):
+    # lane 1's every burst ends at sqrt(0.5) * -5e307, so its slow state
+    # falls by a fixed step until it overflows; lane 0 stays at 0
+    cfg = fs.config_for_lambda(_SCRIPTED_CFG, 2)
+    k = cfg.lam if scheme == "phmm" else 1
+    _scripted_lanes(monkeypatch, np.repeat([0.0, -5e307], k))
+    fall = cfg.macro_dt * (np.sqrt(cfg.micro_dt) * -5e307)
+    x, n = 0.0, 0
+    while np.isfinite(x + fall):
+        x, n = x + fall, n + 1
+    with pytest.raises(fs.IntegrationFailure,
+                       match="non-finite slow state") as err:
+        first_passage_block(_scripted_model(), scheme, cfg,
+                            fs.BasinSpec(0.0, 1.0), [4, 5],
+                            2 * n * cfg.macro_dt, RngStream(1))
+    assert err.value.replica == 5
+    assert err.value.macro_index == n
+    assert err.value.time == n * cfg.macro_dt

@@ -9,8 +9,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 
 import fastslow as fs
-from fastslow import (BasinSpec, FirstPassageSample,
-                      NonDiffusiveModel, SchemeConfig, Trajectory,
+from fastslow import (BasinSpec, NonDiffusiveModel, SchemeConfig, Trajectory,
                       first_passage_times, fit_log_mfpt_inverse_lambda,
                       hamiltonian_nondiffusive, histogram, ks_distance,
                       ldp_escape_prediction, occupancy_fraction,
@@ -148,10 +147,11 @@ class TestFirstPassage:
         for scheme in ("direct", "hmm", "phmm"):
             cfg = SchemeConfig(eps=1e-3, lam=2, macro_dt=0.01, micro_dt=0.05,
                                root_seed=4)
-            samples = first_passage_times(model, scheme, cfg, basin, 3, 50.0)
-            for s in samples:
-                assert not s.censored
-                assert s.elapsed == pytest.approx(2 * math.log(2), rel=0.05)
+            elapsed, censored = first_passage_times(model, scheme, cfg,
+                                                    basin, 3, 50.0)
+            assert not censored.any()
+            assert elapsed == pytest.approx(np.full(3, 2 * math.log(2)),
+                                            rel=0.05)
 
     def test_all_censored_raises(self):
         model = fs.LinearOUModel(sigma_f=0.0).system()
@@ -166,12 +166,13 @@ class TestFirstPassage:
         basin = BasinSpec(-1.0, 1.0, "upcrossing")
         cfg = SchemeConfig(eps=1e-3, lam=1, macro_dt=0.06, micro_dt=0.05,
                            root_seed=4)
-        samples = first_passage_times(model, "hmm", cfg, basin, 16, 20.0)
-        summary = summarize_fpt(samples)
-        assert summary.n_censored >= 1  # mean passage ~ 47 >> 20
+        elapsed, censored = first_passage_times(model, "hmm", cfg, basin, 16,
+                                                20.0)
+        summary = summarize_fpt(elapsed, censored)
+        assert summary.n_censored == censored.sum() >= 1  # mean ~ 47 >> 20
         assert summary.n_total == 16
-        censored = [s for s in samples if s.censored]
-        assert all(s.elapsed == 20.0 for s in censored)
+        assert np.all(elapsed[censored] == 20.0)
+        assert summary.mfpt == elapsed[~censored].mean()
 
     def test_block_and_executor_invariance(self):
         from concurrent.futures import ThreadPoolExecutor
@@ -186,8 +187,9 @@ class TestFirstPassage:
         with ThreadPoolExecutor(max_workers=4) as pool:
             par = first_passage_times(model, "hmm", cfg, basin, 10, 100.0,
                                       block_size=3, executor=pool)
-        assert [s.elapsed for s in ref] == [s.elapsed for s in alt]
-        assert [s.elapsed for s in alt] == [s.elapsed for s in par]
+        for run in (alt, par):
+            assert np.array_equal(ref[0], run[0])
+            assert np.array_equal(ref[1], run[1])
 
     def test_direct_passage_distribution_is_seed_stable(self):
         # two independent 500-sample batches of a fast passage problem agree
@@ -197,9 +199,9 @@ class TestFirstPassage:
         def batch(seed):
             cfg = SchemeConfig(eps=1e-2, lam=1, macro_dt=0.08, micro_dt=0.1,
                                root_seed=seed)
-            samples = first_passage_times(model, "direct", cfg, basin, 500,
-                                          200.0)
-            return np.array([s.elapsed for s in samples if not s.censored])
+            elapsed, censored = first_passage_times(model, "direct", cfg,
+                                                    basin, 500, 200.0)
+            return elapsed[~censored]
         a, b = batch(101), batch(202)
         assert ks_distance(a, b) < 0.103  # 1.63 * sqrt(2/500)
 
@@ -218,10 +220,9 @@ class TestMfptSweep:
         # escape exponent drops by the factor lam, so at lam = 5 the
         # passage-time scale shrinks by exp((V/eps)(1 - 1/5)) ~ 6x
         hmm5 = [p for p in dw_mfpt_points["hmm"] if p.lam == 5][0]
-        med_h = float(np.median([s.elapsed for s in hmm5.samples
-                                 if not s.censored]))
-        med_d = float(np.median([s.elapsed for s in dw_direct_fpt
-                                 if not s.censored]))
+        elapsed, censored = dw_direct_fpt
+        med_h = float(np.median(hmm5.elapsed[~hmm5.censored]))
+        med_d = float(np.median(elapsed[~censored]))
         assert med_d / med_h > 4.0
 
     def test_empty_lambda_list_rejected(self, double_well_model, dw_basin):
@@ -252,7 +253,8 @@ class TestEscapePrediction:
 
     def test_fit_recovers_affine_law(self):
         pts = [fs.MfptPoint("hmm", lam, 0.06, math.exp(1.0 + 2.0 / lam),
-                            0.0, 0, 10) for lam in (1, 2, 4, 8)]
+                            0.0, 0, 10, np.empty(0), np.empty(0, dtype=bool))
+               for lam in (1, 2, 4, 8)]
         a, b, r2 = fit_log_mfpt_inverse_lambda(pts)
         assert a == pytest.approx(1.0, abs=1e-9)
         assert b == pytest.approx(2.0, abs=1e-9)
@@ -383,8 +385,3 @@ class TestHamiltonianAndQuasipotential:
             quasipotential(self.model, -1.0, 1.0)
         with pytest.raises(ValueError):
             quasipotential_derivative(self.model, 0.0)
-
-
-def test_first_passage_sample_validation():
-    with pytest.raises(ValueError):
-        FirstPassageSample(0.0, "hmm", 1)

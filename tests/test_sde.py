@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -74,15 +76,20 @@ def test_deterministic_euler_recursion():
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_blowup_is_reported_with_step_index():
-    m = FastSlowModel(1, 1,
-                      f=lambda x, y: x ** 3,
-                      g=lambda x, y: np.zeros(1),
-                      sigma=lambda x, y: np.zeros((1, 1)))
-    with pytest.raises(IntegrationFailure) as err:
-        _direct(m, [4.0], [0.0], eps=0.1, h=1.0, T=50.0)
-    # x runs 68, 3.1e5, 3.1e16, 3.0e49, 2.7e148, then overflows on step 6
-    assert err.value.step == 6
-    assert err.value.time == 6.0
+    # the second f raises on inf (math.sin), so the integrator must stop
+    # before the field sees the overflowed state
+    for f in (lambda x, y: x ** 3,
+              lambda x, y: x ** 3 + 0.0 * math.sin(x[0])):
+        m = FastSlowModel(1, 1,
+                          f=f,
+                          g=lambda x, y: np.zeros(1),
+                          sigma=lambda x, y: np.zeros((1, 1)))
+        with pytest.raises(IntegrationFailure) as err:
+            _direct(m, [4.0], [0.0], eps=0.1, h=1.0, T=50.0)
+        # x runs 68, 3.1e5, 3.1e16, 3.0e49, 2.7e148, then overflows on
+        # step 6
+        assert err.value.step == 6
+        assert err.value.time == 6.0
 
 
 def test_dimension_mismatch_is_rejected():
