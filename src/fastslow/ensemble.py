@@ -7,17 +7,19 @@ composition, scheduling and worker count. The ensemble functions run many
 chains per block; :func:`fastslow.schemes.run_scheme` is a one-lane call
 of the same drivers with its own stream keys.
 
-Two field back-ends, picked from ``model.scalar_ou``, each with one micro
-burst and one direct Euler step:
+Two back-ends, picked from ``model.scalar_ou``, each with one micro
+burst and one direct Euler step, and each advancing all lanes at once:
 
-* ScalarOU models (all builtins): lanes are (B,) arrays and the arithmetic
-  is vectorised. The micro burst reduces to a first-order linear
-  recurrence: one ``scipy.signal.lfilter`` call when all lanes share the
-  decay, else one loop over time doing lfilter's float operations for all
-  lanes, whose output must be C-contiguous (``mean(axis=1)`` sums a
-  strided view in another order).
+* ScalarOU models (all builtins): lanes are (B,) arrays. The micro burst
+  reduces to a first-order linear recurrence: one ``scipy.signal.lfilter``
+  call when all lanes share the decay, else one loop over time doing
+  lfilter's float operations for all lanes, whose output must be
+  C-contiguous (``mean(axis=1)`` sums a strided view in another order).
 * Models without the hint, of any (d, e): lanes are (B, d) and (B, e)
-  arrays, and ``f``, ``g`` and ``sigma`` are called lane by lane.
+  arrays, and each step calls ``f``, ``g`` and ``sigma`` once on all of
+  them. No field sees a non-finite state: a burst lane that turns
+  non-finite keeps its last finite state, and direct steps stop at the
+  first non-finite one.
 
 Every run steps its lanes, :class:`_MacroLanes` or :class:`_DirectLanes`,
 through one chunked loop, :func:`_chunks`. Macro lanes fold each lane's key
@@ -37,14 +39,6 @@ from .rng import RngStream, StreamBlock
 from .sde import FastSlowModel, IntegrationFailure
 
 ENSEMBLE_SCHEMES = ("direct", "hmm", "phmm")
-
-
-def _require_scalar_ou(model: FastSlowModel):
-    if model.scalar_ou is None:
-        raise ValueError(
-            f"model {model.name!r} has no ScalarOU structure; the batched "
-            "drivers support scalar fast-OU models only")
-    return model.scalar_ou
 
 
 def _linear_recurrence(a: np.ndarray, u: np.ndarray, y0: np.ndarray) -> np.ndarray:
@@ -74,10 +68,10 @@ def _ou_path(sou, x: np.ndarray, y0: np.ndarray, xi: np.ndarray,
     return _linear_recurrence(1.0 - kappa * dt, u, y0)
 
 
-def _ou_burst(sou, x, y, xi, dt):
+def _ou_burst(model, x, y, xi, dt):
     """ScalarOU micro bursts of lanes x, y (B,) with normals xi (B, M)."""
-    y_path = _ou_path(sou, x, y, xi, dt)
-    f_path = np.asarray(sou.f(x[:, None], y_path), dtype=float)
+    y_path = _ou_path(model.scalar_ou, x, y, xi, dt)
+    f_path = np.asarray(model.f(x[:, None], y_path), dtype=float)
     f_avg = f_path.mean(axis=1)
     y_end = y_path[:, -1]
     bad = ~(np.isfinite(f_avg) & np.isfinite(y_end))
@@ -92,30 +86,34 @@ def _ou_burst(sou, x, y, xi, dt):
     return f_avg, y_end
 
 
-def _point_step(model, x, y, z, dt, sq_dt):
-    """One Euler-Maruyama fast step of one lane of a model without the
-    hint, driven by the (e,) normals z; ``sq_dt`` is sqrt(dt)."""
-    return (y + dt * np.asarray(model.g(x, y), dtype=float)
-            + sq_dt * (np.asarray(model.sigma(x, y), dtype=float) @ z))
+def _fast_step(model, x, y, z, dt, sq_dt):
+    """One Euler-Maruyama fast step of lanes x (B, d), y (B, e) of a model
+    without the hint, driven by normals z (B, e); ``sq_dt`` is sqrt(dt)."""
+    return (y + dt * model.g(x, y)
+            + sq_dt * (model.sigma(x, y) @ z[:, :, None])[:, :, 0])
 
 
-def _point_burst(model, x, y, xi, dt):
-    """Micro bursts of lanes x (B, d), y (B, e) of a model without the hint,
-    with normals xi (B, M, e)."""
+def _field_burst(model, x, y, xi, dt):
+    """Micro bursts of lanes x (B, d), y (B, e) of a model without the hint.
+    A lane that turns non-finite keeps its last finite state; the lowest
+    such lane fails, at its first non-finite step."""
     sq_dt = math.sqrt(dt)
-    f_avg = np.empty((len(x), model.slow_dim))
-    y_end = np.empty_like(y)
-    for lane, (x_l, y_l) in enumerate(zip(x, y)):
-        f_sum = np.zeros(model.slow_dim)
-        for m, z in enumerate(xi[lane]):
-            y_l = _point_step(model, x_l, y_l, z, dt, sq_dt)
-            if not np.isfinite(y_l).all():
-                raise IntegrationFailure("non-finite fast state in micro "
-                                         "burst", micro_index=m + 1,
-                                         replica=lane)
-            f_sum += np.asarray(model.f(x_l, y_l), dtype=float)
-        f_avg[lane], y_end[lane] = f_sum / xi.shape[1], y_l
-    return f_avg, y_end
+    xi = xi.reshape(len(x), -1, model.fast_dim)
+    f_sum = np.zeros(x.shape)
+    failed = np.zeros(len(x), dtype=int)  # first non-finite step, 0 if none
+    for m in range(xi.shape[1]):
+        y_new = _fast_step(model, x, y, xi[:, m], dt, sq_dt)
+        if not np.isfinite(y_new).all():
+            bad = ~np.isfinite(y_new).all(axis=1)
+            failed[bad & (failed == 0)] = m + 1
+            y_new[bad] = y[bad]
+        y = y_new
+        f_sum += model.f(x, y)
+    if failed.any():
+        lane = int(np.argmax(failed > 0))
+        raise IntegrationFailure("non-finite fast state in micro burst",
+                                 micro_index=int(failed[lane]), replica=lane)
+    return f_sum / xi.shape[1], y
 
 
 def _burst(model, x, y, xi, dt):
@@ -125,10 +123,8 @@ def _burst(model, x, y, xi, dt):
     (f_avg, y_end): the Birkhoff averages of f over the post-update states
     and the final fast states. A failure's ``replica`` is the lane index.
     """
-    if model.scalar_ou is not None:
-        return _ou_burst(model.scalar_ou, x, y, xi, dt)
-    return _point_burst(model, x, y, xi.reshape(len(x), -1, model.fast_dim),
-                        dt)
+    burst = _ou_burst if model.scalar_ou is not None else _field_burst
+    return burst(model, x, y, xi, dt)
 
 
 def burst_batch(model: FastSlowModel, x: np.ndarray, y: np.ndarray,
@@ -223,10 +219,13 @@ def _one_lane(model, point: np.ndarray) -> np.ndarray:
 def _start_arrays(model, x0, y0, n_chains, k):
     """Per-chain start values of a ScalarOU model; y0 defaults to the
     frozen-x fast mean."""
-    sou = _require_scalar_ou(model)
+    if model.scalar_ou is None:
+        raise ValueError(
+            f"model {model.name!r} has no ScalarOU structure; the batched "
+            "drivers support scalar fast-OU models only")
     x = np.broadcast_to(np.asarray(x0, dtype=float), (n_chains,)).copy()
     if y0 is None:
-        y = _fast_mean(sou, x)
+        y = _fast_mean(model.scalar_ou, x)
     else:
         y = np.broadcast_to(np.asarray(y0, dtype=float), (n_chains,)).copy()
     return x, np.repeat(y[:, None], k, axis=1)
@@ -243,36 +242,37 @@ def _direct_generators(base, ids):
     return base.children(ids[:, None]).child(-2).child(0).generators()
 
 
-def _ou_steps(sou, cfg, x, y, xi):
+def _ou_steps(model, cfg, x, y, xi):
     """Direct Euler steps of ScalarOU lanes (B,) driven by normals xi (B, n):
     the slow and fast lanes after each step, shape (n, B) each. The noise
     is scaled once per chunk and stored step-major."""
+    sou = model.scalar_ou
     noise = np.multiply(sou.sigma * math.sqrt(cfg.micro_dt), xi.T, order="C")
     h, dt = cfg.eps * cfg.micro_dt, cfg.micro_dt
     xs, ys = np.empty_like(noise), np.empty_like(noise)
     for z, x_out, y_out in zip(noise, xs, ys):
-        f_val = sou.f(x, y)
+        f_val = model.f(x, y)
         y = np.add(y + dt * sou.decay(x) * (sou.mean(x) - y), z, y_out)
         x = np.add(x, h * f_val, x_out)
     return xs, ys
 
 
-def _point_steps(model, cfg, x, y, xi):
+def _field_steps(model, cfg, x, y, xi):
     """Direct Euler steps of lanes x (B, d), y (B, e) of a model without
-    the hint, with normals xi (B, n, e): the lanes after each step, shapes
-    (n, B, d) and (n, B, e). A lane stops at its first non-finite step, so
-    no field sees a non-finite state; :func:`_chunks` raises there."""
+    the hint, with normals xi (B, n * e): the lanes after each step, shapes
+    (n, B, d) and (n, B, e). Stepping stops after the first non-finite step,
+    so no field sees a non-finite state; :func:`_chunks` raises there."""
     h, dt = cfg.eps * cfg.micro_dt, cfg.micro_dt
     sq_dt = math.sqrt(dt)
+    xi = xi.reshape(len(x), -1, model.fast_dim)
     xs = np.empty((xi.shape[1],) + x.shape)
     ys = np.empty((xi.shape[1],) + y.shape)
-    for lane, (x_l, y_l) in enumerate(zip(x, y)):
-        for m, z in enumerate(xi[lane]):
-            x_new = x_l + h * np.asarray(model.f(x_l, y_l), dtype=float)
-            y_l = ys[m, lane] = _point_step(model, x_l, y_l, z, dt, sq_dt)
-            x_l = xs[m, lane] = x_new
-            if not (np.isfinite(x_l).all() and np.isfinite(y_l).all()):
-                break
+    for m in range(xi.shape[1]):
+        x_new = x + h * model.f(x, y)
+        y = ys[m] = _fast_step(model, x, y, xi[:, m], dt, sq_dt)
+        x = xs[m] = x_new
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            return xs[:m + 1], ys[:m + 1]
     return xs, ys
 
 
@@ -296,11 +296,8 @@ class _DirectLanes:
         xi = np.empty((len(self.gens), n * model.fast_dim))
         for row, g in zip(xi, self.gens):
             g.standard_normal(out=row)
-        if model.scalar_ou is not None:
-            xs, ys = _ou_steps(model.scalar_ou, self.cfg, self.x, self.y, xi)
-        else:
-            xs, ys = _point_steps(model, self.cfg, self.x, self.y,
-                                  xi.reshape(len(xi), n, model.fast_dim))
+        steps = _ou_steps if model.scalar_ou is not None else _field_steps
+        xs, ys = steps(model, self.cfg, self.x, self.y, xi)
         self.x, self.y = xs[-1], ys[-1]
         return xs, ys
 
@@ -448,18 +445,17 @@ def pooled_stationary_samples(model: FastSlowModel, scheme: str, cfg,
     return np.concatenate([p.T.reshape(-1) for p in parts])
 
 
-def _equilibrate_fast(model, cfg, x, ids, base, equil_fast_time, k):
-    """Independent frozen-x fast equilibration for k replicas per chain."""
-    sou = _require_scalar_ou(model)
+def _equilibrate_fast(model, cfg, x, yrep, ids, base, equil_fast_time):
+    """Fast replicas yrep (B, k) after frozen-x equilibration bursts."""
+    k = yrep.shape[1]
     m_eq = max(1, round(equil_fast_time / cfg.micro_dt))
-    xx = np.repeat(x, k)
-    streams = _replica_streams(base, ids, k, -1)
     try:
-        _, y_end = burst_batch(model, xx, _fast_mean(sou, xx), streams, m_eq,
+        _, y_end = burst_batch(model, np.repeat(x, k), yrep.reshape(-1),
+                               _replica_streams(base, ids, k, -1), m_eq,
                                cfg.micro_dt)
     except IntegrationFailure as err:
         raise _burst_failure(err, ids, k, "equilibration burst") from err
-    return y_end.reshape(len(ids), k)
+    return y_end.reshape(yrep.shape)
 
 
 def first_passage_block(model: FastSlowModel, scheme: str, cfg, basin,
@@ -478,8 +474,8 @@ def first_passage_block(model: FastSlowModel, scheme: str, cfg, basin,
     _check_scheme(scheme)
     k = cfg.lam if scheme == "phmm" else 1
     ids = np.asarray(ids, dtype=int)
-    x = np.full(ids.size, float(basin.start_point))
-    yrep = _equilibrate_fast(model, cfg, x, ids, base, equil_fast_time, k)
+    x, yrep = _start_arrays(model, basin.start_point, None, ids.size, k)
+    yrep = _equilibrate_fast(model, cfg, x, yrep, ids, base, equil_fast_time)
     if scheme == "direct":
         lanes = _DirectLanes(model, cfg, ids, x, yrep[:, 0],
                              _direct_generators(base, ids))

@@ -23,27 +23,7 @@ from scipy.optimize import bisect
 
 from .ensemble import _burst, _fast_mean, _one_lane
 from .rng import RngStream
-from .sde import FastSlowModel, IntegrationFailure, ScalarOU
-
-
-def _scalar_system(name, f_ew, decay_ew, mean_ew, sigma_const, averaged):
-    """Wrap broadcasting scalar fields into a FastSlowModel."""
-
-    def f(x, y):
-        return np.atleast_1d(np.asarray(f_ew(x[0], y[0]), dtype=float))
-
-    def g(x, y):
-        return np.atleast_1d(decay_ew(x[0]) * (mean_ew(x[0]) - y[0]))
-
-    def sigma(x, y):
-        return np.array([[sigma_const]], dtype=float)
-
-    def F(x):
-        return np.atleast_1d(np.asarray(averaged(x[0]), dtype=float))
-
-    ou = ScalarOU(decay=decay_ew, mean=mean_ew, sigma=sigma_const, f=f_ew)
-    return FastSlowModel(1, 1, f, g, sigma, averaged_drift=F, scalar_ou=ou,
-                         name=name)
+from .sde import FastSlowModel, IntegrationFailure, ScalarOU, _as_point
 
 
 @dataclass(frozen=True)
@@ -68,14 +48,12 @@ class LinearOUModel:
 
     def system(self) -> FastSlowModel:
         th, mu = self.theta, self.mu
-        return _scalar_system(
-            "linear_ou",
-            f_ew=lambda x, y: y - x,
-            decay_ew=lambda x: th,
-            mean_ew=lambda x: mu * np.asarray(x, dtype=float),
-            sigma_const=self.sigma_f,
-            averaged=self.averaged_drift,
-        )
+        return FastSlowModel(
+            1, 1, lambda x, y: y - x, averaged_drift=self.averaged_drift,
+            scalar_ou=ScalarOU(decay=lambda x: th,
+                               mean=lambda x: mu * np.asarray(x, dtype=float),
+                               sigma=self.sigma_f),
+            name="linear_ou")
 
 
 @dataclass(frozen=True)
@@ -101,14 +79,12 @@ class DoubleWellModel:
 
     def system(self) -> FastSlowModel:
         th, mu = self.theta, self.mu
-        return _scalar_system(
-            "double_well",
-            f_ew=lambda x, y: y - x ** 3,
-            decay_ew=lambda x: th,
-            mean_ew=lambda x: mu * np.asarray(x, dtype=float),
-            sigma_const=self.sigma_f,
-            averaged=self.averaged_drift,
-        )
+        return FastSlowModel(
+            1, 1, lambda x, y: y - x ** 3, averaged_drift=self.averaged_drift,
+            scalar_ou=ScalarOU(decay=lambda x: th,
+                               mean=lambda x: mu * np.asarray(x, dtype=float),
+                               sigma=self.sigma_f),
+            name="double_well")
 
 
 @dataclass(frozen=True)
@@ -146,14 +122,12 @@ class NonDiffusiveModel:
 
     def system(self) -> FastSlowModel:
         nu = self.nu
-        return _scalar_system(
-            "non_diffusive",
-            f_ew=lambda x, y: y ** 2 - nu * x,
-            decay_ew=self.gamma,
-            mean_ew=lambda x: 0.0,
-            sigma_const=self.sigma_f,
-            averaged=self.averaged_drift,
-        )
+        return FastSlowModel(
+            1, 1, lambda x, y: y ** 2 - nu * x,
+            averaged_drift=self.averaged_drift,
+            scalar_ou=ScalarOU(decay=self.gamma, mean=lambda x: 0.0,
+                               sigma=self.sigma_f),
+            name="non_diffusive")
 
 
 BUILTIN_MODELS = {
@@ -214,18 +188,24 @@ def empirical_averaged_drift(model: FastSlowModel, x, micro_dt: float,
     ceil(t_avg/micro_dt) more, drawing all Gaussians sequentially from
     ``stream``. Structured models start at the frozen-x fast mean, generic
     ones at the origin; the burn window absorbs the difference.
+
+    Raises:
+        ValueError: if x is not a (d,) point, ``micro_dt`` or ``t_avg`` is
+            not positive and finite, or ``t_burn`` is not finite and >= 0.
     """
-    if t_avg <= 0:
-        raise ValueError("t_avg must be positive")
-    m_burn = math.ceil(t_burn / micro_dt) if t_burn > 0 else 0
+    for name, value in (("micro_dt", micro_dt), ("t_avg", t_avg)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got "
+                             f"{value}")
+    if not (math.isfinite(t_burn) and t_burn >= 0):
+        raise ValueError(f"t_burn must be finite and >= 0, got {t_burn}")
+    m_burn = math.ceil(t_burn / micro_dt)
     m_avg = math.ceil(t_avg / micro_dt)
     if m_avg < 1:
         raise ValueError("t_avg must cover at least one micro step")
-    x_lane = _one_lane(model, np.atleast_1d(np.asarray(x, dtype=float)))
-    if model.scalar_ou is not None:
-        y = _fast_mean(model.scalar_ou, x_lane)
-    else:
-        y = np.zeros((1, model.fast_dim))
+    x_lane = _one_lane(model, _as_point(x, model.slow_dim, "x"))
+    y = (_fast_mean(model.scalar_ou, x_lane) if model.scalar_ou is not None
+         else np.zeros((1, model.fast_dim)))
     xi = stream.normals((m_burn + m_avg) * model.fast_dim)[None, :]
     cut = m_burn * model.fast_dim
     if m_burn:

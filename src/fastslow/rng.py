@@ -86,9 +86,23 @@ def _key_halves(root_seed: int, key: tuple[int, ...]) -> tuple[int, int]:
     return h0, h1
 
 
-def _philox_key(root_seed: int, key: tuple[int, ...]) -> np.ndarray:
-    """Mix (root_seed, key...) into the 128-bit Philox key."""
-    return np.array(_key_halves(root_seed, key), dtype=np.uint64)
+# a Philox seeded from it and then given a freshly keyed state draws what
+# Philox(key=...) draws, which first seeds a SeedSequence from OS entropy
+_PLACEHOLDER_SEED = np.random.SeedSequence(0)
+
+
+def _fresh_state(k0: int, k1: int) -> dict:
+    """A freshly keyed Philox state, from plain ints: counter 0, key
+    (k0, k1) and an empty buffer."""
+    return {"bit_generator": "Philox", "buffer": [0, 0, 0, 0],
+            "state": {"counter": [0, 0, 0, 0], "key": [k0, k1]},
+            "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
+def _keyed_generator(k0: int, k1: int) -> np.random.Generator:
+    bitgen = np.random.Philox(_PLACEHOLDER_SEED)
+    bitgen.state = _fresh_state(k0, k1)
+    return np.random.Generator(bitgen)
 
 
 @dataclass
@@ -123,8 +137,8 @@ class RngStream:
     @property
     def generator(self) -> np.random.Generator:
         if self._gen is None:
-            bitgen = np.random.Philox(key=_philox_key(self.root_seed, self.stream_key))
-            self._gen = np.random.Generator(bitgen)
+            self._gen = _keyed_generator(*_key_halves(self.root_seed,
+                                                      self.stream_key))
         return self._gen
 
     def normals(self, shape) -> np.ndarray:
@@ -180,19 +194,15 @@ class StreamBlock:
                            _splitmix64_u64(self.h1 + q))
 
     def keys(self) -> np.ndarray:
-        """(B, 2) uint64 Philox keys, row r bit-equal to ``_philox_key``."""
+        """(B, 2) uint64 Philox keys, row r the ``_key_halves`` of stream r."""
         return np.stack([self.h0, self.h1], axis=1)
 
     def normals(self, m: int) -> np.ndarray:
         """(B, m) block: row r holds the first m normals of stream r."""
         out = np.empty((len(self), m))
-        # a fixed placeholder seed; every row overwrites the whole state
-        bitgen = np.random.Philox(0)
+        bitgen = np.random.Philox(_PLACEHOLDER_SEED)
         gen = np.random.Generator(bitgen)
-        state = {"bit_generator": "Philox",
-                 "state": {"counter": [0, 0, 0, 0], "key": None},
-                 "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
-                 "uinteger": 0}
+        state = _fresh_state(0, 0)  # every row sets its key
         for row, k0, k1 in zip(out, self.h0.tolist(), self.h1.tolist()):
             state["state"]["key"] = [k0, k1]
             bitgen.state = state
@@ -201,5 +211,5 @@ class StreamBlock:
 
     def generators(self) -> list[np.random.Generator]:
         """One generator per row, for streams drawn across several calls."""
-        return [np.random.Generator(np.random.Philox(key=k))
-                for k in self.keys()]
+        return [_keyed_generator(k0, k1)
+                for k0, k1 in zip(self.h0.tolist(), self.h1.tolist())]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,7 +39,7 @@ class SchemeConfig:
             ``eps * micro_dt`` of slow time.
         root_seed: seed of the random stream hierarchy.
 
-    The derived burst length ``micro_count`` must satisfy
+    The derived burst length ``micro_count`` (not an argument) must satisfy
     ``macro_dt == lam * micro_count * eps * micro_dt`` to one part in 1e12;
     configurations that round worse than that are rejected.
     """
@@ -49,7 +49,7 @@ class SchemeConfig:
     macro_dt: float
     micro_dt: float
     root_seed: int
-    micro_count: int = 0  # derived
+    micro_count: int = field(init=False)
 
     def __post_init__(self):
         for name in ("eps", "macro_dt", "micro_dt"):
@@ -147,7 +147,7 @@ def run_scheme(model: FastSlowModel, scheme: str, x0, y0, cfg: SchemeConfig,
             states.append(x.copy())
     else:
         y = _as_point(y0, model.fast_dim, "y0")
-        model.check_shapes(x, y)
+        model.check_shapes(x[None], y[None])
         x, y = _one_lane(model, x), _one_lane(model, y)
         lane = np.zeros(1, dtype=int)  # the chain id failures report
         if scheme == "direct":

@@ -48,17 +48,17 @@ class IntegrationFailure(RuntimeError):
 class ScalarOU:
     """Structure hint for models whose fast process is a scalar OU.
 
-    Declares that d = e = 1, that the fast drift is linear in y,
-    ``g(x, y) = decay(x) * (mean(x) - y)``, and that the diffusion amplitude
-    is the constant ``sigma``. The lane drivers use it to vectorise lanes
-    and to advance micro bursts with a C-level linear recurrence; the
-    ensemble entry points require it.
+    Declares d = e = 1, the fast drift ``g(x, y) = decay(x) * (mean(x) - y)``
+    and the constant diffusion amplitude ``sigma``; a model with the hint
+    takes ``g`` and ``sigma`` from it, and its ``f`` must act elementwise.
+    The lane drivers keep its lanes as (B,) arrays and advance its micro
+    bursts with a C-level linear recurrence; the ensemble entry points
+    require it.
     """
 
     decay: Callable[[np.ndarray], np.ndarray]
     mean: Callable[[np.ndarray], np.ndarray]
     sigma: float
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray]  # broadcasting slow drift
 
 
 @dataclass(frozen=True)
@@ -68,24 +68,26 @@ class FastSlowModel:
     Args:
         slow_dim: dimension d of the slow block.
         fast_dim: dimension e of the fast block.
-        f: slow drift, (x: (d,), y: (e,)) -> (d,).
-        g: fast drift before the 1/eps scaling, (x, y) -> (e,).
-        sigma: fast diffusion before the 1/sqrt(eps) scaling, (x, y) -> (e, e).
+        f: slow drift, (x: (B, d), y: (B, e)) -> (B, d).
+        g: fast drift before the 1/eps scaling, (x, y) -> (B, e).
+        sigma: fast diffusion before the 1/sqrt(eps) scaling, -> (B, e, e).
         averaged_drift: optional closed-form averaged slow drift F(x),
             required by the ``averaged`` scheme.
-        scalar_ou: optional :class:`ScalarOU` structure hint enabling the
-            vectorised lanes and the ensemble drivers.
+        scalar_ou: optional :class:`ScalarOU` hint, given instead of g and
+            sigma.
         name: label recorded in trajectory metadata.
 
-    All callables must be pure; output shapes are checked against (d, e) on
-    first use by the integrators.
+    The fields take B lanes at once, lane i depending on lane i only, and
+    return arrays that broadcast to the shapes above (a constant field may
+    return ``np.eye(e)``). All callables must be pure; :meth:`check_shapes`
+    checks one lane.
     """
 
     slow_dim: int
     fast_dim: int
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    sigma: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    sigma: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     averaged_drift: Callable[[np.ndarray], np.ndarray] | None = None
     scalar_ou: ScalarOU | None = None
     name: str = "custom"
@@ -93,21 +95,32 @@ class FastSlowModel:
     def __post_init__(self):
         if self.slow_dim < 1 or self.fast_dim < 1:
             raise ValueError("slow_dim and fast_dim must be positive")
+        sou, fields = self.scalar_ou, (self.g, self.sigma)
+        if sou is None and None in fields:
+            raise ValueError("a model without a ScalarOU hint needs g and "
+                             "sigma")
+        if sou is None:
+            return
+        if (self.slow_dim, self.fast_dim) != (1, 1):
+            raise ValueError(f"a ScalarOU model has d = e = 1, got d = "
+                             f"{self.slow_dim}, e = {self.fast_dim}")
+        if fields != (None, None):
+            raise ValueError("a ScalarOU model takes g and sigma from its "
+                             "hint; pass f only")
+        object.__setattr__(self, "g",
+                           lambda x, y: sou.decay(x) * (sou.mean(x) - y))
+        object.__setattr__(self, "sigma",
+                           lambda x, y: np.full((1, 1), float(sou.sigma)))
 
     def check_shapes(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Verify the declared (d, e) against one evaluation point."""
-        fx = np.asarray(self.f(x, y), dtype=float)
-        gx = np.asarray(self.g(x, y), dtype=float)
-        sx = np.asarray(self.sigma(x, y), dtype=float)
-        if fx.shape != (self.slow_dim,):
-            raise ValueError(f"f returned shape {fx.shape}, expected ({self.slow_dim},)")
-        if gx.shape != (self.fast_dim,):
-            raise ValueError(f"g returned shape {gx.shape}, expected ({self.fast_dim},)")
-        if sx.shape != (self.fast_dim, self.fast_dim):
-            raise ValueError(
-                f"sigma returned shape {sx.shape}, expected "
-                f"({self.fast_dim}, {self.fast_dim})"
-            )
+        """Verify the declared (d, e) on one lane, x (1, d) and y (1, e)."""
+        d, e = self.slow_dim, self.fast_dim
+        for label, fn, want in (("f", self.f, (d,)), ("g", self.g, (e,)),
+                                ("sigma", self.sigma, (e, e))):
+            shape = np.shape(fn(x, y))
+            if shape not in (want, (1,) + want):
+                raise ValueError(f"{label} returned shape {shape}, expected "
+                                 f"{want} or {(1,) + want}")
 
 
 @dataclass

@@ -1,6 +1,7 @@
-"""The lane drivers: the ScalarOU back-end must match the per-point
-back-end to rounding, and every lane must be invariant to block
-composition, executors and whether it runs alone."""
+"""The lane drivers: the ScalarOU back-end must match the field back-end
+(``f``, ``g`` and ``sigma`` called on all lanes at once) to rounding, and
+every lane of either must be invariant to block composition, executors
+and whether it runs alone."""
 
 from concurrent.futures import ThreadPoolExecutor
 
@@ -31,7 +32,7 @@ def _hintless(model):
 
 
 def test_batched_burst_matches_reference(dw_cfg):
-    # the per-point back-end is the reference of the ScalarOU one
+    # the field back-end is the reference of the ScalarOU one
     streams = RngStream(11).children([[0, 4]])
     for model in (fs.DoubleWellModel().system(),
                   fs.NonDiffusiveModel().system()):
@@ -80,6 +81,94 @@ def test_burst_batch_is_block_invariant(dw_cfg):
         assert y1[0] == y3[i]
 
 
+_A23 = np.array([[1.0, 0.2, 0.0], [0.1, 0.5, 0.3], [0.0, 0.4, 1.1]])
+
+
+def _model_23():
+    """d = 2, e = 3, with lane-dependent f, g and sigma."""
+    return fs.FastSlowModel(
+        2, 3,
+        f=lambda x, y: np.stack([y[:, 0] * y[:, 1] - x[:, 0],
+                                 np.sin(x[:, 1]) + y[:, 2]], axis=1),
+        g=lambda x, y: np.concatenate([x, x[:, :1]], axis=1) - y,
+        sigma=lambda x, y: _A23 * (1.0 + 0.1 * np.tanh(x[:, :1]))[:, :, None])
+
+
+_HINTLESS_LANES = {
+    "linear_ou": (_hintless(fs.LinearOUModel().system()), [[-1.0], [0.4],
+                                                           [1.3]]),
+    "double_well": (_hintless(fs.DoubleWellModel(sigma_f=7.5).system()),
+                    [[-1.0], [0.4], [1.3]]),
+    "non_diffusive": (_hintless(fs.NonDiffusiveModel().system()),
+                      [[0.6], [1.0], [2.2]]),
+    "d2_e3": (_model_23(), [[0.3, -0.2], [1.0, 0.5], [-0.7, 2.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HINTLESS_LANES))
+def test_field_lanes_alone_equal_lanes_in_block(dw_cfg, name):
+    # the field back-end steps all lanes at once; each lane must still get
+    # bitwise what it gets alone, in a burst and over direct chunks
+    model, x = _HINTLESS_LANES[name]
+    x = np.array(x)
+    y = np.linspace(-0.5, 0.5, 3 * model.fast_dim).reshape(3, -1)
+    base = RngStream(17)
+    ids = np.arange(3)
+    streams = base.children(ids[:, None])
+    f3, y3 = burst_batch(model, x, y, streams, 300, 0.05)
+    rec3 = _fixed_horizon(_DirectLanes(model, dw_cfg, ids, x, y,
+                                       _direct_generators(base, ids)), 700)
+    for i in ids:
+        one = ids[i:i + 1]
+        f1, y1 = burst_batch(model, x[one], y[one], streams[one], 300, 0.05)
+        rec1 = _fixed_horizon(_DirectLanes(model, dw_cfg, one, x[one],
+                                           y[one],
+                                           _direct_generators(base, one)),
+                              700)
+        assert np.array_equal(f1[0], f3[i]) and np.array_equal(y1[0], y3[i])
+        assert np.array_equal(rec1[:, 0], rec3[:, i])
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_field_burst_names_the_lowest_failing_lane():
+    # g = y^3 at dt = 1 without noise: y = 3 runs 30, 2.7e4, 2e13, 8e39,
+    # 5e119 and overflows on step 6, y = 30 one step earlier; lane 1 fails
+    # after lane 2 but is the lower lane, so it is reported at its own step
+    def g(x, y):
+        assert np.isfinite(y).all()  # no field sees a non-finite state
+        return y ** 3
+
+    model = fs.FastSlowModel(1, 1, f=lambda x, y: y, g=g,
+                             sigma=lambda x, y: np.zeros((1, 1)))
+    with pytest.raises(fs.IntegrationFailure) as err:
+        burst_batch(model, np.zeros((3, 1)), np.array([[0.0], [3.0], [30.0]]),
+                    RngStream(1).children([[0], [1], [2]]), 10, 1.0)
+    assert err.value.replica == 1
+    assert err.value.micro_index == 6
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"g": lambda x, y: -y}, "pass f only"),
+    ({"sigma": lambda x, y: np.eye(1)}, "pass f only"),
+    ({"slow_dim": 2}, "d = e = 1"),
+    ({"fast_dim": 2}, "d = e = 1"),
+])
+def test_hint_model_takes_f_and_the_hint_only(kwargs, match):
+    args = {"slow_dim": 1, "fast_dim": 1, "f": lambda x, y: y,
+            "scalar_ou": fs.ScalarOU(decay=lambda x: 1.0,
+                                     mean=lambda x: 0.0, sigma=1.0)}
+    with pytest.raises(ValueError, match=match):
+        fs.FastSlowModel(**{**args, **kwargs})
+
+
+@pytest.mark.parametrize("missing", ["g", "sigma"])
+def test_model_without_hint_needs_g_and_sigma(missing):
+    fields = {"g": lambda x, y: -y, "sigma": lambda x, y: np.eye(1)}
+    del fields[missing]
+    with pytest.raises(ValueError, match="needs g and sigma"):
+        fs.FastSlowModel(1, 1, lambda x, y: y, **fields)
+
+
 def test_burst_batch_needs_one_stream_per_chain(dw_cfg):
     model = fs.DoubleWellModel().system()
     with pytest.raises(ValueError, match="2 streams for 3 chains"):
@@ -116,7 +205,7 @@ def test_scheme_samples_block_invariance(dw_cfg):
 
 
 def test_direct_samples_match_reference_integrator(dw_cfg):
-    # the per-point back-end on the same keys is the reference
+    # the field back-end on the same keys is the reference
     model = fs.DoubleWellModel().system()
     base = RngStream(21)
     times, rec = direct_samples(model, dw_cfg, -1.0, 0.5, 1.0, [4], base,
@@ -248,10 +337,8 @@ def test_equilibration_failure_names_the_chain(scheme):
     # decay -1 at micro_dt 1 doubles the fast state every equilibration
     # step, so it overflows after about 1,025 of the 2,000 steps
     sou = fs.ScalarOU(decay=lambda x: np.full_like(x, -1.0),
-                      mean=lambda x: np.zeros_like(x), sigma=1.0,
-                      f=lambda x, y: y)
-    model = fs.FastSlowModel(1, 1, f=lambda x, y: y, g=lambda x, y: y,
-                             sigma=lambda x, y: np.eye(1), scalar_ou=sou)
+                      mean=lambda x: np.zeros_like(x), sigma=1.0)
+    model = fs.FastSlowModel(1, 1, f=lambda x, y: y, scalar_ou=sou)
     cfg = SchemeConfig(eps=0.01, lam=2, macro_dt=0.1, micro_dt=1.0,
                        root_seed=1)
     with pytest.raises(fs.IntegrationFailure,
@@ -316,11 +403,8 @@ def _scripted_model():
     """f = y, g = -2 y: with micro_dt = 0.5 each fast step sets y to its
     scaled normal, and x moves by h * y one step later."""
     sou = fs.ScalarOU(decay=lambda x: np.full_like(x, 2.0),
-                      mean=lambda x: np.zeros_like(x), sigma=1.0,
-                      f=lambda x, y: y)
-    return fs.FastSlowModel(1, 1, f=lambda x, y: y,
-                            g=lambda x, y: -2.0 * y,
-                            sigma=lambda x, y: np.eye(1), scalar_ou=sou)
+                      mean=lambda x: np.zeros_like(x), sigma=1.0)
+    return fs.FastSlowModel(1, 1, f=lambda x, y: y, scalar_ou=sou)
 
 
 _SCRIPTED_CFG = SchemeConfig(eps=0.01, lam=1, macro_dt=0.005, micro_dt=0.5,

@@ -156,6 +156,27 @@ class TestEmpiricalAveragedDrift:
             assert abs(est[0] - expected) < band
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    ({"x": [0.5, 1.0]}, "x must have shape"),
+    ({"micro_dt": 0.0}, "micro_dt must be positive and finite"),
+    ({"micro_dt": -0.01}, "micro_dt must be positive and finite"),
+    ({"micro_dt": math.nan}, "micro_dt must be positive and finite"),
+    ({"t_avg": math.nan}, "t_avg must be positive and finite"),
+    ({"t_avg": math.inf}, "t_avg must be positive and finite"),
+    ({"t_avg": 0.0}, "t_avg must be positive and finite"),
+    ({"t_burn": math.inf}, "t_burn must be finite and >= 0"),
+    ({"t_burn": -1.0}, "t_burn must be finite and >= 0"),
+    ({"t_burn": math.nan}, "t_burn must be finite and >= 0"),
+])
+def test_empirical_drift_rejects_bad_inputs(kwargs, match):
+    args = {"x": [0.5], "micro_dt": 0.01, "t_burn": 1.0, "t_avg": 1.0}
+    args.update(kwargs)
+    with pytest.raises(ValueError, match=match):
+        empirical_averaged_drift(LinearOUModel().system(), args["x"],
+                                 args["micro_dt"], args["t_burn"],
+                                 args["t_avg"], RngStream(1))
+
+
 def test_generic_and_structured_drift_paths_agree():
     # the ScalarOU fast path and the generic micro-step loop consume the
     # same stream and must agree to rounding error

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastslow import RngStream
-from fastslow.rng import StreamBlock, _philox_key
+from fastslow.rng import StreamBlock, _key_halves
+
+
+def _philox_key(root_seed, key):
+    """The 128-bit Philox key of a stream, as two uint64 halves."""
+    return np.array(_key_halves(root_seed, key), dtype=np.uint64)
 
 
 def test_normals_moments():
@@ -136,6 +141,24 @@ def test_plain_int_reset_draws_like_a_freshly_keyed_philox():
         for row, key in zip(out, block.keys()):
             fresh = np.random.Generator(np.random.Philox(key=key))
             assert np.array_equal(row, fresh.standard_normal(m))
+
+
+def test_keyed_generators_draw_like_philox_of_their_key():
+    # generators() and RngStream.generator set the keyed state on a Philox
+    # from a placeholder seed; their draws must be those of Philox(key=k)
+    h0 = np.array([0, 2 ** 63, 2 ** 64 - 1, 12345], dtype=np.uint64)
+    h1 = np.array([2 ** 64 - 1, 7, 2 ** 63 + 1, 12345], dtype=np.uint64)
+    block = StreamBlock(h0, h1)
+    streams = [RngStream(5, (r, -2, 0)) for r in range(4)]
+    gens = block.generators() + [s.generator for s in streams]
+    keys = list(block.keys()) + [_philox_key(s.root_seed, s.stream_key)
+                                 for s in streams]
+    for gen, key in zip(gens, keys):
+        fresh = np.random.Generator(np.random.Philox(key=key))
+        for m in (3, 257):
+            assert np.array_equal(gen.standard_normal(m),
+                                  fresh.standard_normal(m))
+        assert np.array_equal(gen.random(5), fresh.random(5))
 
 
 def test_block_negative_parts_key_like_their_uint64_residues():

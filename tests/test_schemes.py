@@ -22,6 +22,10 @@ class TestSchemeConfig:
         assert cfg.macro_dt == pytest.approx(
             cfg.lam * cfg.micro_count * cfg.eps * cfg.micro_dt, rel=1e-13)
 
+    def test_micro_count_is_not_an_argument(self):
+        with pytest.raises(TypeError, match="micro_count"):
+            _cfg(micro_count=7)
+
     def test_inexact_macro_step_is_rejected(self):
         with pytest.raises(ValueError, match="integer number of micro steps"):
             _cfg(lam=3)  # 0.08 / (3 * 1e-3) = 26.67
@@ -73,7 +77,7 @@ def _hintless(model):
 
 
 class TestMicroBurst:
-    # builtin models run on both field back-ends: ScalarOU and per-point
+    # builtin models run on both back-ends: ScalarOU and the lane fields
     def test_frozen_fast_state(self):
         m = fs.FastSlowModel(1, 1,
                              f=lambda x, y: x + 2 * y,
@@ -117,10 +121,8 @@ class TestMicroBurst:
     def test_scalar_burst_failure_carries_micro_index(self):
         # decay -1 at dt = 1 doubles y each micro step: 2^1024 overflows
         sou = fs.ScalarOU(decay=lambda x: np.full_like(x, -1.0),
-                          mean=lambda x: np.zeros_like(x), sigma=0.0,
-                          f=lambda x, y: y)
-        m = fs.FastSlowModel(1, 1, lambda x, y: y, lambda x, y: y,
-                             lambda x, y: np.zeros((1, 1)), scalar_ou=sou)
+                          mean=lambda x: np.zeros_like(x), sigma=0.0)
+        m = fs.FastSlowModel(1, 1, lambda x, y: y, scalar_ou=sou)
         for model in (m, _hintless(m)):
             with pytest.raises(fs.IntegrationFailure) as err:
                 _burst(model, 0.0, 1.0, 2000, 1.0, 1)

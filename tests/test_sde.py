@@ -79,7 +79,7 @@ def test_blowup_is_reported_with_step_index():
     # the second f raises on inf (math.sin), so the integrator must stop
     # before the field sees the overflowed state
     for f in (lambda x, y: x ** 3,
-              lambda x, y: x ** 3 + 0.0 * math.sin(x[0])):
+              lambda x, y: x ** 3 + 0.0 * math.sin(x[0, 0])):
         m = FastSlowModel(1, 1,
                           f=f,
                           g=lambda x, y: np.zeros(1),
