@@ -5,7 +5,7 @@ while preserving the per-chain stream discipline: lane i draws exactly the
 values it would draw when run alone, so results are independent of block
 composition, scheduling and worker count. The ensemble functions run many
 chains per block; :func:`fastslow.schemes.run_scheme` is a one-lane call
-of the same drivers with its own stream keys.
+of the same drivers whose chain key is empty.
 
 Two back-ends, picked from ``model.scalar_ou``, each with one micro
 burst and one direct Euler step, and each advancing all lanes at once:
@@ -21,10 +21,9 @@ burst and one direct Euler step, and each advancing all lanes at once:
   non-finite keeps its last finite state, and direct steps stop at the
   first non-finite one.
 
-Every run steps its lanes, :class:`_MacroLanes` or :class:`_DirectLanes`,
-through one chunked loop, :func:`_chunks`. Macro lanes fold each lane's key
-prefix once, then only the macro index per step. The ensemble entry points (:func:`pooled_stationary_samples`,
-:func:`scheme_samples`, :func:`direct_samples`, :func:`first_passage_block`)
+Every run builds its lanes and their stream keys in :func:`_lanes` and
+steps them through one chunked loop, :func:`_chunks`; fixed-horizon runs
+record on the grid of :func:`_fixed_horizon`. The ensemble entry points
 need the hint: they start (B,) lanes, by default at the fast mean.
 """
 
@@ -156,14 +155,6 @@ def _burst_failure(err, ids, k, burst, **where):
         micro_index=err.micro_index, replica=int(ids[chain]), **where)
 
 
-def _replica_streams(base, ids, k, *middle):
-    """Streams ``base.child(cid, *middle, rep)`` of k replicas per chain."""
-    cids = np.repeat(ids, k)
-    return base.children(np.column_stack(
-        [cids, *(np.full_like(cids, p) for p in middle),
-         np.tile(np.arange(k), len(ids))]))
-
-
 class _MacroLanes:
     """HMM/PHMM lanes: chain ids, slow lanes x, k fast replicas per chain
     ``yrep`` (B, k) + fast lane shape, and the replicas' key prefix (B * k
@@ -231,15 +222,21 @@ def _start_arrays(model, x0, y0, n_chains, k):
     return x, np.repeat(y[:, None], k, axis=1)
 
 
-def _check_scheme(scheme: str, allowed=ENSEMBLE_SCHEMES) -> None:
+def _replica_count(scheme: str, cfg, allowed=ENSEMBLE_SCHEMES) -> int:
+    """Fast replicas per chain of ``scheme``: ``lam`` for phmm, else 1.
+    Raises ValueError for a scheme not in ``allowed``."""
     if scheme not in allowed:
         raise ValueError(f"unsupported scheme {scheme!r}; expected one of "
                          f"{allowed}")
+    return cfg.lam if scheme == "phmm" else 1
 
 
-def _direct_generators(base, ids):
-    """Long-lived generators of the direct draws ``base.child(cid, -2, 0)``."""
-    return base.children(ids[:, None]).child(-2).child(0).generators()
+def _replicas(keys, k, *middle):
+    """Streams ``key.child(*middle, rep)`` of k replicas per chain key."""
+    rows = keys[np.repeat(np.arange(len(keys)), k)]
+    for part in middle:
+        rows = rows.child(part)
+    return rows.child(np.tile(np.arange(k), len(keys)))
 
 
 def _ou_steps(model, cfg, x, y, xi):
@@ -336,17 +333,32 @@ def _chunks(lanes, n_steps):
         s += len(path)
 
 
-def _fixed_horizon(lanes, n_steps, stride=1):
-    """Slow lanes at every ``stride``-th of ``n_steps`` steps, stacked after
-    the start: shape (n_steps // stride + 1,) + x.shape."""
-    rec = np.empty((n_steps // stride + 1,) + lanes.x.shape)
+def _lanes(model, scheme, cfg, ids, x, yrep, keys):
+    """The lanes of a run of ``scheme``: chain ids, slow lanes x, fast
+    replicas yrep (B, k) + fast lane shape, and one chain key per lane in
+    the block ``keys``. Direct lanes draw from ``key.child(-2, 0)``, the
+    burst of replica rep at macro step n from ``key.child(rep, n)``."""
+    if scheme == "direct":
+        return _DirectLanes(model, cfg, ids, x, yrep[:, 0],
+                            keys.child(-2).child(0).generators())
+    return _MacroLanes(model, cfg, ids, x, yrep, _replicas(keys, yrep.shape[1]))
+
+
+def _fixed_horizon(lanes, t_end, record_dt):
+    """Record times and slow lanes of a run over ``t_end``: every stride-th
+    step, stride = max(1, round(record_dt / dt)), for ceil(t_end / (stride *
+    dt)) records after the start. Returns (times, rec), rec of shape
+    (n_rec + 1,) + x.shape."""
+    stride = max(1, round(record_dt / lanes.dt))
+    n_rec = math.ceil(t_end / (stride * lanes.dt))
+    rec = np.empty((n_rec + 1,) + lanes.x.shape)
     rec[0] = lanes.x
-    for s, path in _chunks(lanes, n_steps):
+    for s, path in _chunks(lanes, n_rec * stride):
         j = -(s + 1) % stride  # the chunk's first recorded row
         rows = path[j::stride]
         r = (s + 1 + j) // stride
         rec[r:r + len(rows)] = rows
-    return rec
+    return np.arange(n_rec + 1) * (stride * lanes.dt), rec
 
 
 def map_blocks(fn, n: int, block: int, executor=None) -> list:
@@ -362,6 +374,16 @@ def map_blocks(fn, n: int, block: int, executor=None) -> list:
     return [fut.result() for fut in futures]
 
 
+def _samples(model, scheme, cfg, x0, y0, t_chain, ids, base, record_dt,
+             allowed=ENSEMBLE_SCHEMES):
+    """(times, rec) of a block of chains recorded every ``record_dt``."""
+    ids = np.asarray(ids, dtype=int)
+    x, yrep = _start_arrays(model, x0, y0, ids.size,
+                            _replica_count(scheme, cfg, allowed))
+    lanes = _lanes(model, scheme, cfg, ids, x, yrep, base.children(ids[:, None]))
+    return _fixed_horizon(lanes, t_chain, record_dt)
+
+
 def scheme_samples(model: FastSlowModel, scheme: str, cfg, x0, y0,
                    t_chain: float, ids, base: RngStream):
     """Slow-variable samples of a block of hmm/phmm chains.
@@ -372,15 +394,8 @@ def scheme_samples(model: FastSlowModel, scheme: str, cfg, x0, y0,
     per-chain arrays; ``y0=None`` starts each fast replica at the frozen-x
     mean.
     """
-    _check_scheme(scheme, ("hmm", "phmm"))
-    ids = np.asarray(ids, dtype=int)
-    k = cfg.lam if scheme == "phmm" else 1
-    n_steps = math.ceil(t_chain / cfg.macro_dt)
-    x, yrep = _start_arrays(model, x0, y0, ids.size, k)
-    rec = _fixed_horizon(_MacroLanes(model, cfg, ids, x, yrep,
-                                     _replica_streams(base, ids, k)), n_steps)
-    times = np.arange(n_steps + 1) * cfg.macro_dt
-    return times, rec
+    return _samples(model, scheme, cfg, x0, y0, t_chain, ids, base,
+                    cfg.macro_dt, ("hmm", "phmm"))
 
 
 def direct_samples(model: FastSlowModel, cfg, x0, y0, t_chain: float, ids,
@@ -391,18 +406,8 @@ def direct_samples(model: FastSlowModel, cfg, x0, y0, t_chain: float, ids,
     slow time (default: cfg.macro_dt). Chain cid draws sequentially from
     ``base.child(cid, -2, 0)``.
     """
-    ids = np.asarray(ids, dtype=int)
-    h = cfg.eps * cfg.micro_dt
-    if record_dt is None:
-        record_dt = cfg.macro_dt
-    stride = max(1, round(record_dt / h))
-    n_rec = math.ceil(t_chain / (stride * h))
-    x, yrep = _start_arrays(model, x0, y0, ids.size, 1)
-    rec = _fixed_horizon(_DirectLanes(model, cfg, ids, x, yrep[:, 0],
-                                      _direct_generators(base, ids)),
-                         n_rec * stride, stride)
-    times = np.arange(n_rec + 1) * (stride * h)
-    return times, rec
+    return _samples(model, "direct", cfg, x0, y0, t_chain, ids, base,
+                    cfg.macro_dt if record_dt is None else record_dt)
 
 
 def pooled_stationary_samples(model: FastSlowModel, scheme: str, cfg,
@@ -424,7 +429,7 @@ def pooled_stationary_samples(model: FastSlowModel, scheme: str, cfg,
             ``n_chains`` or ``chain_block`` below 1, or when the per-chain
             time does not exceed ``burn_in``.
     """
-    _check_scheme(scheme)
+    _replica_count(scheme, cfg)  # rejects an unsupported scheme up front
     if n_chains < 1:
         raise ValueError(f"n_chains must be a positive integer, got {n_chains}")
     if t_total / n_chains <= burn_in:
@@ -445,13 +450,13 @@ def pooled_stationary_samples(model: FastSlowModel, scheme: str, cfg,
     return np.concatenate([p.T.reshape(-1) for p in parts])
 
 
-def _equilibrate_fast(model, cfg, x, yrep, ids, base, equil_fast_time):
+def _equilibrate_fast(model, cfg, x, yrep, ids, keys, equil_fast_time):
     """Fast replicas yrep (B, k) after frozen-x equilibration bursts."""
     k = yrep.shape[1]
     m_eq = max(1, round(equil_fast_time / cfg.micro_dt))
     try:
         _, y_end = burst_batch(model, np.repeat(x, k), yrep.reshape(-1),
-                               _replica_streams(base, ids, k, -1), m_eq,
+                               _replicas(keys, k, -1), m_eq,
                                cfg.micro_dt)
     except IntegrationFailure as err:
         raise _burst_failure(err, ids, k, "equilibration burst") from err
@@ -471,17 +476,12 @@ def first_passage_block(model: FastSlowModel, scheme: str, cfg, basin,
     chunk in which they crossed; macro lanes leave after the crossing step.
     Each lane records its first crossing step.
     """
-    _check_scheme(scheme)
-    k = cfg.lam if scheme == "phmm" else 1
+    k = _replica_count(scheme, cfg)
     ids = np.asarray(ids, dtype=int)
+    keys = base.children(ids[:, None])
     x, yrep = _start_arrays(model, basin.start_point, None, ids.size, k)
-    yrep = _equilibrate_fast(model, cfg, x, yrep, ids, base, equil_fast_time)
-    if scheme == "direct":
-        lanes = _DirectLanes(model, cfg, ids, x, yrep[:, 0],
-                             _direct_generators(base, ids))
-    else:
-        lanes = _MacroLanes(model, cfg, ids, x, yrep,
-                            _replica_streams(base, ids, k))
+    yrep = _equilibrate_fast(model, cfg, x, yrep, ids, keys, equil_fast_time)
+    lanes = _lanes(model, scheme, cfg, ids, x, yrep, keys)
     up = basin.direction == "upcrossing"
     thr = basin.target_threshold
     elapsed = np.full(ids.size, float(t_cap))

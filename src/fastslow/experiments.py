@@ -329,9 +329,9 @@ def _run_mfpt(cfg: ExperimentConfig, executor) -> list[OutputTable]:
     rows = []
     hmm_points = None
     for scheme in cfg.params["schemes"]:
-        cfg_base = _scheme_config(cfg, 1)
-        points = mean_first_passage_vs_lambda(
-            model, scheme, cfg_base, basin, lambdas, cfg.params["n_samples"],
+        points = mean_first_passage_vs_lambda(  # direct ignores lambda
+            model, scheme, _scheme_config(cfg, 1), basin,
+            (1,) if scheme == "direct" else lambdas, cfg.params["n_samples"],
             cfg.params["t_cap"], equil_fast_time=cfg.params["equil_fast_time"],
             executor=executor)
         if scheme == "hmm":

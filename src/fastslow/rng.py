@@ -8,23 +8,16 @@ statistically independent streams, and the sequence drawn from a given
 scheduling order. Values are consumed sequentially, so drawing a block of
 n values is bitwise identical to n single draws.
 
-Key layout conventions used by the integrators (all internal, documented
-here so outputs can be reproduced externally):
+Key layout used by the lane drivers (internal, documented here so outputs
+can be reproduced externally). Every SDE lane has a chain key: ``chain =
+base.child(i)`` for ensemble chain or passage sample ``i``, and the empty
+key, ``chain = base = RngStream(root_seed)``, for the one lane of
+``run_scheme``. A lane with e fast components draws e normals per micro or
+direct step, step-major, from:
 
-* ensemble chain / passage sample ``i``   -> ``base.child(i)``
-* micro burst of replica ``j`` at macro step ``n`` -> ``chain.child(j, n)``
-* equilibration burst of replica ``j``     -> ``chain.child(-1, j)``
-* sequential draws of a direct integration -> ``chain.child(-2, 0)``
-
-``run_scheme`` runs one lane of the same drivers with no chain key, so its
-streams hang directly off ``base = RngStream(root_seed)``:
-
-* direct scheme, all sequential draws      -> ``base.child(-2, 0)``
-* hmm burst at macro step ``n``            -> ``base.child(0, n)``
-* phmm burst of replica ``j`` at step ``n`` -> ``base.child(j, n)``
-
-A lane with e fast components draws e normals per micro or direct step,
-step-major, from its one stream.
+* burst of replica j (0 for hmm) at macro step n -> ``chain.child(j, n)``
+* equilibration burst of replica j              -> ``chain.child(-1, j)``
+* sequential draws of direct stepping           -> ``chain.child(-2, 0)``
 
 Blocks of streams. A :class:`StreamBlock` holds B streams as their folded
 Philox key halves, two (B,) uint64 arrays. Key parts fold in one at a time,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ensemble import _DirectLanes, _fixed_horizon, _MacroLanes, _one_lane
+from .ensemble import _fixed_horizon, _lanes, _one_lane, _replica_count
 from .rng import RngStream
 from .sde import FastSlowModel, IntegrationFailure, Trajectory, _as_point
 
@@ -128,46 +128,44 @@ def run_scheme(model: FastSlowModel, scheme: str, x0, y0, cfg: SchemeConfig,
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"T must be positive and finite, got {T}")
-    step = cfg.eps * cfg.micro_dt if scheme == "direct" else cfg.macro_dt
-    if T < step:
-        raise ValueError(f"T must cover at least one step of {step}")
-    n_steps = math.ceil(T / step)
-    base = RngStream(cfg.root_seed)
     meta = {"scheme": scheme, "config_hash": cfg.config_hash(),
             "seed": cfg.root_seed, "model": model.name, "lam": cfg.lam,
             "eps": cfg.eps}
     x = _as_point(x0, model.slow_dim, "x0")
-    states = [x.copy()]
     if scheme == "averaged":
         if model.averaged_drift is None:
             raise ValueError("model has no averaged_drift; cannot run the "
                              "averaged scheme")
+        n_steps = math.ceil(T / _checked_step(T, cfg.macro_dt))
+        states = [x.copy()]
         for _ in range(n_steps):
             x = averaged_step(model.averaged_drift, x, cfg.macro_dt)
             states.append(x.copy())
-    else:
-        y = _as_point(y0, model.fast_dim, "y0")
-        model.check_shapes(x[None], y[None])
-        x, y = _one_lane(model, x), _one_lane(model, y)
-        lane = np.zeros(1, dtype=int)  # the chain id failures report
-        if scheme == "direct":
-            lanes = _DirectLanes(model, cfg, lane, x, y,
-                                 [base.child(-2, 0).generator])
-        else:
-            k = cfg.lam if scheme == "phmm" else 1
-            lanes = _MacroLanes(model, cfg, lane, x,
-                                np.repeat(y[:, None], k, axis=1),
-                                base.children(np.arange(k)[:, None]))
-        try:
-            rec = _fixed_horizon(lanes, n_steps)
-        except IntegrationFailure as err:
-            burst = err.__cause__  # on one lane its index is the replica
-            if burst is None:
-                raise
-            raise IntegrationFailure(
-                "non-finite fast state in a replica burst", time=err.time,
-                macro_index=err.macro_index, micro_index=err.micro_index,
-                replica=burst.replica) from err
-        states = rec.reshape(n_steps + 1, -1)
-    times = np.arange(n_steps + 1) * step
-    return Trajectory(times, np.array(states), meta)
+        return Trajectory(np.arange(n_steps + 1) * cfg.macro_dt,
+                          np.array(states), meta)
+    y = _as_point(y0, model.fast_dim, "y0")
+    model.check_shapes(x[None], y[None])
+    y = _one_lane(model, y)
+    # one lane, chain id 0, whose chain key is empty
+    lanes = _lanes(model, scheme, cfg, np.zeros(1, dtype=int),
+                   _one_lane(model, x),
+                   np.repeat(y[:, None], _replica_count(scheme, cfg), axis=1),
+                   RngStream(cfg.root_seed).children(np.zeros((1, 0), int)))
+    try:
+        times, rec = _fixed_horizon(lanes, T, _checked_step(T, lanes.dt))
+    except IntegrationFailure as err:
+        burst = err.__cause__  # on one lane its index is the replica
+        if burst is None:
+            raise
+        raise IntegrationFailure(
+            "non-finite fast state in a replica burst", time=err.time,
+            macro_index=err.macro_index, micro_index=err.micro_index,
+            replica=burst.replica) from err
+    return Trajectory(times, rec.reshape(len(times), -1), meta)
+
+
+def _checked_step(T: float, step: float) -> float:
+    """``step``, after checking that the horizon T covers it."""
+    if T < step:
+        raise ValueError(f"T must cover at least one step of {step}")
+    return step

@@ -50,7 +50,8 @@ class ScalarOU:
 
     Declares d = e = 1, the fast drift ``g(x, y) = decay(x) * (mean(x) - y)``
     and the constant diffusion amplitude ``sigma``; a model with the hint
-    takes ``g`` and ``sigma`` from it, and its ``f`` must act elementwise.
+    takes its ``g`` and ``sigma`` from the bound methods :meth:`g` and
+    :meth:`diffusion` (a constant (1, 1)), and its ``f`` must act elementwise.
     The lane drivers keep its lanes as (B,) arrays and advance its micro
     bursts with a C-level linear recurrence; the ensemble entry points
     require it.
@@ -59,6 +60,12 @@ class ScalarOU:
     decay: Callable[[np.ndarray], np.ndarray]
     mean: Callable[[np.ndarray], np.ndarray]
     sigma: float
+
+    def g(self, x, y):
+        return self.decay(x) * (self.mean(x) - y)
+
+    def diffusion(self, x, y):
+        return np.full((1, 1), float(self.sigma))
 
 
 @dataclass(frozen=True)
@@ -104,13 +111,13 @@ class FastSlowModel:
         if (self.slow_dim, self.fast_dim) != (1, 1):
             raise ValueError(f"a ScalarOU model has d = e = 1, got d = "
                              f"{self.slow_dim}, e = {self.fast_dim}")
-        if fields != (None, None):
+        # g and sigma that dataclasses.replace carries over are derived anew
+        if any(fn is not None and getattr(fn, "__func__", None) is not method
+               for fn, method in zip(fields, (ScalarOU.g, ScalarOU.diffusion))):
             raise ValueError("a ScalarOU model takes g and sigma from its "
                              "hint; pass f only")
-        object.__setattr__(self, "g",
-                           lambda x, y: sou.decay(x) * (sou.mean(x) - y))
-        object.__setattr__(self, "sigma",
-                           lambda x, y: np.full((1, 1), float(sou.sigma)))
+        object.__setattr__(self, "g", sou.g)
+        object.__setattr__(self, "sigma", sou.diffusion)
 
     def check_shapes(self, x: np.ndarray, y: np.ndarray) -> None:
         """Verify the declared (d, e) on one lane, x (1, d) and y (1, e)."""

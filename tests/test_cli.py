@@ -465,6 +465,19 @@ schemes = {schemes}
 {analysis_keys}"""
 
 
+def test_mfpt_runs_direct_once_at_lambda_1(tmp_path):
+    # the direct scheme ignores lambda, so a sweep runs it once
+    path = tmp_path / "sweep.cfg"
+    path.write_text(_config_text("mfpt_vs_lambda", "direct, hmm").replace(
+        "lambdas = 2", "lambdas = 1, 2, 4"))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+    rows = [line.split(",")[:2]
+            for line in _read_body(tmp_path / "sweep_mfpt.csv")
+            if not line.startswith("#")]
+    assert rows == [["scheme", "lam"], ["direct", "1"], ["hmm", "1"],
+                    ["hmm", "2"], ["hmm", "4"]]
+
+
 @pytest.mark.parametrize("analysis", sorted(_ENSEMBLE_SECTIONS))
 def test_averaged_scheme_is_rejected_by_ensemble_analyses(tmp_path, analysis):
     # no ensemble driver runs the averaged scheme; it used to run as hmm

@@ -13,10 +13,10 @@ from scipy.signal import lfilter
 
 import fastslow as fs
 from fastslow import RngStream, SchemeConfig
-from fastslow.ensemble import (_direct_generators, _DirectLanes,
-                               _fixed_horizon, _linear_recurrence,
-                               _MacroLanes, _start_arrays, burst_batch,
-                               direct_samples, first_passage_block,
+from fastslow.ensemble import (_DirectLanes, _fixed_horizon, _lanes,
+                               _linear_recurrence, _MacroLanes, _replicas,
+                               _start_arrays, burst_batch, direct_samples,
+                               first_passage_block,
                                pooled_stationary_samples, scheme_samples)
 from fastslow.rng import StreamBlock
 
@@ -29,6 +29,19 @@ def dw_cfg():
 
 def _hintless(model):
     return fs.FastSlowModel(1, 1, model.f, model.g, model.sigma)
+
+
+def _direct_lanes(model, cfg, ids, x, y, base):
+    """Direct lanes whose chain cid draws from ``base.child(cid, -2, 0)``."""
+    return _DirectLanes(model, cfg, ids, x, y,
+                        [base.child(int(cid), -2, 0).generator for cid in ids])
+
+
+def _every_step(lanes, n_steps):
+    """The slow lanes after each of n_steps steps, stacked after the start."""
+    times, rec = _fixed_horizon(lanes, (n_steps - 0.5) * lanes.dt, lanes.dt)
+    assert len(times) == n_steps + 1
+    return rec
 
 
 def test_batched_burst_matches_reference(dw_cfg):
@@ -116,15 +129,12 @@ def test_field_lanes_alone_equal_lanes_in_block(dw_cfg, name):
     ids = np.arange(3)
     streams = base.children(ids[:, None])
     f3, y3 = burst_batch(model, x, y, streams, 300, 0.05)
-    rec3 = _fixed_horizon(_DirectLanes(model, dw_cfg, ids, x, y,
-                                       _direct_generators(base, ids)), 700)
+    rec3 = _every_step(_direct_lanes(model, dw_cfg, ids, x, y, base), 700)
     for i in ids:
         one = ids[i:i + 1]
         f1, y1 = burst_batch(model, x[one], y[one], streams[one], 300, 0.05)
-        rec1 = _fixed_horizon(_DirectLanes(model, dw_cfg, one, x[one],
-                                           y[one],
-                                           _direct_generators(base, one)),
-                              700)
+        rec1 = _every_step(_direct_lanes(model, dw_cfg, one, x[one], y[one],
+                                         base), 700)
         assert np.array_equal(f1[0], f3[i]) and np.array_equal(y1[0], y3[i])
         assert np.array_equal(rec1[:, 0], rec3[:, i])
 
@@ -212,12 +222,11 @@ def test_direct_samples_match_reference_integrator(dw_cfg):
                                 record_dt=0.05)
     h = dw_cfg.eps * dw_cfg.micro_dt
     stride = round(0.05 / h)
-    ref = _fixed_horizon(_DirectLanes(_hintless(model), dw_cfg,
-                                      np.array([4]), np.array([[-1.0]]),
-                                      np.array([[0.5]]),
-                                      _direct_generators(base, np.array([4]))),
-                         (len(times) - 1) * stride, stride)
+    ref_times, ref = _fixed_horizon(
+        _direct_lanes(_hintless(model), dw_cfg, np.array([4]),
+                      np.array([[-1.0]]), np.array([[0.5]]), base), 1.0, 0.05)
     assert np.allclose(times, np.arange(len(times)) * stride * h)
+    assert np.array_equal(ref_times, times)
     assert np.allclose(rec[:, 0], ref[:, 0, 0], atol=1e-9)
 
 
@@ -234,9 +243,8 @@ def test_direct_records_cross_chunk_boundaries(dw_cfg, stride):
                             (n_rec - 0.5) * stride * h, ids, base,
                             record_dt=stride * h)
     x, yrep = _start_arrays(model, -0.5, None, ids.size, 1)
-    every = _fixed_horizon(_DirectLanes(model, dw_cfg, ids, x, yrep[:, 0],
-                                        _direct_generators(base, ids)),
-                           n_rec * stride)
+    every = _every_step(_direct_lanes(model, dw_cfg, ids, x, yrep[:, 0],
+                                      base), n_rec * stride)
     assert rec.shape == (n_rec + 1, ids.size)
     assert np.array_equal(rec, every[::stride])
 
@@ -261,17 +269,54 @@ def test_lane_alone_equals_lane_in_block(name, scheme):
         t_end = 0.2
         lanes = _DirectLanes(model, cfg, ids, x0, y0,
                              [base.child(-2, 0).generator for _ in ids])
-        rec = _fixed_horizon(lanes, round(t_end / (cfg.eps * cfg.micro_dt)))
+        rec = _every_step(lanes, round(t_end / (cfg.eps * cfg.micro_dt)))
     else:
         t_end = 20 * cfg.macro_dt
         k = cfg.lam if scheme == "phmm" else 1
         lanes = _MacroLanes(model, cfg, ids, x0,
                             np.repeat(y0[:, None], k, axis=1),
                             base.children(np.tile(np.arange(k), 3)[:, None]))
-        rec = _fixed_horizon(lanes, 20)
+        rec = _every_step(lanes, 20)
     for i in ids:
         alone = fs.run_scheme(model, scheme, [x0[i]], [y0[i]], cfg, t_end)
         assert np.array_equal(alone.slow(), rec[:, i])
+
+
+@pytest.mark.parametrize("ensemble", [True, False])
+def test_lanes_draw_the_documented_keys(ensemble):
+    # the one key layout of fastslow.rng, written out in full: an ensemble
+    # lane hangs its streams off the chain key (cid,), run_scheme's one lane
+    # off the empty chain key
+    root, k, n, m = 13, 3, 7, 6
+    cfg = fs.config_for_lambda(SchemeConfig(eps=4e-3, lam=1, macro_dt=0.05,
+                                            micro_dt=0.05, root_seed=root), k)
+    model = fs.DoubleWellModel().system()
+    base = RngStream(root)
+    if ensemble:
+        ids, chains = np.array([4, 9]), [(4,), (9,)]
+        keys = base.children(ids[:, None])
+    else:
+        ids, chains = np.zeros(1, dtype=int), [()]
+        keys = base.children(np.zeros((1, 0), dtype=int))
+    x, yrep = np.zeros(ids.size), np.zeros((ids.size, k))
+    direct = _lanes(model, "direct", cfg, ids, x, yrep[:, :1], keys)
+    hmm = _lanes(model, "hmm", cfg, ids, x, yrep[:, :1], keys)
+    phmm = _lanes(model, "phmm", cfg, ids, x, yrep, keys)
+    hmm_draws = hmm.prefix.child(n).normals(m)
+    phmm_draws = phmm.prefix.child(n).normals(m)
+    equil_draws = _replicas(keys, k, -1).normals(m)
+
+    def ref(*key):
+        return RngStream(root).child(*key).normals(m)
+
+    for i, chain in enumerate(chains):
+        assert np.array_equal(direct.gens[i].standard_normal(m),
+                              ref(*chain, -2, 0))
+        assert np.array_equal(hmm_draws[i], ref(*chain, 0, n))
+        for rep in range(k):
+            assert np.array_equal(phmm_draws[i * k + rep], ref(*chain, rep, n))
+            assert np.array_equal(equil_draws[i * k + rep],
+                                  ref(*chain, -1, rep))
 
 
 @pytest.mark.parametrize("scheme", ["direct", "hmm", "phmm"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -99,6 +100,48 @@ def test_dimension_mismatch_is_rejected():
                         sigma=lambda x, y: np.zeros((1, 1)))
     with pytest.raises(ValueError, match="f returned shape"):
         _direct(bad, [0.0, 0.0], [0.0], 0.1, 0.1, 1.0)
+
+
+_REPLACE_CFG = SchemeConfig(eps=4e-3, lam=3, macro_dt=0.06, micro_dt=0.05,
+                            root_seed=3)
+
+
+def _runs(model):
+    """run_scheme states of the three lane schemes, on a hint-less copy too
+    (which steps with the model's g and sigma)."""
+    plain = FastSlowModel(1, 1, model.f, model.g, model.sigma)
+    return [run_scheme(m, scheme, [-0.5], [0.2], _REPLACE_CFG, T).states
+            for m in (model, plain)
+            for scheme, T in (("direct", 0.05), ("hmm", 1.2), ("phmm", 1.2))]
+
+
+def test_replace_renames_a_hint_model():
+    model = fs.DoubleWellModel().system()
+    renamed = dataclasses.replace(model, name="renamed")
+    assert renamed.name == "renamed"
+    assert renamed.scalar_ou is model.scalar_ou
+    for a, b in zip(_runs(model), _runs(renamed)):
+        assert np.array_equal(a, b)
+
+
+def test_replace_rederives_g_and_sigma_from_a_new_hint():
+    model = fs.LinearOUModel().system()
+    hint = fs.ScalarOU(decay=lambda x: 2.0 + 0.0 * x, mean=lambda x: 0.3 * x,
+                       sigma=4.0)
+    rehinted = dataclasses.replace(model, scalar_ou=hint)
+    fresh = FastSlowModel(1, 1, model.f, scalar_ou=hint)
+    x, y = np.array([[0.5]]), np.array([[1.5]])
+    assert np.array_equal(rehinted.g(x, y), 2.0 * (0.15 - y))
+    assert np.array_equal(rehinted.sigma(x, y), [[4.0]])
+    for a, b in zip(_runs(rehinted), _runs(fresh)):
+        assert np.array_equal(a, b)
+
+
+def test_replace_still_refuses_a_user_field_on_a_hint_model():
+    model = fs.DoubleWellModel().system()
+    for field in ("g", "sigma"):
+        with pytest.raises(ValueError, match="pass f only"):
+            dataclasses.replace(model, **{field: lambda x, y: -y})
 
 
 def test_trajectory_invariants():
