@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .rng import RngStream, StreamBlock
 from .sde import FastSlowModel, IntegrationFailure
@@ -45,6 +44,8 @@ def _linear_recurrence(a: np.ndarray, u: np.ndarray, y0: np.ndarray) -> np.ndarr
     if a.size == 0:
         return np.empty_like(u)
     if np.all(a == a.flat[0]):
+        from scipy.signal import lfilter
+
         coeff = float(a.flat[0])
         out, _ = lfilter([1.0], [1.0, -coeff], u, axis=1, zi=(a * y0)[:, None])
         return out

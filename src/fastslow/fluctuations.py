@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .ensemble import first_passage_block, map_blocks
 from .models import NonDiffusiveModel
@@ -320,6 +319,8 @@ def quasipotential(model: NonDiffusiveModel, x: float, x_ref: float) -> float:
     """
     if x <= 0 or x_ref <= 0:
         raise ValueError("quadrature range must stay within x > 0")
+    from scipy.integrate import quad
+
     value, _ = quad(lambda s: quasipotential_derivative(model, s), x_ref, x,
                     epsabs=1e-10, epsrel=1e-10, limit=200)
     return float(value)

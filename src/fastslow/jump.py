@@ -20,8 +20,11 @@ that depends on its own mean and uniform only. Window w ends at
 An SSA event with uniform u fires the first channel whose cumulative rate
 exceeds u times the last cumulative rate, and its waiting time divides by
 that same rate, so a zero-rate channel never fires and no run depends on
-which other runs share its block. ``ssa_run`` and ``tau_leap_run`` are
-one-lane calls of the lockstep lane kernels behind the batched drivers.
+which other runs share its block. The cumulative rates are summed
+sequentially in channel order, one add per channel over all lanes.
+``ssa_run`` and ``tau_leap_run`` are one-lane calls of the lockstep lane
+kernels behind the batched drivers, and ``JumpModel.guarded_rates``, whose
+orthant guard runs lanes last, is the only rate evaluation of both.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .rng import RngStream
 from .sde import Trajectory
@@ -106,7 +108,11 @@ class JumpModel:
     def guarded_rates(self, x: np.ndarray) -> np.ndarray:
         """Propensities at states x (..., dim), clamped per the orthant guard.
 
-        Returns an array of shape (n_reactions, ...).
+        Returns an array of shape (n_reactions, ...). Channel k is zero
+        wherever a propensity is negative or any coordinate of
+        x + eps * nu_k is below -1e-12 or NaN. The guard runs lanes last,
+        over a (dim, lanes) copy of x; this is the only rate evaluation of
+        the SSA and tau-leap kernels.
         """
         x = np.asarray(x, dtype=float)
         m = len(self.reactions)
@@ -114,9 +120,11 @@ class JumpModel:
         for k, r in enumerate(self.reactions):
             np.maximum(np.asarray(r.propensity(x), dtype=float), 0.0,
                        out=rates[k, ...])
-        cand = x[None, ...] + self._jumps.reshape(
-            (m,) + (1,) * (x.ndim - 1) + (self.dim,))
-        np.copyto(rates, 0.0, where=~(cand >= -_ORTHANT_TOL).all(axis=-1))
+        # candidates (m, dim, n) from a contiguous (dim, n) copy of the n
+        # lanes: the add and the reduction over dim run along the lanes
+        cand = x.reshape(-1, self.dim).T.copy() + self._jumps[:, :, None]
+        admissible = (cand >= -_ORTHANT_TOL).all(axis=1)
+        np.copyto(rates, 0.0, where=~admissible.reshape(rates.shape))
         if not np.isfinite(rates).all():
             raise OverflowError("propensity overflow (non-finite rate)")
         return rates
@@ -193,22 +201,25 @@ def _ssa(model, x0, T, exp_gens, uni_gens, on_event=lambda t, x: None):
     final = np.empty_like(x)
     absorbed = np.zeros(len(x), dtype=bool)
     pos = np.arange(len(x))
-    gens = list(zip(exp_gens, uni_gens))
     nu = model.stoichiometry_matrix
     n_channels = len(model.reactions)
+    row_base = np.arange(0, counts.size, n_channels)  # flat row starts
     on_event(t, x)
     cursor = _SSA_CHUNK
     while pos.size:
         if cursor == _SSA_CHUNK:
             exps = np.empty((pos.size, _SSA_CHUNK))
             unis = np.empty((pos.size, _SSA_CHUNK))
-            for i, (eg, ug) in enumerate(gens):
-                exps[i] = eg.standard_exponential(_SSA_CHUNK)
-                unis[i] = ug.random(_SSA_CHUNK)
+            for i, p in enumerate(pos):
+                exps[i] = exp_gens[p].standard_exponential(_SSA_CHUNK)
+                unis[i] = uni_gens[p].random(_SSA_CHUNK)
             row = np.arange(pos.size)  # chunk row of each live lane
             cursor = 0
-        rates = _lane_rates(model, x)  # (m, B)
-        cum = np.cumsum(rates, axis=0)
+        # cumulative rates in channel order, one add per channel over all
+        # lanes: the sequential sums of np.cumsum without its strided walk
+        cum = _lane_rates(model, x)  # (m, B)
+        for prev, cur in zip(cum, cum[1:]):
+            cur += prev
         total = cum[-1]
         with np.errstate(divide="ignore", invalid="ignore"):
             t_next = t + model.eps * exps[row, cursor] / total
@@ -222,11 +233,10 @@ def _ssa(model, x0, T, exp_gens, uni_gens, on_event=lambda t, x: None):
             keep = ~done
             pos, x, t_next, counts = pos[keep], x[keep], t_next[keep], counts[keep]
             cum, u_cum, row = cum[:, keep], u_cum[keep], row[keep]
-            gens = [g for g, kp in zip(gens, keep) if kp]
             if not pos.size:
                 break
         k = np.minimum((cum <= u_cum).sum(axis=0), n_channels - 1)
-        counts[np.arange(pos.size), k] += 1
+        counts.reshape(-1)[row_base[:pos.size] + k] += 1
         x = x0[None, :] + model.eps * (counts @ nu)
         t = t_next
         on_event(t, x)
@@ -281,6 +291,8 @@ def _poisson_quantile(lam, u):
     ``pdtr`` is itself too close to 1, so there the correction can take
     one count off a right start.
     """
+    from scipy import special
+
     # uniforms from ``Generator.random`` lie in {0} and [2**-53, 1 - 2**-53],
     # where |z| < 8.3: the clip moves only u = 0
     z = np.clip(special.ndtri(u), -8.3, 8.3)

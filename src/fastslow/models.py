@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .ensemble import _burst, _fast_mean, _one_lane
 from .rng import RngStream
@@ -230,6 +229,8 @@ def fixed_points(model: NonDiffusiveModel, x_max: float = 10.0):
         ValueError: if the scan does not find exactly three roots with the
             stable/unstable/stable pattern.
     """
+    from scipy.optimize import bisect
+
     def F(x):
         return float(model.averaged_drift(x))
 

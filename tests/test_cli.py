@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import fastslow
 from fastslow.cli import bundled_configs, list_experiments, main
 from fastslow.experiments import ConfigError, parse_config
 
@@ -294,6 +296,31 @@ class TestRun:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "finished" in proc.stdout
+
+    def test_import_loads_no_scipy_until_a_run_needs_it(self, tmp_path):
+        # scipy is imported where it is used, so the CLI starts without it;
+        # a jump run whose tau-leap means stay below 30 needs none of these
+        path = tmp_path / "jump.cfg"
+        path.write_text(_JUMP_CONFIG.replace("tau = 0.1", "tau = 0.05"))
+        script = (
+            "import sys\n"
+            "from fastslow.cli import main\n"
+            "names = ('scipy.signal', 'scipy.integrate', 'scipy.optimize',"
+            " 'scipy.special')\n"
+            "print('loaded', [n for n in names if n in sys.modules])\n"
+            "assert main(['run', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print('loaded', [n for n in names if n in sys.modules])\n")
+        src = str(Path(fastslow.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path), str(tmp_path)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        after_import, after_run = (line for line in proc.stdout.splitlines()
+                                   if line.startswith("loaded"))
+        assert after_import == "loaded []"
+        assert "scipy.signal" not in after_run
 
 
 class TestConfigErrors:

@@ -247,6 +247,24 @@ class TestLaneKernels:
             with pytest.raises(ValueError, match="^T must be finite"):
                 call()
 
+    def test_blocked_removal_keeps_lanes_alone_and_nonnegative(self):
+        # constant-rate removals that only the orthant guard stops at 0
+        eye = np.eye(2)
+        model = JumpModel(2, tuple(
+            Reaction(lambda x, r=r: np.full(np.shape(x)[:-1], r), nu)
+            for r, nu in ((1.0, eye[0]), (2.0, -eye[0]),
+                          (0.5, eye[1] - eye[0]), (1.0, -eye[1]))),
+            0.25, vectorized=True)
+        base, ids = RngStream(9), np.arange(8)
+        finals = ssa_final_states(model, [0.0, 0.0], 6.0, ids, base)
+        blocked = 0
+        for i in ids:
+            path = ssa_run(model, [0.0, 0.0], 6.0, base.child(int(i)))
+            assert np.array_equal(path.states[-1], finals[i])
+            assert (path.states >= 0.0).all()
+            blocked += np.count_nonzero((path.states == 0.0).any(axis=1))
+        assert blocked > 8  # lanes came back to the boundary after t = 0
+
 
 class TestTauLeap:
     def test_zero_propensities_stay_constant(self):
@@ -478,3 +496,30 @@ class TestGuardedRates:
         assert np.array_equal(nu, [[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         with pytest.raises(ValueError, match="read-only"):
             nu[0, 0] = 5.0
+
+    def test_boundary_lanes_match_lone_lanes_and_the_rule(self):
+        # lanes on the orthant boundary: zeros, -1e-13 (inside the
+        # tolerance), -2e-12 (outside it) and a NaN component
+        model = _cyclic_network([1.0, 2.0, 0.5, 1.5], [1.0, 0.5, 2.0, 1.0],
+                                0.7, 0.05)
+        x = np.random.default_rng(2).integers(0, 3, (9, 4)) * model.eps
+        x[0] = 0.0
+        x[1, [0, 2]] = -1e-13
+        x[2, 1] = -2e-12
+        x[3, 3] = np.nan
+        x[4, :2] = 0.0
+        rates = model.guarded_rates(x)
+        lone = np.stack([model.guarded_rates(xi) for xi in x], axis=1)
+        assert rates.tobytes() == lone.tobytes()
+        # the rule: zero where any x + eps * nu_k is below -1e-12 or NaN
+        rule = np.empty_like(rates)
+        for k, r in enumerate(model.reactions):
+            for i, xi in enumerate(x):
+                cand = xi + model.eps * r.stoichiometry
+                blocked = any(c < -1e-12 or math.isnan(c) for c in cand)
+                rule[k, i] = 0.0 if blocked else max(
+                    float(r.propensity(xi[None])[0]), 0.0)
+        assert rates.tobytes() == rule.tobytes()
+        assert not rates[:, 3].any()
+        # -2e-12 blocks the inflow of species 0 but not that of species 1
+        assert rates[0, 2] == 0.0 and rates[3, 2] == 2.0
