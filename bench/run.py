@@ -11,8 +11,8 @@ of every end-to-end metric with the raw values and the correctness record
 of the runs (fail count, outputs changed from the reference digests); the
 ``src/fastslow/*.py`` line count, in total and per file; the machine
 record of the first run; and, for each bundled ``_quick`` config, the
-median of 3 wall times of ``python -m fastslow.cli run <name> --workers 1``
-as its ``finished in X.Xs`` summary line reports them (0.1 s resolution).
+median of 3 wall times of the whole ``python -m fastslow.cli run <name>
+--workers 1`` process, imports included.
 ``--tier1-log`` adds the Tier-1 outcome counts, time and ``--durations``
 table parsed from a saved pytest log.
 """
@@ -27,6 +27,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -93,20 +94,8 @@ def src_lines(root: Path) -> dict:
             for p in sorted((root / "src" / "fastslow").glob("*.py"))}
 
 
-_FINISHED = re.compile(r": \S+ finished in (?P<s>[\d.]+)s -> ")
-
-
-def parse_finished_seconds(stdout: str) -> float:
-    """Seconds of the ``<name>: <analysis> finished in X.Xs -> <paths>``
-    summary line that ``fastslow run`` prints."""
-    match = _FINISHED.search(stdout)
-    if match is None:
-        raise ValueError(f"no 'finished in' summary line in {stdout!r}")
-    return float(match["s"])
-
-
 def quick_config_times(root: Path) -> dict:
-    """Median and values of ``QUICK_RUNS`` summary-line wall times of every
+    """Median and values of ``QUICK_RUNS`` process wall times of every
     bundled ``_quick`` config, run one at a time with ``--workers 1``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -116,11 +105,14 @@ def quick_config_times(root: Path) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(p.stem for p in configs.glob("*_quick.cfg")):
             print(f"fastslow run {name}", file=sys.stderr)
-            values = [parse_finished_seconds(subprocess.run(
-                [sys.executable, "-m", "fastslow.cli", "run", name,
-                 "--workers", "1", "--out", tmp], cwd=root, env=env,
-                check=True, capture_output=True, text=True).stdout)
-                for _ in range(QUICK_RUNS)]
+            values = []
+            for _ in range(QUICK_RUNS):
+                start = time.perf_counter()
+                subprocess.run([sys.executable, "-m", "fastslow.cli", "run",
+                                name, "--workers", "1", "--out", tmp],
+                               cwd=root, env=env, check=True,
+                               capture_output=True)
+                values.append(time.perf_counter() - start)
             out[name] = {"median": statistics.median(values),
                          "values": values}
     return out

@@ -15,18 +15,17 @@ __version__ = "0.1.0"
 
 from .rng import RngStream
 from .sde import FastSlowModel, IntegrationFailure, ScalarOU, Trajectory
-from .schemes import SchemeConfig, averaged_step, config_for_lambda, run_scheme
+from .schemes import SchemeConfig, config_for_lambda, run_scheme
 from .models import (BUILTIN_MODELS, DoubleWellModel, LinearOUModel,
                      NonDiffusiveModel, clt_stationary_variance_linear,
-                     empirical_averaged_drift, fixed_points, make_model)
+                     fixed_points, make_model)
 from .fluctuations import (BasinSpec, FptSummary, HistogramResult, MfptPoint,
                            first_passage_times, fit_log_mfpt_inverse_lambda,
-                           hamiltonian_nondiffusive, histogram,
-                           histogram_of_samples, ks_distance,
-                           ldp_escape_prediction, mean_first_passage_vs_lambda,
-                           occupancy_fraction, quasipotential,
-                           quasipotential_derivative, stationary_variance,
-                           summarize_fpt)
+                           hamiltonian_nondiffusive, histogram_of_samples,
+                           ks_distance, ldp_escape_prediction,
+                           mean_first_passage_vs_lambda, occupancy_fraction,
+                           quasipotential, quasipotential_derivative,
+                           stationary_variance, summarize_fpt)
 from .jump import (JumpModel, Reaction, birth_death, ssa_final_states,
                    ssa_run, tau_leap_final_states, tau_leap_run)
 
@@ -34,13 +33,12 @@ __all__ = [
     "__version__",
     "RngStream",
     "FastSlowModel", "IntegrationFailure", "ScalarOU", "Trajectory",
-    "SchemeConfig", "averaged_step", "config_for_lambda", "run_scheme",
+    "SchemeConfig", "config_for_lambda", "run_scheme",
     "BUILTIN_MODELS", "DoubleWellModel", "LinearOUModel", "NonDiffusiveModel",
-    "clt_stationary_variance_linear", "empirical_averaged_drift",
-    "fixed_points", "make_model",
+    "clt_stationary_variance_linear", "fixed_points", "make_model",
     "BasinSpec", "FptSummary",
     "HistogramResult", "MfptPoint", "first_passage_times",
-    "fit_log_mfpt_inverse_lambda", "hamiltonian_nondiffusive", "histogram",
+    "fit_log_mfpt_inverse_lambda", "hamiltonian_nondiffusive",
     "histogram_of_samples", "ks_distance", "ldp_escape_prediction",
     "mean_first_passage_vs_lambda", "occupancy_fraction", "quasipotential",
     "quasipotential_derivative", "stationary_variance", "summarize_fpt",

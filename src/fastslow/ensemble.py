@@ -197,11 +197,6 @@ class _MacroLanes:
                                   replica=int(self.ids[lane]))
 
 
-def _fast_mean(sou, x: np.ndarray) -> np.ndarray:
-    """Frozen-x fast means, one per entry of x."""
-    return np.asarray(np.broadcast_to(sou.mean(x), x.shape), dtype=float).copy()
-
-
 def _one_lane(model, point: np.ndarray) -> np.ndarray:
     """A (dim,) point as one lane: (1,) for a ScalarOU model (d = e = 1),
     else (1, dim)."""
@@ -216,10 +211,8 @@ def _start_arrays(model, x0, y0, n_chains, k):
             f"model {model.name!r} has no ScalarOU structure; the batched "
             "drivers support scalar fast-OU models only")
     x = np.broadcast_to(np.asarray(x0, dtype=float), (n_chains,)).copy()
-    if y0 is None:
-        y = _fast_mean(model.scalar_ou, x)
-    else:
-        y = np.broadcast_to(np.asarray(y0, dtype=float), (n_chains,)).copy()
+    y = model.scalar_ou.mean(x) if y0 is None else y0
+    y = np.broadcast_to(np.asarray(y, dtype=float), (n_chains,)).copy()
     return x, np.repeat(y[:, None], k, axis=1)
 
 

@@ -64,16 +64,6 @@ def histogram_of_samples(samples: np.ndarray, bin_edges) -> HistogramResult:
     return HistogramResult(edges, counts, underflow, overflow)
 
 
-def histogram(traj: Trajectory, burn_in: float, bin_edges,
-              component: int = 0) -> HistogramResult:
-    """Histogram of one slow component over t > burn_in; out-of-range
-    samples land in the two overflow bins."""
-    keep = traj.times > burn_in
-    if keep.sum() < 1:
-        raise ValueError("no samples after burn_in")
-    return histogram_of_samples(traj.states[keep, component], bin_edges)
-
-
 def occupancy_fraction(samples: np.ndarray, center: float,
                        halfwidth: float) -> float:
     """Fraction of samples within [center - halfwidth, center + halfwidth]."""

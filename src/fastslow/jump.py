@@ -65,8 +65,8 @@ class JumpModel:
     """A scaled jump process on the nonnegative orthant.
 
     ``vectorized`` declares that propensities accept states of shape
-    (..., dim) and return (...,); the drivers then evaluate all lanes in one
-    call instead of one lane at a time.
+    (..., dim) and return (...,); they are then called once on all lanes
+    instead of once per lane.
     Propensities are clamped to zero whenever they are negative or the
     corresponding single jump would leave the orthant.
     """
@@ -80,8 +80,8 @@ class JumpModel:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be positive")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         rx = tuple(r if isinstance(r, Reaction) else Reaction(*r)
                    for r in self.reactions)
         if not rx:
@@ -89,6 +89,9 @@ class JumpModel:
         for r in rx:
             if r.stoichiometry.shape != (self.dim,):
                 raise ValueError("stoichiometry vectors must have shape (dim,)")
+            if not np.isfinite(r.stoichiometry).all():
+                raise ValueError("stoichiometry entries must be finite, got "
+                                 f"{r.stoichiometry}")
         object.__setattr__(self, "reactions", rx)
 
     @cached_property
@@ -110,19 +113,21 @@ class JumpModel:
 
         Returns an array of shape (n_reactions, ...). Channel k is zero
         wherever a propensity is negative or any coordinate of
-        x + eps * nu_k is below -1e-12 or NaN. The guard runs lanes last,
-        over a (dim, lanes) copy of x; this is the only rate evaluation of
-        the SSA and tau-leap kernels.
+        x + eps * nu_k is below -1e-12 or NaN. A model that is not
+        ``vectorized`` has each propensity called once per lane point. The
+        guard runs lanes last, over a (dim, lanes) copy of x; this is the
+        only rate evaluation of the SSA and tau-leap kernels.
         """
         x = np.asarray(x, dtype=float)
-        m = len(self.reactions)
-        rates = np.empty((m,) + x.shape[:-1])
+        points = x.reshape(-1, self.dim)
+        rates = np.empty((len(self.reactions),) + x.shape[:-1])
         for k, r in enumerate(self.reactions):
-            np.maximum(np.asarray(r.propensity(x), dtype=float), 0.0,
-                       out=rates[k, ...])
+            a = (r.propensity(x) if self.vectorized else np.reshape(
+                [r.propensity(p) for p in points], x.shape[:-1]))
+            np.maximum(np.asarray(a, dtype=float), 0.0, out=rates[k, ...])
         # candidates (m, dim, n) from a contiguous (dim, n) copy of the n
         # lanes: the add and the reduction over dim run along the lanes
-        cand = x.reshape(-1, self.dim).T.copy() + self._jumps[:, :, None]
+        cand = points.T.copy() + self._jumps[:, :, None]
         admissible = (cand >= -_ORTHANT_TOL).all(axis=1)
         np.copyto(rates, 0.0, where=~admissible.reshape(rates.shape))
         if not np.isfinite(rates).all():
@@ -179,17 +184,6 @@ def _run_ids(ids):
     return ids.astype(int)
 
 
-def _lane_rates(model, x):
-    """Guarded rates (m, B) of lanes x (B, dim), one call per lane unless
-    the model is vectorized."""
-    if model.vectorized:
-        return model.guarded_rates(x)
-    rates = np.empty((len(model.reactions), len(x)))
-    for i, xi in enumerate(x):
-        rates[:, i] = model.guarded_rates(xi)
-    return rates
-
-
 def _ssa(model, x0, T, exp_gens, uni_gens, on_event=lambda t, x: None):
     """Lockstep SSA lanes from x0 to T, one per (exponential, uniform) pair.
 
@@ -217,7 +211,7 @@ def _ssa(model, x0, T, exp_gens, uni_gens, on_event=lambda t, x: None):
             cursor = 0
         # cumulative rates in channel order, one add per channel over all
         # lanes: the sequential sums of np.cumsum without its strided walk
-        cum = _lane_rates(model, x)  # (m, B)
+        cum = model.guarded_rates(x)  # (m, B)
         for prev, cur in zip(cum, cum[1:]):
             cur += prev
         total = cum[-1]
@@ -355,7 +349,7 @@ def _tau_windows(model, x0, T, tau, gens, ids):
             # (window, channel, run): one window's uniforms match lam (m, B)
             unis = draws.reshape(n_runs, size, m).transpose(1, 2, 0).copy()
         end = min((window + 1) * tau, T)
-        lam = _lane_rates(model, x) * ((end - t) / model.eps)  # (m, B)
+        lam = model.guarded_rates(x) * ((end - t) / model.eps)  # (m, B)
         over = ~(lam <= _POISSON_LAM_MAX)
         if over.any():
             k, i = np.argwhere(over)[0]

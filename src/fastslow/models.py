@@ -20,9 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import _burst, _fast_mean, _one_lane
-from .rng import RngStream
-from .sde import FastSlowModel, IntegrationFailure, ScalarOU, _as_point
+from .sde import FastSlowModel, ScalarOU
 
 
 @dataclass(frozen=True)
@@ -175,47 +173,6 @@ def clt_stationary_variance_linear(model: LinearOUModel, eps: float,
     if scheme == "hmm":
         return lam * base
     raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def empirical_averaged_drift(model: FastSlowModel, x, micro_dt: float,
-                             t_burn: float, t_avg: float,
-                             stream: RngStream) -> np.ndarray:
-    """Birkhoff estimate of the averaged drift F(x) at frozen x.
-
-    Advances the unit-rate fast process (micro step ``micro_dt``) for
-    ceil(t_burn/micro_dt) discarded micro steps, then averages f(x, y) over
-    ceil(t_avg/micro_dt) more, drawing all Gaussians sequentially from
-    ``stream``. Structured models start at the frozen-x fast mean, generic
-    ones at the origin; the burn window absorbs the difference.
-
-    Raises:
-        ValueError: if x is not a (d,) point, ``micro_dt`` or ``t_avg`` is
-            not positive and finite, or ``t_burn`` is not finite and >= 0.
-    """
-    for name, value in (("micro_dt", micro_dt), ("t_avg", t_avg)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite, got "
-                             f"{value}")
-    if not (math.isfinite(t_burn) and t_burn >= 0):
-        raise ValueError(f"t_burn must be finite and >= 0, got {t_burn}")
-    m_burn = math.ceil(t_burn / micro_dt)
-    m_avg = math.ceil(t_avg / micro_dt)
-    if m_avg < 1:
-        raise ValueError("t_avg must cover at least one micro step")
-    x_lane = _one_lane(model, _as_point(x, model.slow_dim, "x"))
-    y = (_fast_mean(model.scalar_ou, x_lane) if model.scalar_ou is not None
-         else np.zeros((1, model.fast_dim)))
-    xi = stream.normals((m_burn + m_avg) * model.fast_dim)[None, :]
-    cut = m_burn * model.fast_dim
-    if m_burn:
-        _, y = _burst(model, x_lane, y, xi[:, :cut], micro_dt)
-    try:
-        f_avg, _ = _burst(model, x_lane, y, xi[:, cut:], micro_dt)
-    except IntegrationFailure as err:
-        raise IntegrationFailure(
-            "non-finite fast state in the averaging window",
-            micro_index=m_burn + err.micro_index) from err
-    return f_avg.reshape(-1)
 
 
 def fixed_points(model: NonDiffusiveModel, x_max: float = 10.0):

@@ -1,6 +1,6 @@
-"""Multiscale schemes over a fast-slow model: averaged, HMM and parallel HMM.
+"""Multiscale schemes over a fast-slow model: HMM and parallel HMM.
 
-All three schemes advance the slow variables with macro step ``macro_dt``.
+Both schemes advance the slow variables with macro step ``macro_dt``.
 The HMM estimates the averaged drift from one short burst of the fast
 process (micro step ``micro_dt`` on the unit-rate fast clock, so one micro
 step advances slow time by ``eps * micro_dt``); the parallel variant
@@ -8,9 +8,9 @@ averages ``lam`` independent bursts instead, which restores the correct
 fluctuation statistics. Burst length M is derived from
 ``macro_dt = lam * M * eps * micro_dt``.
 
-This module holds the scheme configuration, the averaged Euler step and
-:func:`run_scheme`, which runs one path; the bursts and direct Euler steps
-of every scheme are the lane drivers of :mod:`fastslow.ensemble`.
+This module holds the scheme configuration and :func:`run_scheme`, which
+runs one direct, HMM or parallel HMM path; the bursts and direct Euler
+steps of every scheme are the lane drivers of :mod:`fastslow.ensemble`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ensemble import _fixed_horizon, _lanes, _one_lane, _replica_count
+from .ensemble import (ENSEMBLE_SCHEMES, _fixed_horizon, _lanes, _one_lane,
+                       _replica_count)
 from .rng import RngStream
 from .sde import FastSlowModel, IntegrationFailure, Trajectory, _as_point
 
@@ -90,31 +91,17 @@ def config_for_lambda(cfg: SchemeConfig, lam: int) -> SchemeConfig:
     return replace(cfg, lam=lam, macro_dt=m * slow_per_micro)
 
 
-def averaged_step(F, x, dt: float) -> np.ndarray:
-    """One forward Euler step x + dt * F(x) of the averaged flow."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = x + dt * np.asarray(F(x), dtype=float)
-    if not np.isfinite(out).all():
-        raise IntegrationFailure("non-finite averaged step")
-    return out
-
-
-SCHEMES = ("direct", "averaged", "hmm", "phmm")
-
-
 def run_scheme(model: FastSlowModel, scheme: str, x0, y0, cfg: SchemeConfig,
                T: float) -> Trajectory:
     """Drive the chosen stepper over [0, T] and record the slow path.
 
-    ``scheme`` is one of direct | averaged | hmm | phmm. Macro schemes take
+    ``scheme`` is one of direct | hmm | phmm. Macro schemes take
     ceil(T / macro_dt) steps and record every macro iterate; ``direct``
-    integrates at step eps*micro_dt and records every step. ``direct``,
-    ``hmm`` and ``phmm`` run one lane of the ensemble drivers of
-    :mod:`fastslow.ensemble`, so any :class:`FastSlowModel` works. All
-    randomness derives from cfg.root_seed through keyed substreams;
-    :mod:`fastslow.rng` documents the key layout.
+    integrates at step eps*micro_dt and records every step. Each scheme
+    runs one lane of the ensemble drivers of :mod:`fastslow.ensemble`, so
+    any :class:`FastSlowModel` works. All randomness derives from
+    cfg.root_seed through keyed substreams; :mod:`fastslow.rng` documents
+    the key layout.
 
     Raises:
         ValueError: for an unknown scheme, a horizon that is not positive
@@ -124,25 +111,15 @@ def run_scheme(model: FastSlowModel, scheme: str, x0, y0, cfg: SchemeConfig,
             index, of the first non-finite state; a burst failure also
             names the failing replica (0 for hmm, j < lam for phmm).
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+    if scheme not in ENSEMBLE_SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}, expected one of "
+                         f"{ENSEMBLE_SCHEMES}")
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"T must be positive and finite, got {T}")
     meta = {"scheme": scheme, "config_hash": cfg.config_hash(),
             "seed": cfg.root_seed, "model": model.name, "lam": cfg.lam,
             "eps": cfg.eps}
     x = _as_point(x0, model.slow_dim, "x0")
-    if scheme == "averaged":
-        if model.averaged_drift is None:
-            raise ValueError("model has no averaged_drift; cannot run the "
-                             "averaged scheme")
-        n_steps = math.ceil(T / _checked_step(T, cfg.macro_dt))
-        states = [x.copy()]
-        for _ in range(n_steps):
-            x = averaged_step(model.averaged_drift, x, cfg.macro_dt)
-            states.append(x.copy())
-        return Trajectory(np.arange(n_steps + 1) * cfg.macro_dt,
-                          np.array(states), meta)
     y = _as_point(y0, model.fast_dim, "y0")
     model.check_shapes(x[None], y[None])
     y = _one_lane(model, y)
@@ -151,8 +128,10 @@ def run_scheme(model: FastSlowModel, scheme: str, x0, y0, cfg: SchemeConfig,
                    _one_lane(model, x),
                    np.repeat(y[:, None], _replica_count(scheme, cfg), axis=1),
                    RngStream(cfg.root_seed).children(np.zeros((1, 0), int)))
+    if T < lanes.dt:
+        raise ValueError(f"T must cover at least one step of {lanes.dt}")
     try:
-        times, rec = _fixed_horizon(lanes, T, _checked_step(T, lanes.dt))
+        times, rec = _fixed_horizon(lanes, T, lanes.dt)
     except IntegrationFailure as err:
         burst = err.__cause__  # on one lane its index is the replica
         if burst is None:
@@ -163,9 +142,3 @@ def run_scheme(model: FastSlowModel, scheme: str, x0, y0, cfg: SchemeConfig,
             replica=burst.replica) from err
     return Trajectory(times, rec.reshape(len(times), -1), meta)
 
-
-def _checked_step(T: float, step: float) -> float:
-    """``step``, after checking that the horizon T covers it."""
-    if T < step:
-        raise ValueError(f"T must cover at least one step of {step}")
-    return step

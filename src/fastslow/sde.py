@@ -78,8 +78,8 @@ class FastSlowModel:
         f: slow drift, (x: (B, d), y: (B, e)) -> (B, d).
         g: fast drift before the 1/eps scaling, (x, y) -> (B, e).
         sigma: fast diffusion before the 1/sqrt(eps) scaling, -> (B, e, e).
-        averaged_drift: optional closed-form averaged slow drift F(x),
-            required by the ``averaged`` scheme.
+        averaged_drift: optional closed-form averaged slow drift F(x), the
+            oracle that the schemes' slow paths are checked against.
         scalar_ou: optional :class:`ScalarOU` hint, given instead of g and
             sigma.
         name: label recorded in trajectory metadata.

@@ -75,21 +75,6 @@ def test_tier1_log_is_parsed(summary_line):
          "test": "tests/test_acceptance.py::test_criterion_08"}]
 
 
-@pytest.mark.parametrize("stdout, seconds", [
-    ("fig_clt_var_quick: variance_vs_lambda finished in 12.3s -> "
-     "out/fig_clt_var_quick_variance.csv\n", 12.3),
-    ("fig_num_quasi_quick: quasipotential finished in 0.0s -> a.csv, "
-     "a.json\n", 0.0),
-])
-def test_finished_seconds_are_read_from_the_summary_line(stdout, seconds):
-    assert bench.parse_finished_seconds(stdout) == seconds
-
-
-def test_missing_summary_line_is_an_error():
-    with pytest.raises(ValueError, match="no 'finished in' summary line"):
-        bench.parse_finished_seconds("config error: bad value\n")
-
-
 def test_sweep_summary_counts_passes_and_finds_the_smallest_margin(
         seed_sweep):
     sweep = seed_sweep

@@ -11,8 +11,8 @@ from scipy.optimize import brentq, minimize_scalar
 import fastslow as fs
 from fastslow import (BasinSpec, NonDiffusiveModel, SchemeConfig, Trajectory,
                       first_passage_times, fit_log_mfpt_inverse_lambda,
-                      hamiltonian_nondiffusive, histogram, ks_distance,
-                      ldp_escape_prediction, occupancy_fraction,
+                      hamiltonian_nondiffusive, histogram_of_samples,
+                      ks_distance, ldp_escape_prediction, occupancy_fraction,
                       quasipotential, quasipotential_derivative,
                       stationary_variance, summarize_fpt)
 
@@ -39,20 +39,18 @@ class TestStationaryVariance:
 
 class TestHistogram:
     def test_single_sample_in_one_bin(self):
-        traj = _traj([0.0, 3.5])  # burn-in removes the first point
-        h = histogram(traj, 0.5, [3.0, 4.0, 5.0])
+        h = histogram_of_samples([3.5], [3.0, 4.0, 5.0])
         assert list(h.counts) == [1, 0]
         assert h.underflow == 0 and h.overflow == 0
 
     def test_overflow_bins(self):
-        traj = _traj([0.0, -10.0, 10.0, 0.5])
-        h = histogram(traj, 0.5, [0.0, 1.0])
+        h = histogram_of_samples([-10.0, 10.0, 0.5], [0.0, 1.0])
         assert h.underflow == 1 and h.overflow == 1
         assert h.total == 3
 
     def test_non_ascending_edges_rejected(self):
         with pytest.raises(ValueError, match="ascending"):
-            histogram(_traj([0.0, 1.0]), 0.0, [1.0, 1.0])
+            histogram_of_samples([0.0, 1.0], [1.0, 1.0])
 
     def test_double_well_bimodality(self, dw_histogram_samples):
         # verified-oracle version of the barrier-population comparison: the

@@ -34,6 +34,19 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             birth_death(birth=-1.0)
 
+    @pytest.mark.parametrize("eps, nu, match", [
+        (math.nan, [1.0], "^eps must be positive and finite"),
+        (math.inf, [1.0], "^eps must be positive and finite"),
+        (0.0, [1.0], "^eps must be positive and finite"),
+        (-0.01, [1.0], "^eps must be positive and finite"),
+        (0.01, [math.nan], "^stoichiometry entries must be finite"),
+        (0.01, [-math.inf], "^stoichiometry entries must be finite"),
+    ])
+    def test_eps_and_stoichiometry_must_be_finite(self, eps, nu, match):
+        birth = birth_death().reactions[0]
+        with pytest.raises(ValueError, match=match):
+            JumpModel(1, ((birth.propensity, nu),), eps)
+
     def test_orthant_guard_zeroes_blocked_channels(self):
         model = birth_death(1.0, 1.0, 0.01)
         rates = model.guarded_rates(np.array([0.0]))
@@ -169,20 +182,25 @@ class TestLaneKernels:
                 assert np.array_equal(finals[0], state)
 
     def test_unvectorized_model_gives_the_same_runs(self):
-        vec = birth_death(1.3, 0.8, 0.05)
-        lone = JumpModel(1, vec.reactions, vec.eps, vectorized=False)
-        runs = (lambda m: ssa_run(m, [1.0], 2.0, RngStream(4)),
-                lambda m: tau_leap_run(m, [1.0], 2.0, 0.2, RngStream(4)))
-        for run in runs:
-            a, b = run(vec), run(lone)
-            assert np.array_equal(a.times, b.times)
-            assert np.array_equal(a.states, b.states)
-        ids, base = np.arange(5), RngStream(6)
-        assert np.array_equal(ssa_final_states(lone, [1.0], 2.0, ids, base),
-                              ssa_final_states(vec, [1.0], 2.0, ids, base))
-        assert np.array_equal(
-            tau_leap_final_states(lone, [1.0], 2.0, 0.2, ids, base),
-            tau_leap_final_states(vec, [1.0], 2.0, 0.2, ids, base))
+        # bitwise, on one species and on the 12 channels of four species
+        network = _cyclic_network([1.0, 2.0, 0.5, 1.5], [1.0, 0.5, 2.0, 1.0],
+                                  0.7, 0.05)
+        for vec, x0 in ((birth_death(1.3, 0.8, 0.05), [1.0]),
+                        (network, [1.0, 2.35, 0.8, 1.2])):
+            lone = JumpModel(vec.dim, vec.reactions, vec.eps,
+                             vectorized=False)
+            runs = (lambda m: ssa_run(m, x0, 2.0, RngStream(4)),
+                    lambda m: tau_leap_run(m, x0, 2.0, 0.2, RngStream(4)))
+            for run in runs:
+                a, b = run(vec), run(lone)
+                assert np.array_equal(a.times, b.times)
+                assert np.array_equal(a.states, b.states)
+            ids, base = np.arange(5), RngStream(6)
+            assert np.array_equal(ssa_final_states(lone, x0, 2.0, ids, base),
+                                  ssa_final_states(vec, x0, 2.0, ids, base))
+            assert np.array_equal(
+                tau_leap_final_states(lone, x0, 2.0, 0.2, ids, base),
+                tau_leap_final_states(vec, x0, 2.0, 0.2, ids, base))
 
     def test_batched_drivers_check_x0_shape(self):
         model = birth_death()

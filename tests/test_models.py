@@ -8,8 +8,8 @@ from scipy.linalg import solve_continuous_lyapunov
 
 import fastslow as fs
 from fastslow import (DoubleWellModel, LinearOUModel, NonDiffusiveModel,
-                      RngStream, clt_stationary_variance_linear,
-                      empirical_averaged_drift, fixed_points)
+                      RngStream, clt_stationary_variance_linear, fixed_points)
+from fastslow.ensemble import burst_batch
 
 
 class TestBuiltinConstruction:
@@ -111,32 +111,46 @@ class TestCltVarianceOracle:
         assert v2 == pytest.approx(scale ** 2 * v1, rel=1e-12)
 
 
+def _birkhoff_drift(model, x, micro_dt, t_burn, t_avg, seed):
+    """Estimate of the averaged drift F(x): a burn-in burst, then an
+    averaging burst, of ``burst_batch`` on one lane at frozen x, drawing
+    from the keyed streams (0,) and (1,) of ``RngStream(seed)``. A ScalarOU
+    model starts at its frozen-x fast mean, one without the hint at 0."""
+    if model.scalar_ou is not None:
+        x_lane = np.array([float(x)])
+        y = np.zeros(1) + model.scalar_ou.mean(x_lane)
+    else:
+        x_lane, y = np.array([[float(x)]]), np.zeros((1, model.fast_dim))
+    base = RngStream(seed)
+    _, y = burst_batch(model, x_lane, y, base.children([[0]]),
+                       round(t_burn / micro_dt), micro_dt)
+    f_avg, _ = burst_batch(model, x_lane, y, base.children([[1]]),
+                           round(t_avg / micro_dt), micro_dt)
+    return float(f_avg.flat[0])
+
+
 class TestEmpiricalAveragedDrift:
     def test_linear_at_origin(self):
         m = LinearOUModel(theta=1.0, mu=0.5, sigma_f=5.0).system()
-        est = empirical_averaged_drift(m, [0.0], 0.1, 50.0, 1000.0,
-                                       RngStream(5))
+        est = _birkhoff_drift(m, 0.0, 0.1, 50.0, 1000.0, 5)
         band = 3 * math.sqrt(25.0 / (2 * 1e3))
-        assert abs(est[0]) < band
+        assert abs(est) < band
 
     def test_noiseless_fast_flow_is_exact(self):
         m = LinearOUModel(theta=1.0, mu=0.5, sigma_f=0.0).system()
-        est = empirical_averaged_drift(m, [2.0], 0.05, 10.0, 100.0,
-                                       RngStream(5))
-        assert est[0] == pytest.approx(-1.0, abs=1e-12)  # (mu-1)*x
+        est = _birkhoff_drift(m, 2.0, 0.05, 10.0, 100.0, 5)
+        assert est == pytest.approx(-1.0, abs=1e-12)  # (mu-1)*x
 
     def test_non_diffusive_matches_closed_form(self):
         # E[Y^2] = sigma^2/(2 gamma(1)) = 1.5/2.1, so F(1) ~ -0.2857; the
         # Monte Carlo band is 3*sqrt(2 Var(y^2) tau_int / T) plus a small
         # allowance for the Euler variance inflation at gamma*dt = 0.021
         model = NonDiffusiveModel()
-        m = model.system()
-        est = empirical_averaged_drift(m, [1.0], 0.01, 50.0, 2000.0,
-                                       RngStream(5))
+        est = _birkhoff_drift(model.system(), 1.0, 0.01, 50.0, 2000.0, 5)
         expected = float(model.averaged_drift(1.0))
         s2 = 3.0 / (2 * 2.1)
         band = 3 * math.sqrt(2 * (2 * s2 ** 2) * (1 / (2 * 2.1)) / 2000.0)
-        assert abs(est[0] - expected) < band + 0.01
+        assert abs(est - expected) < band + 0.01
 
     @pytest.mark.parametrize("maker,xs", [
         (lambda: LinearOUModel(sigma_f=5.0), (-1.0, 0.5, 2.0)),
@@ -147,59 +161,19 @@ class TestEmpiricalAveragedDrift:
         model = maker()
         m = model.system()
         for i, x in enumerate(xs):
-            est = empirical_averaged_drift(m, [x], 0.01, 50.0, 4000.0,
-                                           RngStream(100 + i))
+            est = _birkhoff_drift(m, x, 0.01, 50.0, 4000.0, 100 + i)
             expected = float(model.averaged_drift(x))
             # generous 3-sigma band: fast OU time-average fluctuations are
             # at most ~ sigma/sqrt(theta_min^2 T) for these models
             band = 3 * 5.0 / math.sqrt(0.5 * 4000.0) + 0.02
-            assert abs(est[0] - expected) < band
-
-
-@pytest.mark.parametrize("kwargs,match", [
-    ({"x": [0.5, 1.0]}, "x must have shape"),
-    ({"micro_dt": 0.0}, "micro_dt must be positive and finite"),
-    ({"micro_dt": -0.01}, "micro_dt must be positive and finite"),
-    ({"micro_dt": math.nan}, "micro_dt must be positive and finite"),
-    ({"t_avg": math.nan}, "t_avg must be positive and finite"),
-    ({"t_avg": math.inf}, "t_avg must be positive and finite"),
-    ({"t_avg": 0.0}, "t_avg must be positive and finite"),
-    ({"t_burn": math.inf}, "t_burn must be finite and >= 0"),
-    ({"t_burn": -1.0}, "t_burn must be finite and >= 0"),
-    ({"t_burn": math.nan}, "t_burn must be finite and >= 0"),
-])
-def test_empirical_drift_rejects_bad_inputs(kwargs, match):
-    args = {"x": [0.5], "micro_dt": 0.01, "t_burn": 1.0, "t_avg": 1.0}
-    args.update(kwargs)
-    with pytest.raises(ValueError, match=match):
-        empirical_averaged_drift(LinearOUModel().system(), args["x"],
-                                 args["micro_dt"], args["t_burn"],
-                                 args["t_avg"], RngStream(1))
+            assert abs(est - expected) < band
 
 
 def test_generic_and_structured_drift_paths_agree():
     # the ScalarOU fast path and the generic micro-step loop consume the
-    # same stream and must agree to rounding error
-    model = NonDiffusiveModel()
-    m = model.system()
+    # same streams and must agree to rounding error
+    m = NonDiffusiveModel().system()
     generic = fs.FastSlowModel(1, 1, m.f, m.g, m.sigma)
-    a = empirical_averaged_drift(m, [1.3], 0.05, 5.0, 50.0, RngStream(77))
-    b = empirical_averaged_drift(generic, [1.3], 0.05, 5.0, 50.0,
-                                 RngStream(77))
-    assert a[0] == pytest.approx(b[0], abs=1e-10)
-
-
-def test_generic_drift_failure_reports_absolute_micro_index():
-    # the fast drift blows up on its 7th call: the 3rd averaged micro step
-    # after a 4-step burn window, counted as micro step 7 of the whole run
-    calls = []
-
-    def g(x, y):
-        calls.append(1)
-        return np.full(1, np.inf if len(calls) == 7 else 0.0)
-
-    m = fs.FastSlowModel(1, 1, lambda x, y: y, g,
-                         lambda x, y: np.zeros((1, 1)))
-    with pytest.raises(fs.IntegrationFailure) as err:
-        empirical_averaged_drift(m, [0.0], 1.0, 4.0, 5.0, RngStream(1))
-    assert err.value.micro_index == 7
+    a = _birkhoff_drift(m, 1.3, 0.05, 5.0, 50.0, 77)
+    b = _birkhoff_drift(generic, 1.3, 0.05, 5.0, 50.0, 77)
+    assert a == pytest.approx(b, abs=1e-10)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import fastslow as fs
-from fastslow import (RngStream, SchemeConfig, averaged_step,
-                      config_for_lambda, run_scheme)
+from fastslow import RngStream, SchemeConfig, config_for_lambda, run_scheme
 from fastslow.ensemble import burst_batch
 
 
@@ -46,22 +45,6 @@ class TestSchemeConfig:
         assert cfg.lam == 3
         assert cfg.micro_count == 27
         assert cfg.macro_dt == pytest.approx(3 * 27 * 1e-3)
-
-
-class TestAveragedStep:
-    def test_linear_model_value(self):
-        F = fs.LinearOUModel(theta=1.0, mu=0.5).averaged_drift
-        out = averaged_step(F, [1.0], 0.1)
-        assert out[0] == pytest.approx(0.95)
-
-    def test_zero_field(self):
-        out = averaged_step(lambda x: np.zeros_like(x), [1.3], 0.5)
-        assert out[0] == 1.3
-
-    def test_double_well_fixed_point(self):
-        F = fs.DoubleWellModel(mu=1.0).averaged_drift
-        for dt in (0.01, 0.1, 1.0):
-            assert averaged_step(F, [1.0], dt)[0] == pytest.approx(1.0)
 
 
 def _burst(model, x, y, m_count, dt, seed):
@@ -208,21 +191,6 @@ class TestRunScheme:
         traj = run_scheme(m, "hmm", [1.0], [0.0], cfg, T=cfg.macro_dt)
         assert len(traj) == 2
 
-    def test_averaged_converges_to_stable_well(self):
-        m = fs.DoubleWellModel(mu=1.0).system()
-        cfg = SchemeConfig(eps=1e-3, lam=1, macro_dt=0.05, micro_dt=0.05,
-                           root_seed=7)
-        traj = run_scheme(m, "averaged", [0.1], [0.0], cfg, T=50.0)
-        assert abs(traj.slow()[-1] - 1.0) < 1e-3
-
-    def test_averaged_requires_closed_form_drift(self):
-        m = fs.FastSlowModel(1, 1,
-                             f=lambda x, y: -x,
-                             g=lambda x, y: -y,
-                             sigma=lambda x, y: np.eye(1))
-        with pytest.raises(ValueError, match="averaged_drift"):
-            run_scheme(m, "averaged", [1.0], [0.0], _cfg(), T=1.0)
-
     @pytest.mark.parametrize("scheme", ["direct", "hmm"])
     @pytest.mark.parametrize("t_end", [math.nan, math.inf, 0.0, -1.0])
     def test_horizon_must_be_positive_and_finite(self, scheme, t_end):
@@ -232,8 +200,9 @@ class TestRunScheme:
 
     def test_unknown_scheme_is_rejected(self):
         m = fs.LinearOUModel().system()
-        with pytest.raises(ValueError, match="unknown scheme"):
-            run_scheme(m, "midpoint", [0.0], [0.0], _cfg(), T=1.0)
+        for scheme in ("midpoint", "averaged"):
+            with pytest.raises(ValueError, match="unknown scheme"):
+                run_scheme(m, scheme, [0.0], [0.0], _cfg(), T=1.0)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_failure_carries_macro_index(self):
@@ -259,14 +228,14 @@ class TestAveragingConsistency:
             SchemeConfig(eps=eps, lam=1, macro_dt=0.08, micro_dt=0.1,
                          root_seed=31), lam)
         x0, y0 = 1.0, 0.5  # y0 at the frozen-x fast mean
-        x_avg = averaged_step(model.averaged_drift, [x0], cfg.macro_dt)
+        x_avg = x0 + cfg.macro_dt * model.averaged_drift(x0)
         bound = 5 * 5.0 * math.sqrt(eps * lam * cfg.macro_dt)
         for seed in (1, 2, 3):
             cfg_s = SchemeConfig(eps=cfg.eps, lam=cfg.lam,
                                  macro_dt=cfg.macro_dt,
                                  micro_dt=cfg.micro_dt, root_seed=seed)
             traj = run_scheme(m, scheme, [x0], [y0], cfg_s, T=cfg.macro_dt)
-            assert abs(traj.slow()[-1] - x_avg[0]) < bound
+            assert abs(traj.slow()[-1] - x_avg) < bound
 
 
 class TestVarianceScaling:
