@@ -22,10 +22,10 @@ from .models import (BUILTIN_MODELS, DoubleWellModel, LinearOUModel,
 from .fluctuations import (BasinSpec, FptSummary, HistogramResult, MfptPoint,
                            first_passage_times, fit_log_mfpt_inverse_lambda,
                            hamiltonian_nondiffusive, histogram_of_samples,
-                           ks_distance, ldp_escape_prediction,
-                           mean_first_passage_vs_lambda, occupancy_fraction,
-                           quasipotential, quasipotential_derivative,
-                           stationary_variance, summarize_fpt)
+                           ks_distance, mean_first_passage_vs_lambda,
+                           occupancy_fraction, quasipotential,
+                           quasipotential_derivative, stationary_variance,
+                           summarize_fpt)
 from .jump import (JumpModel, Reaction, birth_death, ssa_final_states,
                    ssa_run, tau_leap_final_states, tau_leap_run)
 
@@ -39,7 +39,7 @@ __all__ = [
     "BasinSpec", "FptSummary",
     "HistogramResult", "MfptPoint", "first_passage_times",
     "fit_log_mfpt_inverse_lambda", "hamiltonian_nondiffusive",
-    "histogram_of_samples", "ks_distance", "ldp_escape_prediction",
+    "histogram_of_samples", "ks_distance",
     "mean_first_passage_vs_lambda", "occupancy_fraction", "quasipotential",
     "quasipotential_derivative", "stationary_variance", "summarize_fpt",
     "JumpModel", "Reaction", "birth_death", "ssa_final_states", "ssa_run",

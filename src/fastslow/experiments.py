@@ -26,9 +26,8 @@ import numpy as np
 from . import __version__
 from .ensemble import ENSEMBLE_SCHEMES, map_blocks, pooled_stationary_samples
 from .fluctuations import (BasinSpec, first_passage_times,
-                           fit_log_mfpt_inverse_lambda, histogram_of_samples,
-                           ldp_escape_prediction, mean_first_passage_vs_lambda,
-                           ks_distance, quasipotential,
+                           histogram_of_samples, ks_distance,
+                           mean_first_passage_vs_lambda, quasipotential,
                            quasipotential_derivative)
 from .jump import birth_death, ssa_final_states, tau_leap_final_states
 from .models import (DoubleWellModel, LinearOUModel, NonDiffusiveModel,
@@ -61,13 +60,6 @@ AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
 
 def _one_of(*choices):
     return (lambda v: v in choices, f"one of {choices}")
-
-
-def _parse_bool(text: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {text!r}") from None
 
 
 def _list(item):
@@ -225,11 +217,6 @@ def parse_config(path, name: str | None = None) -> ExperimentConfig:
 def _check_relations(cfg: ExperimentConfig) -> None:
     """The checks that tie keys together; the domains check single keys."""
     values = {**cfg.scheme, **cfg.params}
-    for scheme in values.get("schemes", ()):
-        if scheme not in ENSEMBLE_SCHEMES:
-            raise ConfigError(f"scheme {scheme!r} is not available for "
-                              f"analysis {cfg.analysis!r}; expected one "
-                              f"of {ENSEMBLE_SCHEMES}", key="schemes")
     for lo, hi in (("x_min", "x_max"), ("bin_min", "bin_max")):
         if lo in values and values[lo] >= values[hi]:
             raise ConfigError(f"{lo} must be below {hi}, got {values[lo]} >= "
@@ -325,36 +312,18 @@ def _run_mfpt(cfg: ExperimentConfig, executor) -> list[OutputTable]:
     model = _model(cfg).system()
     basin = BasinSpec(cfg.params["start"], cfg.params["threshold"],
                       cfg.params["direction"])
-    lambdas = list(cfg.scheme["lambdas"])
     rows = []
-    hmm_points = None
     for scheme in cfg.params["schemes"]:
         points = mean_first_passage_vs_lambda(  # direct ignores lambda
             model, scheme, _scheme_config(cfg, 1), basin,
-            (1,) if scheme == "direct" else lambdas, cfg.params["n_samples"],
-            cfg.params["t_cap"], equil_fast_time=cfg.params["equil_fast_time"],
-            executor=executor)
-        if scheme == "hmm":
-            hmm_points = points
-        for p in points:
-            rows.append([p.scheme, p.lam, repr(p.macro_dt), p.n_samples,
-                         p.n_censored, repr(p.mfpt), repr(p.stderr)])
-    extra = {}
-    if cfg.params["ldp_curve"] and hmm_points and len(hmm_points) >= 2:
-        _, b, r2 = fit_log_mfpt_inverse_lambda(hmm_points)
-        v_barrier = b * cfg.scheme["eps"]
-        lam0, mfpt0 = hmm_points[0].lam, hmm_points[0].mfpt
-        for lam in lambdas:
-            pred = ldp_escape_prediction(v_barrier, cfg.scheme["eps"], lam,
-                                         (lam0, mfpt0))
-            rows.append(["ldp_prediction", lam, repr(float("nan")),
-                         0, 0, repr(pred), repr(0.0)])
-        extra = {"ldp-barrier-estimate": repr(v_barrier),
-                 "ldp-fit-r2": repr(r2)}
+            (1,) if scheme == "direct" else cfg.scheme["lambdas"],
+            cfg.params["n_samples"], cfg.params["t_cap"],
+            equil_fast_time=cfg.params["equil_fast_time"], executor=executor)
+        rows += [[p.scheme, p.lam, repr(p.macro_dt), p.n_samples, p.n_censored,
+                  repr(p.mfpt), repr(p.stderr)] for p in points]
     return [OutputTable("mfpt",
                         ["scheme", "lam", "macro_dt", "n_samples",
-                         "n_censored", "mfpt", "stderr"],
-                        rows, extra)]
+                         "n_censored", "mfpt", "stderr"], rows)]
 
 
 def _run_fpt_cdf(cfg: ExperimentConfig, executor) -> list[OutputTable]:
@@ -445,12 +414,13 @@ _SDE_MODELS = ("linear_ou", "double_well", "non_diffusive")
 _STEPS = {key: (float, REQUIRED, POSITIVE)
           for key in ("eps", "micro_dt", "macro_dt")}
 _LAMBDAS = {"lambdas": (_list(int), REQUIRED, AT_LEAST_1)}
+_SCHEMES = _one_of(*ENSEMBLE_SCHEMES)
 _POOLED_SCHEME = {**_STEPS, **_LAMBDAS, "t": (float, REQUIRED, POSITIVE),
                   "burn_in": (float, 0.0, NON_NEGATIVE)}
-_POOLED = {"schemes": (_list(str), REQUIRED, None),
+_POOLED = {"schemes": (_list(str), REQUIRED, _SCHEMES),
            "n_replicas": (int, 1, AT_LEAST_1),
            "x0": (_list(float), (0.0,), FINITE)}
-_PASSAGE = {"schemes": (_list(str), REQUIRED, None),
+_PASSAGE = {"schemes": (_list(str), REQUIRED, _SCHEMES),
             "n_samples": (int, REQUIRED, AT_LEAST_1),
             "t_cap": (float, REQUIRED, POSITIVE),
             "start": (float, REQUIRED, FINITE),
@@ -469,8 +439,7 @@ ANALYSES = {
     "mfpt_vs_lambda": Analysis(_run_mfpt, _SDE_MODELS, {
         "scheme": {**_STEPS, **_LAMBDAS},
         "analysis": {**_PASSAGE,
-                     "direction": (str, REQUIRED, _one_of(*_CROSSINGS)),
-                     "ldp_curve": (_parse_bool, False, None)}}),
+                     "direction": (str, REQUIRED, _one_of(*_CROSSINGS))}}),
     "fpt_cdf": Analysis(_run_fpt_cdf, _SDE_MODELS, {
         "scheme": {**_STEPS, "lambda": (int, REQUIRED, AT_LEAST_1)},
         "analysis": {**_PASSAGE,

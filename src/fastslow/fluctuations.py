@@ -1,10 +1,10 @@
 """Trajectory statistics, first-passage sampling and rare-event predictors.
 
 Covers the small-fluctuation side (stationary moments, histograms) and the
-large-fluctuation side: empirical first-passage distributions for the
-schemes, the escape-time scaling curve implied by the reduced
-quasi-potential of the plain HMM, and the closed-form Hamiltonian and
-quasi-potential of the non-diffusive builtin model.
+large-fluctuation side: empirical first-passage times of the schemes, their
+mean per speed-up factor with the fit of log MFPT against 1/lambda, and the
+closed-form Hamiltonian and quasi-potential of the non-diffusive builtin
+model.
 """
 
 from __future__ import annotations
@@ -224,20 +224,6 @@ def fit_log_mfpt_inverse_lambda(points: list[MfptPoint]):
     ss_tot = float(np.sum((logs - logs.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return float(a), float(b), r2
-
-
-def ldp_escape_prediction(v_barrier: float, eps: float, lam: int,
-                          calibration: tuple[int, float]) -> float:
-    """Escape-time prediction MFPT0 * exp(V/eps * (1/lam - 1/lam0)).
-
-    The large-deviation theory pins only the exponential rate, which the
-    plain HMM divides by its speed-up factor; the prefactor is fixed by one
-    calibration point (lam0, MFPT0).
-    """
-    lam0, mfpt0 = calibration
-    if not mfpt0 > 0:
-        raise ValueError("calibration MFPT must be positive")
-    return mfpt0 * math.exp(v_barrier / eps * (1.0 / lam - 1.0 / lam0))
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ Draw conventions (fixed so single runs and batched ensembles agree bitwise):
 the i-th SSA event consumes the i-th value of the stream's exponential
 substream ``stream.child(0)`` and of its uniform substream ``stream.child(1)``.
 Tau-leap window w of an m-channel model consumes values w*m to w*m + m - 1
-of the uniforms ``random()`` of the stream's main generator, one per
-channel in channel order, zero-rate channels included; a run draws them in
-chunks of at most ``_TAU_CHUNK`` windows. Channel k of the window fires
-the smallest n with P(Poisson(lam_k) <= n) > u_k: an inverse-CDF count
-that depends on its own mean and uniform only. Window w ends at
-``min((w + 1) * tau, T)``, so the last record is exactly T.
+of the uniforms ``random()`` of the stream, one per channel in channel
+order, zero-rate channels included. A run reads them in chunks of at most
+``_TAU_CHUNK`` windows from a freshly keyed generator of the stream's key,
+so draws made earlier from the same stream object do not shift them.
+Channel k of the window fires the smallest n with
+P(Poisson(lam_k) <= n) > u_k: an inverse-CDF count that depends on its own
+mean and uniform only. Window w ends at ``min((w + 1) * tau, T)``, so the
+last record is exactly T.
 
 An SSA event with uniform u fires the first channel whose cumulative rate
 exceeds u times the last cumulative rate, and its waiting time divides by
@@ -393,7 +395,7 @@ def tau_leap_run(model: JumpModel, x0, T: float, tau: float,
     stoichiometry. Records every window end, the last at exactly T.
     """
     times, states = zip(*((t, x[0]) for t, x in _tau_windows(
-        model, x0, T, tau, [stream.generator], [0])))
+        model, x0, T, tau, [stream.child().generator], [0])))
     return Trajectory(np.array(times), np.array(states),
                       _meta(model, "tau_leap", stream, False))
 

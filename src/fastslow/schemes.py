@@ -58,8 +58,10 @@ class SchemeConfig:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got "
                                  f"{value}")
-        if self.lam < 1 or int(self.lam) != self.lam:
+        if not (math.isfinite(self.lam) and self.lam >= 1
+                and int(self.lam) == self.lam):
             raise ValueError(f"lam must be a positive integer, got {self.lam}")
+        object.__setattr__(self, "lam", int(self.lam))
         slow_per_micro = self.lam * self.eps * self.micro_dt
         m = max(1, round(self.macro_dt / slow_per_micro))
         if abs(self.macro_dt - m * slow_per_micro) > 1e-12 * self.macro_dt:

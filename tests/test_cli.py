@@ -173,7 +173,7 @@ _BUNDLED_PARSES = {
           "bin_max": 2.5,
           "n_bins": 50}),
     "fig_ldp_mfpt":
-        ("8a5572ddaec4", "mfpt_vs_lambda", "double_well",
+        ("c5256d1b9705", "mfpt_vs_lambda", "double_well",
          {"theta": 1.0, "mu": 1.0, "sigma": 15.0},
          {"eps": 0.001,
           "micro_dt": 0.05,
@@ -185,10 +185,9 @@ _BUNDLED_PARSES = {
           "start": -1.0,
           "threshold": 1.0,
           "direction": "upcrossing",
-          "equil_fast_time": 50.0,
-          "ldp_curve": True}),
+          "equil_fast_time": 50.0}),
     "fig_ldp_mfpt_quick":
-        ("49161f32a5b0", "mfpt_vs_lambda", "double_well",
+        ("eaf358abdd98", "mfpt_vs_lambda", "double_well",
          {"theta": 1.0, "mu": 1.0, "sigma": 15.0},
          {"eps": 0.001,
           "micro_dt": 0.05,
@@ -200,8 +199,7 @@ _BUNDLED_PARSES = {
           "start": -1.0,
           "threshold": 1.0,
           "direction": "upcrossing",
-          "equil_fast_time": 50.0,
-          "ldp_curve": True}),
+          "equil_fast_time": 50.0}),
     "fig_num_quasi":
         ("37757dd4f193", "quasipotential", "non_diffusive",
          {"nu": 1.0, "sigma": 1.7320508075688772}, {},
@@ -348,6 +346,14 @@ frobnication = 3
         err = capsys.readouterr().err
         assert "frobnication" in err
         assert "line 12" in err
+
+    def test_removed_ldp_curve_key_reports_line(self, tmp_path, capsys):
+        text = _config_text("mfpt_vs_lambda") + "ldp_curve = true\n"
+        path = self._write(tmp_path, text)
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown key 'ldp_curve'" in err
+        assert f"line {len(text.splitlines())}" in err
 
     def test_unknown_analysis(self, tmp_path, capsys):
         path = self._write(tmp_path, "[experiment]\nanalysis = dance\nseed = 1\n")
@@ -509,9 +515,14 @@ def test_mfpt_runs_direct_once_at_lambda_1(tmp_path):
 def test_averaged_scheme_is_rejected_by_ensemble_analyses(tmp_path, analysis):
     # no ensemble driver runs the averaged scheme; it used to run as hmm
     path = tmp_path / "exp.cfg"
-    path.write_text(_config_text(analysis, "averaged, hmm"))
-    with pytest.raises(ConfigError, match="scheme 'averaged' is not available"):
+    text = _config_text(analysis, "averaged, hmm")
+    path.write_text(text)
+    line = text.splitlines().index("schemes = averaged, hmm") + 1
+    with pytest.raises(ConfigError) as err:
         parse_config(path)
+    assert "schemes must be one of" in str(err.value)
+    assert "got 'averaged'" in str(err.value)
+    assert err.value.line == line and f"line {line}" in str(err.value)
 
 
 def _bad_rows(rows):

@@ -12,7 +12,7 @@ import fastslow as fs
 from fastslow import (BasinSpec, NonDiffusiveModel, SchemeConfig, Trajectory,
                       first_passage_times, fit_log_mfpt_inverse_lambda,
                       hamiltonian_nondiffusive, histogram_of_samples,
-                      ks_distance, ldp_escape_prediction, occupancy_fraction,
+                      ks_distance, occupancy_fraction,
                       quasipotential, quasipotential_derivative,
                       stationary_variance, summarize_fpt)
 
@@ -231,24 +231,7 @@ class TestMfptSweep:
                                             "hmm", cfg, dw_basin, [], 5, 10.0)
 
 
-class TestEscapePrediction:
-    @given(st.floats(0.01, 10.0), st.floats(1e-3, 0.1),
-           st.integers(1, 16), st.floats(0.1, 100.0))
-    @settings(max_examples=40, deadline=None)
-    def test_calibration_point_is_exact(self, v, eps, lam0, mfpt0):
-        assert ldp_escape_prediction(v, eps, lam0, (lam0, mfpt0)) == \
-            pytest.approx(mfpt0, rel=1e-12)
-
-    @given(st.integers(1, 16), st.integers(1, 16))
-    @settings(max_examples=20, deadline=None)
-    def test_zero_barrier_is_flat(self, lam0, lam):
-        assert ldp_escape_prediction(0.0, 0.01, lam, (lam0, 3.0)) == 3.0
-
-    def test_doubling_lambda_with_log100_barrier(self):
-        # V/eps = ln(100): predicted MFPT at lam = 2 is MFPT0 / 10
-        pred = ldp_escape_prediction(math.log(100.0) * 0.01, 0.01, 2, (1, 50.0))
-        assert pred == pytest.approx(5.0, rel=1e-12)
-
+class TestMfptFit:
     def test_fit_recovers_affine_law(self):
         pts = [fs.MfptPoint("hmm", lam, 0.06, math.exp(1.0 + 2.0 / lam),
                             0.0, 0, 10, np.empty(0), np.empty(0, dtype=bool))

@@ -337,6 +337,16 @@ class TestTauLeap:
             assert t == t_lone
             assert np.array_equal(x[3], x_lone)
 
+    def test_runs_on_one_stream_object_repeat_a_fresh_stream(self):
+        model, stream = birth_death(), RngStream(5)
+        paths = [tau_leap_run(model, [1.0], 3.0, 0.1, s)
+                 for s in (stream, stream, RngStream(5))]
+        stream.normals(3)  # draws from the stream's own generator
+        paths.append(tau_leap_run(model, [1.0], 3.0, 0.1, stream))
+        for path in paths[1:]:
+            assert np.array_equal(path.times, paths[0].times)
+            assert np.array_equal(path.states, paths[0].states)
+
     def test_partial_final_window(self):
         traj = tau_leap_run(birth_death(1.0, 1.0, 0.01), [1.0], 1.05, 0.25,
                             RngStream(5))

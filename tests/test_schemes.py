@@ -40,6 +40,17 @@ class TestSchemeConfig:
                            match=f"^{name} must be positive and finite"):
             _cfg(**{name: value})
 
+    @pytest.mark.parametrize("lam", [0, -1, 1.5, math.inf, math.nan])
+    def test_lam_must_be_a_positive_integer(self, lam):
+        with pytest.raises(ValueError,
+                           match="^lam must be a positive integer"):
+            _cfg(lam=lam)
+
+    def test_integral_float_lam_is_stored_as_int(self):
+        cfg = _cfg(lam=2.0)
+        assert type(cfg.lam) is int
+        assert cfg.config_hash() == _cfg(lam=2).config_hash()
+
     def test_config_for_lambda_snaps_macro_dt(self):
         cfg = config_for_lambda(_cfg(), 3)
         assert cfg.lam == 3
