@@ -11,19 +11,27 @@ the i-th SSA event consumes the i-th value of the stream's exponential
 substream ``stream.child(0)`` and of its uniform substream ``stream.child(1)``.
 Tau-leap window w of an m-channel model consumes values w*m to w*m + m - 1
 of the uniforms ``random()`` of the stream, one per channel in channel
-order, zero-rate channels included. A run reads them in chunks of at most
-``_TAU_CHUNK`` windows from a freshly keyed generator of the stream's key,
-so draws made earlier from the same stream object do not shift them.
-Channel k of the window fires the smallest n with
-P(Poisson(lam_k) <= n) > u_k: an inverse-CDF count that depends on its own
-mean and uniform only. Window w ends at ``min((w + 1) * tau, T)``, so the
-last record is exactly T.
+order, zero-rate channels included. Channel k of the window fires the
+smallest n with P(Poisson(lam_k) <= n) > u_k: an inverse-CDF count that
+depends on its own mean and uniform only. Window w ends at
+``min((w + 1) * tau, T)``, so the last record is exactly T.
+
+Uniforms are read by position: ``StreamBlock.uniforms`` gives each run's
+keyed row at a counter offset, 512 values per SSA chunk and at most
+``_TAU_CHUNK`` windows per tau-leap chunk, so draws made earlier from the
+same stream object do not shift them. A waiting time takes a varying
+number of Philox words, so each run draws its waiting times from one
+generator of its own, in event order.
 
 An SSA event with uniform u fires the first channel whose cumulative rate
 exceeds u times the last cumulative rate, and its waiting time divides by
 that same rate, so a zero-rate channel never fires and no run depends on
 which other runs share its block. The cumulative rates are summed
-sequentially in channel order, one add per channel over all lanes.
+sequentially in channel order, one add per channel over all lanes, and a
+lane's state is x0 + eps * shift, where shift sums the lane's
+stoichiometry vectors elementwise, per SSA event or per tau-leap window
+in channel order, so non-integer stoichiometry also gives the same bits
+in every block.
 ``ssa_run`` and ``tau_leap_run`` are one-lane calls of the lockstep lane
 kernels behind the batched drivers, and ``JumpModel.guarded_rates``, whose
 orthant guard runs lanes last, is the only rate evaluation of both.
@@ -42,7 +50,7 @@ from .rng import RngStream
 from .sde import Trajectory
 
 _ORTHANT_TOL = 1e-12
-_SSA_CHUNK = 512  # SSA draws per generator per refill
+_SSA_CHUNK = 512  # SSA draws per lane per refill
 _TAU_CHUNK = 64  # tau-leap windows per uniform refill
 _SEARCH_LAM_MAX = 30.0  # Poisson means below it take the CDF search
 # largest tau-leap mean: a count 10 standard deviations above it fits int64
@@ -110,6 +118,17 @@ class JumpModel:
         jumps.flags.writeable = False
         return jumps
 
+    @cached_property
+    def _lowered(self) -> tuple[np.ndarray, np.ndarray]:
+        """(m, r) coordinates and steps: row k holds the coordinates that
+        channel k lowers and its jumps there, padded up to r, the most any
+        channel lowers, with coordinates it does not lower at step 0."""
+        lowers = self._jumps < 0
+        r = int(lowers.sum(axis=1).max())
+        coords = np.argsort(~lowers, axis=1, kind="stable")[:, :r]
+        steps = np.take_along_axis(np.minimum(self._jumps, 0.0), coords, axis=1)
+        return coords, steps
+
     def guarded_rates(self, x: np.ndarray) -> np.ndarray:
         """Propensities at states x (..., dim), clamped per the orthant guard.
 
@@ -117,8 +136,8 @@ class JumpModel:
         wherever a propensity is negative or any coordinate of
         x + eps * nu_k is below -1e-12 or NaN. A model that is not
         ``vectorized`` has each propensity called once per lane point. The
-        guard runs lanes last, over a (dim, lanes) copy of x; this is the
-        only rate evaluation of the SSA and tau-leap kernels.
+        guard runs lanes last; this is the only rate evaluation of the SSA
+        and tau-leap kernels.
         """
         x = np.asarray(x, dtype=float)
         points = x.reshape(-1, self.dim)
@@ -127,9 +146,14 @@ class JumpModel:
             a = (r.propensity(x) if self.vectorized else np.reshape(
                 [r.propensity(p) for p in points], x.shape[:-1]))
             np.maximum(np.asarray(a, dtype=float), 0.0, out=rates[k, ...])
-        # candidates (m, dim, n) from a contiguous (dim, n) copy of the n
-        # lanes: the add and the reduction over dim run along the lanes
-        cand = points.T.copy() + self._jumps[:, :, None]
+        xt = points.T
+        if xt.min(initial=0.0) >= -_ORTHANT_TOL:
+            # no coordinate is NaN or below -tol, and fl(x + a) >= x for
+            # a >= 0: only the coordinates a channel lowers can block it
+            coords, steps = self._lowered
+            cand = xt[coords] + steps[:, :, None]  # (m, r, n)
+        else:
+            cand = xt + self._jumps[:, :, None]  # (m, dim, n)
         admissible = (cand >= -_ORTHANT_TOL).all(axis=1)
         np.copyto(rates, 0.0, where=~admissible.reshape(rates.shape))
         if not np.isfinite(rates).all():
@@ -164,7 +188,8 @@ def _meta(model, scheme, stream, absorbed):
 
 
 def _lanes(model, x0, T, n):
-    """Checked x0 and horizon T; returns x0, n lanes at x0 and zero counts."""
+    """Checked x0 and horizon T; returns x0, n lanes at x0 and their zero
+    displacements (n, dim) in units of eps."""
     if not (math.isfinite(T) and T >= 0):
         raise ValueError(f"T must be finite and nonnegative, got {T}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -172,9 +197,10 @@ def _lanes(model, x0, T, n):
         raise ValueError(f"x0 must have shape ({model.dim},)")
     if not (np.isfinite(x0).all() and (x0 >= -_ORTHANT_TOL).all()):
         raise ValueError(f"x0 must be finite and nonnegative, got {x0}")
-    # integer jump counts keep every state exactly on the eps-lattice
-    return (x0, np.tile(x0, (n, 1)),
-            np.zeros((n, len(model.reactions)), dtype=np.int64))
+    # each lane sums its own stoichiometry vectors elementwise in event
+    # and channel order, so its state does not depend on its block, and
+    # integer vectors keep it exactly on the eps-lattice
+    return x0, np.tile(x0, (n, 1)), np.zeros((n, model.dim))
 
 
 def _run_ids(ids):
@@ -186,31 +212,30 @@ def _run_ids(ids):
     return ids.astype(int)
 
 
-def _ssa(model, x0, T, exp_gens, uni_gens, on_event=lambda t, x: None):
-    """Lockstep SSA lanes from x0 to T, one per (exponential, uniform) pair.
+def _ssa(model, x0, T, exp_gens, uni_keys, on_event=lambda t, x: None):
+    """Lockstep SSA lanes from x0 to T, one per exponential generator and
+    row of the uniform key block.
 
     ``on_event(t, x)`` sees the live lanes at the start and after every
     event. Returns the final states (B, dim) and absorbed flags (B,).
     """
-    x0, x, counts = _lanes(model, x0, T, len(exp_gens))
+    x0, x, shift = _lanes(model, x0, T, len(exp_gens))
     t = np.zeros(len(x))
     final = np.empty_like(x)
     absorbed = np.zeros(len(x), dtype=bool)
     pos = np.arange(len(x))
     nu = model.stoichiometry_matrix
     n_channels = len(model.reactions)
-    row_base = np.arange(0, counts.size, n_channels)  # flat row starts
     on_event(t, x)
-    cursor = _SSA_CHUNK
+    cursor, chunk = _SSA_CHUNK, 0
     while pos.size:
         if cursor == _SSA_CHUNK:
             exps = np.empty((pos.size, _SSA_CHUNK))
-            unis = np.empty((pos.size, _SSA_CHUNK))
             for i, p in enumerate(pos):
                 exps[i] = exp_gens[p].standard_exponential(_SSA_CHUNK)
-                unis[i] = uni_gens[p].random(_SSA_CHUNK)
+            unis = uni_keys[pos].uniforms(_SSA_CHUNK, _SSA_CHUNK * chunk)
             row = np.arange(pos.size)  # chunk row of each live lane
-            cursor = 0
+            cursor, chunk = 0, chunk + 1
         # cumulative rates in channel order, one add per channel over all
         # lanes: the sequential sums of np.cumsum without its strided walk
         cum = model.guarded_rates(x)  # (m, B)
@@ -227,13 +252,13 @@ def _ssa(model, x0, T, exp_gens, uni_gens, on_event=lambda t, x: None):
             final[pos[done]] = x[done]
             absorbed[pos[stuck]] = True
             keep = ~done
-            pos, x, t_next, counts = pos[keep], x[keep], t_next[keep], counts[keep]
+            pos, t_next, shift = pos[keep], t_next[keep], shift[keep]
             cum, u_cum, row = cum[:, keep], u_cum[keep], row[keep]
             if not pos.size:
                 break
         k = np.minimum((cum <= u_cum).sum(axis=0), n_channels - 1)
-        counts.reshape(-1)[row_base[:pos.size] + k] += 1
-        x = x0[None, :] + model.eps * (counts @ nu)
+        shift += nu[k]
+        x = x0 + model.eps * shift
         t = t_next
         on_event(t, x)
     return final, absorbed
@@ -326,28 +351,28 @@ def _window_count(T, tau):
     return n + 1 if n * tau < T else n
 
 
-def _tau_windows(model, x0, T, tau, gens, ids):
-    """Lockstep tau-leap lanes from x0 to T, one per generator and run id;
-    yields ``(t, x)`` with x (B, dim) at t = 0 and after every window.
+def _tau_windows(model, x0, T, tau, keys, ids):
+    """Lockstep tau-leap lanes from x0 to T, one per row of the key block
+    and run id; yields ``(t, x)`` with x (B, dim) at t = 0 and after every
+    window.
 
     Each window takes m uniforms per run, one per channel in channel
-    order, read from chunks of at most ``_TAU_CHUNK`` windows that every
-    run draws from its own generator.
+    order, read from chunks of at most ``_TAU_CHUNK`` windows of every
+    run's keyed row.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be positive and finite, got {tau}")
-    x0, x, counts = _lanes(model, x0, T, len(gens))
+    x0, x, shift = _lanes(model, x0, T, len(keys))
     nu = model.stoichiometry_matrix
-    n_runs, m = counts.shape
+    terms = list(zip(*np.nonzero(nu)))  # (channel, coordinate), row-major
+    n_runs, m = len(keys), len(model.reactions)
     n_windows = _window_count(T, tau)
     t = 0.0
     yield t, x
     for window in range(n_windows):
         if window % _TAU_CHUNK == 0:
             size = min(_TAU_CHUNK, n_windows - window)
-            draws = np.empty((n_runs, size * m))
-            for row, g in zip(draws, gens):
-                g.random(out=row)
+            draws = keys.uniforms(size * m, window * m)
             # (window, channel, run): one window's uniforms match lam (m, B)
             unis = draws.reshape(n_runs, size, m).transpose(1, 2, 0).copy()
         end = min((window + 1) * tau, T)
@@ -359,9 +384,11 @@ def _tau_windows(model, x0, T, tau, gens, ids):
                 f"tau-leap mean {lam[k, i]:.4g} of channel {k} is above "
                 f"{_POISSON_LAM_MAX:.4g}, where counts could overflow int64"
                 f" (run {ids[i]}, window {window}, t = {t!r})")
-        counts += _poisson_counts(
-            lam.ravel(), unis[window % _TAU_CHUNK].ravel()).reshape(m, -1).T
-        x = x0[None, :] + model.eps * (counts @ nu)
+        counts = _poisson_counts(
+            lam.ravel(), unis[window % _TAU_CHUNK].ravel()).reshape(m, -1)
+        for k, i in terms:  # in channel order for each coordinate
+            shift[:, i] += nu[k, i] * counts[k]
+        x = x0 + model.eps * shift
         t = end
         yield t, x
 
@@ -376,7 +403,7 @@ def ssa_run(model: JumpModel, x0, T: float, stream: RngStream) -> Trajectory:
     """
     path = []
     final, absorbed = _ssa(model, x0, T, [stream.child(0).generator],
-                           [stream.child(1).generator],
+                           stream.children([[1]]),
                            lambda t, x: path.append((t[0], x[0])))
     if not absorbed[0] and T > path[-1][0]:
         path.append((T, final[0]))
@@ -395,7 +422,8 @@ def tau_leap_run(model: JumpModel, x0, T: float, tau: float,
     stoichiometry. Records every window end, the last at exactly T.
     """
     times, states = zip(*((t, x[0]) for t, x in _tau_windows(
-        model, x0, T, tau, [stream.child().generator], [0])))
+        model, x0, T, tau, stream.children(np.empty((1, 0), dtype=int)),
+        [0])))
     return Trajectory(np.array(times), np.array(states),
                       _meta(model, "tau_leap", stream, False))
 
@@ -409,9 +437,8 @@ def ssa_final_states(model: JumpModel, x0, T: float, ids,
     bitwise interchangeable.
     """
     ids = _run_ids(ids)
-    exp_gens, uni_gens = (base.children(np.column_stack(
-        [ids, np.full_like(ids, j)])).generators() for j in (0, 1))
-    return _ssa(model, x0, T, exp_gens, uni_gens)[0]
+    runs = base.children(ids[:, None])
+    return _ssa(model, x0, T, runs.child(0).generators(), runs.child(1))[0]
 
 
 def tau_leap_final_states(model: JumpModel, x0, T: float, tau: float, ids,
@@ -422,7 +449,7 @@ def tau_leap_final_states(model: JumpModel, x0, T: float, tau: float, ids,
     run i.
     """
     ids = _run_ids(ids)
-    for _, x in _tau_windows(model, x0, T, tau,
-                             base.children(ids[:, None]).generators(), ids):
+    for _, x in _tau_windows(model, x0, T, tau, base.children(ids[:, None]),
+                             ids):
         pass
     return x

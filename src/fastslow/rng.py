@@ -29,7 +29,12 @@ the columns of a (B, k) part array. ``StreamBlock.normals(m)`` returns a
 (B, m) block whose row r is bitwise the stream's own ``normals(m)``: one
 Philox per call is reset for each row, from plain Python ints, to counter
 0, the row's key and an empty buffer, the state of a freshly keyed Philox.
-The generator is local to the call, so concurrent calls are safe.
+``StreamBlock.uniforms(m, start)`` returns the (B, m) block of values
+``start`` to ``start + m - 1`` of each row's ``Generator.random()``, by the
+same per-row reset with the counter set to ``start // 4``: ``random()``
+takes one 64-bit word per value and a Philox block holds four, so
+``start`` must be a multiple of 4. The generator is local to the call, so
+concurrent calls are safe.
 """
 
 from __future__ import annotations
@@ -192,14 +197,33 @@ class StreamBlock:
 
     def normals(self, m: int) -> np.ndarray:
         """(B, m) block: row r holds the first m normals of stream r."""
+        return self._rows("standard_normal", m, 0)
+
+    def uniforms(self, m: int, start: int) -> np.ndarray:
+        """(B, m) block: row r holds values ``start`` to ``start + m - 1``
+        of stream r's ``Generator.random()``.
+
+        Raises:
+            ValueError: unless ``start`` is a nonnegative multiple of 4.
+        """
+        start = operator.index(start)
+        if start < 0 or start % 4:
+            raise ValueError("start must be a nonnegative multiple of 4, got "
+                             f"{start}")
+        return self._rows("random", m, start)
+
+    def _rows(self, method: str, m: int, start: int) -> np.ndarray:
+        """(B, m) block: row r filled by ``Generator.<method>`` from word
+        ``start`` (a multiple of 4) of stream r."""
         out = np.empty((len(self), m))
         bitgen = np.random.Philox(_PLACEHOLDER_SEED)
-        gen = np.random.Generator(bitgen)
+        draw = getattr(np.random.Generator(bitgen), method)
         state = _fresh_state(0, 0)  # every row sets its key
+        state["state"]["counter"][0] = start // 4
         for row, k0, k1 in zip(out, self.h0.tolist(), self.h1.tolist()):
             state["state"]["key"] = [k0, k1]
             bitgen.state = state
-            gen.standard_normal(out=row)
+            draw(out=row)
         return out
 
     def generators(self) -> list[np.random.Generator]:

@@ -97,17 +97,11 @@ class TestSsa:
         assert np.allclose(steps, 0.1)
 
 
-class _ForcedDraws:
-    """Stands in for a generator: unit exponentials, one fixed uniform."""
-
-    def __init__(self, u):
-        self.u = u
+class _UnitExponentials:
+    """Stands in for a generator of waiting times: unit exponentials."""
 
     def standard_exponential(self, n):
         return np.ones(n)
-
-    def random(self, n):
-        return np.full(n, self.u)
 
 
 def _constant_rate_network(rates, eps=0.5):
@@ -123,12 +117,15 @@ def _constant_rate_network(rates, eps=0.5):
 class TestSsaChannelSelection:
     @staticmethod
     def _fired(rates, u, monkeypatch):
-        """Channel fired first by ssa_run and by ssa_final_states."""
+        """Channel fired first by ssa_run and by ssa_final_states, with
+        unit exponentials and every channel uniform u."""
         monkeypatch.setattr(RngStream, "generator",
-                            property(lambda self: _ForcedDraws(u)))
+                            property(lambda self: _UnitExponentials()))
         monkeypatch.setattr(
             StreamBlock, "generators",
-            lambda self: [_ForcedDraws(u) for _ in range(len(self))])
+            lambda self: [_UnitExponentials() for _ in range(len(self))])
+        monkeypatch.setattr(StreamBlock, "uniforms",
+                            lambda self, m, start: np.full((len(self), m), u))
         model = _constant_rate_network(rates)
         x0 = np.zeros(len(rates))
         # unit exponentials: the second event falls past T
@@ -201,6 +198,30 @@ class TestLaneKernels:
             assert np.array_equal(
                 tau_leap_final_states(lone, x0, 2.0, 0.2, ids, base),
                 tau_leap_final_states(vec, x0, 2.0, 0.2, ids, base))
+
+    def test_fractional_stoichiometry_runs_do_not_depend_on_their_block(self):
+        # x sums non-integer stoichiometry vectors, whose float sums depend
+        # on their order: a lane's order must not depend on its block
+        model = JumpModel(2, (
+            Reaction(lambda x: np.full(np.shape(x)[:-1], 1.5), [0.1, 1 / 3]),
+            Reaction(lambda x: 2.0 * x[..., 0], [-0.3, 0.1]),
+            Reaction(lambda x: x[..., 1], [1 / 3, -0.3]),
+            Reaction(lambda x: 0.5 * x[..., 0], [0.1, -0.3])),
+            0.05, vectorized=True)
+        x0, t_end, tau, base = [1.0, 1.0], 1.0, 0.05, RngStream(8)
+        ids = np.arange(64)
+        for batched, lone in (
+                (lambda ids: ssa_final_states(model, x0, t_end, ids, base),
+                 lambda i: ssa_run(model, x0, t_end, base.child(i))),
+                (lambda ids: tau_leap_final_states(model, x0, t_end, tau,
+                                                   ids, base),
+                 lambda i: tau_leap_run(model, x0, t_end, tau,
+                                        base.child(i)))):
+            block = batched(ids)
+            assert np.array_equal(block, np.concatenate(
+                [batched(part) for part in np.split(ids, 4)]))
+            for i in ids:
+                assert np.array_equal(block[i], lone(int(i)).states[-1])
 
     def test_batched_drivers_check_x0_shape(self):
         model = birth_death()
@@ -331,7 +352,7 @@ class TestTauLeap:
         assert len(path) == 71 > _TAU_CHUNK + 1
         ids = np.arange(8)
         block = _tau_windows(model, x0, t_end, tau,
-                             base.children(ids[:, None]).generators(), ids)
+                             base.children(ids[:, None]), ids)
         for (t, x), t_lone, x_lone in zip(block, path.times, path.states,
                                           strict=True):
             assert t == t_lone
@@ -524,6 +545,49 @@ class TestGuardedRates:
         assert np.array_equal(nu, [[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         with pytest.raises(ValueError, match="read-only"):
             nu[0, 0] = 5.0
+
+    @staticmethod
+    def _association(eps=0.25):
+        """Three species at constant rates: A + B -> C lowers two
+        coordinates, a null channel moves none, an inflow of A only raises
+        and a decay of C lowers one."""
+        return JumpModel(3, tuple(
+            Reaction(lambda x, r=r: np.full(np.shape(x)[:-1], r), nu)
+            for r, nu in ((1.0, [-1.0, -1.0, 1.0]), (2.0, [0.0, 0.0, 0.0]),
+                          (3.0, [1.0, 0.0, 0.0]), (4.0, [0.0, 0.0, -1.0]))),
+            eps, vectorized=True)
+
+    @pytest.mark.parametrize("model, edges, inflow_of_0", [
+        (_association(), (-0.0, -1e-13, -2e-12, np.nan, np.inf), 2),
+        # birth-death lowers its one coordinate, and its death rate is
+        # infinite at x = inf
+        (birth_death(1.0, 1.0, 0.25), (-0.0, -1e-13, -2e-12, np.nan), 0),
+    ])
+    def test_sparse_guard_matches_the_reference_on_the_edges(
+            self, model, edges, inflow_of_0):
+        # each edge value in each coordinate, on lattice lanes: in one
+        # block, in the block of the lanes inside the orthant, and alone
+        lattice = np.random.default_rng(3).integers(0, 3, (4, model.dim))
+        x = [lattice * model.eps]
+        for i in range(model.dim):
+            for v in edges:
+                lane = lattice * model.eps
+                lane[:, i] = v
+                x.append(lane)
+        x = np.concatenate(x)
+        inside = (x >= -1e-12).all(axis=1)
+        for block in (x, x[inside]):
+            assert (model.guarded_rates(block).tobytes()
+                    == _reference_guarded_rates(model, block).tobytes())
+        rates = model.guarded_rates(x)
+        for xi, ri in zip(x, rates.T):
+            lone = model.guarded_rates(xi)
+            assert lone.tobytes() == ri.tobytes()
+            assert (lone.tobytes()
+                    == _reference_guarded_rates(model, xi).tobytes())
+        # a channel that raises a coordinate below -1e-12 still fires
+        assert (rates[inflow_of_0, x[:, 0] == -2e-12] > 0).all()
+        assert not rates[:, np.isnan(x).any(axis=1)].any()
 
     def test_boundary_lanes_match_lone_lanes_and_the_rule(self):
         # lanes on the orthant boundary: zeros, -1e-13 (inside the

@@ -161,6 +161,27 @@ def test_keyed_generators_draw_like_philox_of_their_key():
         assert np.array_equal(gen.random(5), fresh.random(5))
 
 
+@pytest.mark.parametrize("m", [1, 7, 512])
+def test_uniforms_read_each_stream_at_a_counter_offset(m):
+    base = RngStream(13)
+    parts = np.array([[0, 1], [5, -1], [2 ** 62, 1]])
+    block = base.children(parts)
+    for start in (0, 4, 512, 64 * m):
+        out = block.uniforms(m, start)
+        assert out.shape == (3, m)
+        for row, part in zip(out, parts):
+            gen = base.child(*map(int, part)).generator
+            assert np.array_equal(row, gen.random(start + m)[start:])
+    assert block[:0].uniforms(m, 4).shape == (0, m)
+
+
+@pytest.mark.parametrize("start", [-4, -1, 2, 6, 513])
+def test_uniforms_refuse_a_start_off_the_philox_blocks(start):
+    block = RngStream(13).children(np.zeros((3, 1), dtype=int))
+    with pytest.raises(ValueError, match="nonnegative multiple of 4"):
+        block.uniforms(8, start)
+
+
 def test_block_negative_parts_key_like_their_uint64_residues():
     parts = np.array([[3, -1, 0], [3, -2, 0], [0, -1, 7]])
     as_u64 = RngStream(9).children(parts.astype(np.uint64)).normals(16)
