@@ -19,11 +19,10 @@ from .schemes import SchemeConfig, config_for_lambda, run_scheme
 from .models import (BUILTIN_MODELS, DoubleWellModel, LinearOUModel,
                      NonDiffusiveModel, clt_stationary_variance_linear,
                      fixed_points, make_model)
-from .fluctuations import (BasinSpec, FptSummary, HistogramResult, MfptPoint,
+from .fluctuations import (BasinSpec, FptSummary, HistogramResult,
                            first_passage_times, fit_log_mfpt_inverse_lambda,
                            hamiltonian_nondiffusive, histogram_of_samples,
-                           ks_distance, mean_first_passage_vs_lambda,
-                           occupancy_fraction, quasipotential,
+                           ks_distance, occupancy_fraction, quasipotential,
                            quasipotential_derivative, stationary_variance,
                            summarize_fpt)
 from .jump import (JumpModel, Reaction, birth_death, ssa_final_states,
@@ -36,12 +35,11 @@ __all__ = [
     "SchemeConfig", "config_for_lambda", "run_scheme",
     "BUILTIN_MODELS", "DoubleWellModel", "LinearOUModel", "NonDiffusiveModel",
     "clt_stationary_variance_linear", "fixed_points", "make_model",
-    "BasinSpec", "FptSummary",
-    "HistogramResult", "MfptPoint", "first_passage_times",
+    "BasinSpec", "FptSummary", "HistogramResult", "first_passage_times",
     "fit_log_mfpt_inverse_lambda", "hamiltonian_nondiffusive",
-    "histogram_of_samples", "ks_distance",
-    "mean_first_passage_vs_lambda", "occupancy_fraction", "quasipotential",
-    "quasipotential_derivative", "stationary_variance", "summarize_fpt",
+    "histogram_of_samples", "ks_distance", "occupancy_fraction",
+    "quasipotential", "quasipotential_derivative", "stationary_variance",
+    "summarize_fpt",
     "JumpModel", "Reaction", "birth_death", "ssa_final_states", "ssa_run",
     "tau_leap_final_states", "tau_leap_run",
 ]

@@ -100,6 +100,9 @@ def main(argv=None) -> int:
                 print(f"{name:<{width}}  {desc}")
         return 0
 
+    if args.workers is not None and args.workers < 1:
+        parser.error(f"argument --workers: must be at least 1, got "
+                     f"{args.workers}")
     out_dir = args.out or os.environ.get("FASTSLOW_OUT") or "fastslow-out"
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     try:

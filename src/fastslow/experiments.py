@@ -26,9 +26,8 @@ import numpy as np
 from . import __version__
 from .ensemble import ENSEMBLE_SCHEMES, map_blocks, pooled_stationary_samples
 from .fluctuations import (BasinSpec, first_passage_times,
-                           histogram_of_samples, ks_distance,
-                           mean_first_passage_vs_lambda, quasipotential,
-                           quasipotential_derivative)
+                           histogram_of_samples, ks_distance, quasipotential,
+                           quasipotential_derivative, summarize_fpt)
 from .jump import birth_death, ssa_final_states, tau_leap_final_states
 from .models import (DoubleWellModel, LinearOUModel, NonDiffusiveModel,
                      fixed_points)
@@ -221,13 +220,11 @@ def _check_relations(cfg: ExperimentConfig) -> None:
         if lo in values and values[lo] >= values[hi]:
             raise ConfigError(f"{lo} must be below {hi}, got {values[lo]} >= "
                               f"{values[hi]}", key=lo)
-    if "threshold" in values:  # "both" runs up to threshold, then back
-        up, start, thr = (values["direction"] != "downcrossing",
-                          values["start"], values["threshold"])
-        if thr == start or (thr < start) == up:
-            raise ConfigError(f"threshold {thr} must lie "
-                              f"{'above' if up else 'below'} start {start}",
-                              key="threshold")
+    if "threshold" in values:
+        try:
+            _basins(cfg)
+        except ValueError as err:
+            raise ConfigError(str(err), key="threshold") from err
     if "macro_dt" in values:
         try:
             _scheme_config(cfg, 1)
@@ -256,6 +253,16 @@ def _scheme_config(cfg: ExperimentConfig, lam: int) -> SchemeConfig:
     return config_for_lambda(base, lam)
 
 
+def _basins(cfg: ExperimentConfig) -> list[BasinSpec]:
+    """The passage basins of ``cfg``; ``both`` runs from start up to the
+    threshold, then from the threshold back down to start."""
+    start, thr = cfg.params["start"], cfg.params["threshold"]
+    if cfg.params["direction"] != "both":
+        return [BasinSpec(start, thr, cfg.params["direction"])]
+    return [BasinSpec(start, thr, "upcrossing"),
+            BasinSpec(thr, start, "downcrossing")]
+
+
 @dataclass
 class OutputTable:
     """One CSV-able result table."""
@@ -270,10 +277,11 @@ class OutputTable:
 # analyses
 
 
-def _scheme_lambda_tasks(cfg):
-    """(scheme, lam) pairs; the direct scheme ignores lambda."""
-    return [(scheme, lam) for scheme in cfg.params["schemes"]
-            for lam in ((1,) if scheme == "direct" else cfg.scheme["lambdas"])]
+def _scheme_lambda_tasks(cfg, lambdas):
+    """(scheme, scheme config) per task; the direct scheme ignores lambda."""
+    return [(scheme, _scheme_config(cfg, lam))
+            for scheme in cfg.params["schemes"]
+            for lam in ((1,) if scheme == "direct" else lambdas)]
 
 
 def _run_stationary(cfg: ExperimentConfig, executor) -> list[OutputTable]:
@@ -292,58 +300,51 @@ def _run_stationary(cfg: ExperimentConfig, executor) -> list[OutputTable]:
     else:
         table = OutputTable("variance", ["scheme", "lam", "macro_dt",
                                          "n_samples", "variance"], [])
-    for scheme, lam in _scheme_lambda_tasks(cfg):
-        scfg = _scheme_config(cfg, lam)
+    for scheme, scfg in _scheme_lambda_tasks(cfg, cfg.scheme["lambdas"]):
         samples = pooled_stationary_samples(
             model, scheme, scfg, x0, None, cfg.scheme["t"], n_chains,
             cfg.scheme["burn_in"], base, executor=executor)
         if cfg.analysis == "variance_vs_lambda":
-            table.rows.append([scheme, lam, repr(scfg.macro_dt), samples.size,
+            table.rows.append([scheme, scfg.lam, repr(scfg.macro_dt),
+                               samples.size,
                                repr(float(np.var(samples, ddof=1)))])
             continue
         hist = histogram_of_samples(samples, edges)
         counts = [hist.underflow, *map(int, hist.counts), hist.overflow]
-        table.rows += [[scheme, lam, bounds[i], bounds[i + 1], count]
+        table.rows += [[scheme, scfg.lam, bounds[i], bounds[i + 1], count]
                        for i, count in enumerate(counts)]
     return [table]
 
 
-def _run_mfpt(cfg: ExperimentConfig, executor) -> list[OutputTable]:
+def _passages(cfg: ExperimentConfig, basin: BasinSpec, lambdas, executor):
+    """(scheme, scheme config, elapsed, censored) of each passage task."""
     model = _model(cfg).system()
-    basin = BasinSpec(cfg.params["start"], cfg.params["threshold"],
-                      cfg.params["direction"])
-    rows = []
-    for scheme in cfg.params["schemes"]:
-        points = mean_first_passage_vs_lambda(  # direct ignores lambda
-            model, scheme, _scheme_config(cfg, 1), basin,
-            (1,) if scheme == "direct" else cfg.scheme["lambdas"],
-            cfg.params["n_samples"], cfg.params["t_cap"],
+    for scheme, scfg in _scheme_lambda_tasks(cfg, lambdas):
+        elapsed, censored = first_passage_times(
+            model, scheme, scfg, basin, cfg.params["n_samples"],
+            cfg.params["t_cap"],
             equil_fast_time=cfg.params["equil_fast_time"], executor=executor)
-        rows += [[p.scheme, p.lam, repr(p.macro_dt), p.n_samples, p.n_censored,
-                  repr(p.mfpt), repr(p.stderr)] for p in points]
+        yield scheme, scfg, elapsed, censored
+
+
+def _run_mfpt(cfg: ExperimentConfig, executor) -> list[OutputTable]:
+    (basin,) = _basins(cfg)  # one direction, never "both"
+    rows = []
+    for scheme, scfg, elapsed, censored in _passages(
+            cfg, basin, cfg.scheme["lambdas"], executor):
+        s = summarize_fpt(elapsed, censored)
+        rows.append([scheme, scfg.lam, repr(scfg.macro_dt), s.n_total,
+                     s.n_censored, repr(s.mfpt), repr(s.stderr)])
     return [OutputTable("mfpt",
                         ["scheme", "lam", "macro_dt", "n_samples",
                          "n_censored", "mfpt", "stderr"], rows)]
 
 
 def _run_fpt_cdf(cfg: ExperimentConfig, executor) -> list[OutputTable]:
-    model = _model(cfg).system()
-    lam = cfg.scheme["lambda"]
-    start, thr = cfg.params["start"], cfg.params["threshold"]
-    direction = cfg.params["direction"]
-    basins = ([BasinSpec(start, thr, "upcrossing"),
-               BasinSpec(thr, start, "downcrossing")] if direction == "both"
-              else [BasinSpec(start, thr, direction)])
-    rows = []
-    extra = {}
-    for basin in basins:
-        for scheme in cfg.params["schemes"]:
-            scfg = _scheme_config(cfg, lam if scheme != "direct" else 1)
-            elapsed, censored = first_passage_times(
-                model, scheme, scfg, basin, cfg.params["n_samples"],
-                cfg.params["t_cap"],
-                equil_fast_time=cfg.params["equil_fast_time"],
-                executor=executor)
+    rows, extra = [], {}
+    for basin in _basins(cfg):
+        for scheme, scfg, elapsed, censored in _passages(
+                cfg, basin, (cfg.scheme["lambda"],), executor):
             good = np.sort(elapsed[~censored])
             n_total = elapsed.size
             extra[f"censored-{scheme}-{basin.direction}"] = (
@@ -453,7 +454,8 @@ ANALYSES = {
         "analysis": {"x0": (float, REQUIRED, NON_NEGATIVE),
                      "t": (float, REQUIRED, POSITIVE),
                      "tau": (float, REQUIRED, POSITIVE),
-                     "n_runs": (int, REQUIRED, AT_LEAST_1)}}),
+                     "n_runs": (int, REQUIRED,  # a sample variance
+                                (lambda v: v >= 2, "at least 2"))}}),
 }
 
 

@@ -2,22 +2,22 @@
 
 Covers the small-fluctuation side (stationary moments, histograms) and the
 large-fluctuation side: empirical first-passage times of the schemes, their
-mean per speed-up factor with the fit of log MFPT against 1/lambda, and the
-closed-form Hamiltonian and quasi-potential of the non-diffusive builtin
-model.
+mean and standard error, the fit of log MFPT against 1/lambda over means
+measured at several speed-up factors, and the closed-form Hamiltonian and
+quasi-potential of the non-diffusive builtin model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ensemble import first_passage_block, map_blocks
 from .models import NonDiffusiveModel
 from .rng import RngStream
-from .schemes import SchemeConfig, config_for_lambda
+from .schemes import SchemeConfig
 from .sde import FastSlowModel, Trajectory
 
 
@@ -166,58 +166,18 @@ def summarize_fpt(elapsed: np.ndarray, censored: np.ndarray) -> FptSummary:
                       elapsed.size)
 
 
-@dataclass(frozen=True)
-class MfptPoint:
-    """One row of a mean-first-passage-time sweep, with its passage times
-    and censoring flags in sample order (left out of ``==``, which compares
-    the row)."""
+def fit_log_mfpt_inverse_lambda(lams, mfpts):
+    """Least-squares fit log(MFPT) = a + b / lambda to the mean passage
+    times ``mfpts`` measured at the speed-up factors ``lams``.
 
-    scheme: str
-    lam: int
-    macro_dt: float
-    mfpt: float
-    stderr: float
-    n_censored: int
-    n_samples: int
-    elapsed: np.ndarray = field(compare=False)
-    censored: np.ndarray = field(compare=False)
-
-
-def mean_first_passage_vs_lambda(model: FastSlowModel, scheme: str,
-                                 cfg_base: SchemeConfig, basin: BasinSpec,
-                                 lambdas, n_samples: int, t_cap: float,
-                                 equil_fast_time: float = 50.0,
-                                 executor=None) -> list[MfptPoint]:
-    """Mean first-passage time of one scheme across speed-up factors.
-
-    The base config's macro step is treated as a target and snapped per
-    lambda so the burst length stays integral (see ``config_for_lambda``).
+    Returns (a, b, r_squared). Raises ValueError unless both sequences are
+    1-D with the same length of at least 2.
     """
-    if not lambdas:
-        raise ValueError("lambdas must be nonempty")
-    points = []
-    for lam in lambdas:
-        cfg = config_for_lambda(cfg_base, int(lam))
-        elapsed, censored = first_passage_times(
-            model, scheme, cfg, basin, n_samples, t_cap,
-            equil_fast_time=equil_fast_time, executor=executor)
-        s = summarize_fpt(elapsed, censored)
-        points.append(MfptPoint(scheme, int(lam), cfg.macro_dt, s.mfpt,
-                                s.stderr, s.n_censored, s.n_total, elapsed,
-                                censored))
-    return points
-
-
-def fit_log_mfpt_inverse_lambda(points: list[MfptPoint]):
-    """Least-squares fit log(MFPT) = a + b / lambda over sweep points.
-
-    Returns:
-        (a, b, r_squared).
-    """
-    lams = np.array([p.lam for p in points], dtype=float)
-    logs = np.log(np.array([p.mfpt for p in points]))
-    if len(points) < 2:
-        raise ValueError("need at least two points to fit")
+    lams, mfpts = (np.asarray(v, dtype=float) for v in (lams, mfpts))
+    if lams.ndim != 1 or lams.shape != mfpts.shape or lams.size < 2:
+        raise ValueError("need two 1-D sequences of equal length >= 2, got "
+                         f"shapes {lams.shape} and {mfpts.shape}")
+    logs = np.log(mfpts)
     b, a = np.polyfit(1.0 / lams, logs, 1)
     fitted = a + b / lams
     ss_res = float(np.sum((logs - fitted) ** 2))

@@ -212,14 +212,16 @@ def _run_ids(ids):
     return ids.astype(int)
 
 
-def _ssa(model, x0, T, exp_gens, uni_keys, on_event=lambda t, x: None):
-    """Lockstep SSA lanes from x0 to T, one per exponential generator and
-    row of the uniform key block.
+def _ssa(model, x0, T, keys, on_event=lambda t, x: None):
+    """Lockstep SSA lanes from x0 to T, one per row of the run key block:
+    a run's waiting times come from the generator of its ``child(0)`` and
+    its channel uniforms from the keyed row of its ``child(1)``.
 
     ``on_event(t, x)`` sees the live lanes at the start and after every
     event. Returns the final states (B, dim) and absorbed flags (B,).
     """
-    x0, x, shift = _lanes(model, x0, T, len(exp_gens))
+    exp_gens, uni_keys = keys.child(0).generators(), keys.child(1)
+    x0, x, shift = _lanes(model, x0, T, len(keys))
     t = np.zeros(len(x))
     final = np.empty_like(x)
     absorbed = np.zeros(len(x), dtype=bool)
@@ -402,8 +404,8 @@ def ssa_run(model: JumpModel, x0, T: float, stream: RngStream) -> Trajectory:
     set. Otherwise a terminal snapshot at time T closes the record.
     """
     path = []
-    final, absorbed = _ssa(model, x0, T, [stream.child(0).generator],
-                           stream.children([[1]]),
+    final, absorbed = _ssa(model, x0, T,
+                           stream.children(np.empty((1, 0), dtype=int)),
                            lambda t, x: path.append((t[0], x[0])))
     if not absorbed[0] and T > path[-1][0]:
         path.append((T, final[0]))
@@ -437,8 +439,7 @@ def ssa_final_states(model: JumpModel, x0, T: float, ids,
     bitwise interchangeable.
     """
     ids = _run_ids(ids)
-    runs = base.children(ids[:, None])
-    return _ssa(model, x0, T, runs.child(0).generators(), runs.child(1))[0]
+    return _ssa(model, x0, T, base.children(ids[:, None]))[0]
 
 
 def tau_leap_final_states(model: JumpModel, x0, T: float, tau: float, ids,

@@ -90,14 +90,16 @@ def dw_basin():
 
 @pytest.fixture(scope="session")
 def dw_mfpt_points(double_well_model, dw_basin, timings):
-    """Criterion-scale passage sweeps: 200 samples per (scheme, lam)."""
+    """Criterion-scale passage sweeps: 200 samples per (scheme, lam), as
+    {scheme: {lam: (elapsed, censored)}}, macro step ~0.06 snapped per lam."""
     cfg = fs.SchemeConfig(eps=DW_EPS, lam=1, macro_dt=0.06,
                           micro_dt=DW_MICRO_DT, root_seed=777)
     model = double_well_model.system()
     start = time.perf_counter()
     out = {
-        scheme: fs.mean_first_passage_vs_lambda(model, scheme, cfg, dw_basin,
-                                                [1, 2, 3, 5], 200, 2000.0)
+        scheme: {lam: fs.first_passage_times(
+            model, scheme, fs.config_for_lambda(cfg, lam), dw_basin, 200,
+            2000.0) for lam in (1, 2, 3, 5)}
         for scheme in ("hmm", "phmm")
     }
     timings["dw_mfpt"] = time.perf_counter() - start

@@ -13,7 +13,8 @@ import fastslow as fs
 from fastslow import (NonDiffusiveModel, SchemeConfig,
                       fit_log_mfpt_inverse_lambda, hamiltonian_nondiffusive,
                       ks_distance, occupancy_fraction,
-                      quasipotential, quasipotential_derivative, run_scheme)
+                      quasipotential, quasipotential_derivative, run_scheme,
+                      summarize_fpt)
 from fastslow.cli import bundled_configs, main
 
 
@@ -85,10 +86,13 @@ def test_criterion_03_metastable_bimodality(dw_histogram_samples, timings):
 
 
 def test_criterion_04_mfpt_collapse(dw_mfpt_points, timings):
-    hmm = dw_mfpt_points["hmm"]
-    phmm = dw_mfpt_points["phmm"]
-    _, b, r2 = fit_log_mfpt_inverse_lambda(hmm)
-    phmm_mfpts = [p.mfpt for p in phmm]
+    def mfpts(scheme):
+        return [summarize_fpt(*passages).mfpt
+                for passages in dw_mfpt_points[scheme].values()]
+
+    _, b, r2 = fit_log_mfpt_inverse_lambda(list(dw_mfpt_points["hmm"]),
+                                           mfpts("hmm"))
+    phmm_mfpts = mfpts("phmm")
     ratio = max(phmm_mfpts) / min(phmm_mfpts)
     elapsed = timings["dw_mfpt"]
     ok = b > 0 and r2 > 0.9 and ratio < 2.0 and elapsed < 1200
@@ -101,8 +105,8 @@ def test_criterion_04_mfpt_collapse(dw_mfpt_points, timings):
 def test_criterion_05_fpt_distribution_fidelity(dw_mfpt_points,
                                                 dw_direct_fpt):
     def uncensored(scheme):
-        point = [p for p in dw_mfpt_points[scheme] if p.lam == 5][0]
-        return point.elapsed[~point.censored]
+        elapsed, censored = dw_mfpt_points[scheme][5]
+        return elapsed[~censored]
 
     elapsed, censored = dw_direct_fpt
     direct = elapsed[~censored]

@@ -245,6 +245,15 @@ class TestArgumentHandling:
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_1_exits_2(self, tmp_path, capsys, workers):
+        with pytest.raises(SystemExit) as err:
+            main(["run", "fig_num_quasi_quick", "--out", str(tmp_path),
+                  "--workers", workers])
+        assert err.value.code == 2
+        assert "--workers: must be at least 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestRun:
     def test_bundled_quick_run(self, tmp_path, capsys):
@@ -537,6 +546,7 @@ def _bad_rows(rows):
     ("mfpt_vs_lambda", "n_samples", "-1"),
     ("histogram", "n_bins", "0"),
     ("jump_compare", "n_runs", "0"),
+    ("jump_compare", "n_runs", "1"),  # no sample variance of one run
     ("variance_vs_lambda", "lambdas", "0, 2"),
     ("fpt_cdf", "lambda", "0"),
     ("variance_vs_lambda", "t", "0"),

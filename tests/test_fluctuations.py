@@ -206,9 +206,8 @@ class TestFirstPassage:
 
 class TestMfptSweep:
     def test_lambda_one_schemes_coincide(self, dw_mfpt_points):
-        h1 = dw_mfpt_points["hmm"][0]
-        p1 = dw_mfpt_points["phmm"][0]
-        assert h1.lam == p1.lam == 1
+        h1 = summarize_fpt(*dw_mfpt_points["hmm"][1])
+        p1 = summarize_fpt(*dw_mfpt_points["phmm"][1])
         joint = math.hypot(h1.stderr, p1.stderr)
         assert abs(h1.mfpt - p1.mfpt) <= 2 * joint
 
@@ -217,29 +216,31 @@ class TestMfptSweep:
         # verified against the reduced-quasi-potential prediction: the
         # escape exponent drops by the factor lam, so at lam = 5 the
         # passage-time scale shrinks by exp((V/eps)(1 - 1/5)) ~ 6x
-        hmm5 = [p for p in dw_mfpt_points["hmm"] if p.lam == 5][0]
+        elapsed_h, censored_h = dw_mfpt_points["hmm"][5]
         elapsed, censored = dw_direct_fpt
-        med_h = float(np.median(hmm5.elapsed[~hmm5.censored]))
+        med_h = float(np.median(elapsed_h[~censored_h]))
         med_d = float(np.median(elapsed[~censored]))
         assert med_d / med_h > 4.0
-
-    def test_empty_lambda_list_rejected(self, double_well_model, dw_basin):
-        cfg = SchemeConfig(eps=1e-3, lam=1, macro_dt=0.06, micro_dt=0.05,
-                           root_seed=1)
-        with pytest.raises(ValueError, match="nonempty"):
-            fs.mean_first_passage_vs_lambda(double_well_model.system(),
-                                            "hmm", cfg, dw_basin, [], 5, 10.0)
 
 
 class TestMfptFit:
     def test_fit_recovers_affine_law(self):
-        pts = [fs.MfptPoint("hmm", lam, 0.06, math.exp(1.0 + 2.0 / lam),
-                            0.0, 0, 10, np.empty(0), np.empty(0, dtype=bool))
-               for lam in (1, 2, 4, 8)]
-        a, b, r2 = fit_log_mfpt_inverse_lambda(pts)
+        lams = [1, 2, 4, 8]
+        mfpts = [math.exp(1.0 + 2.0 / lam) for lam in lams]
+        a, b, r2 = fit_log_mfpt_inverse_lambda(lams, mfpts)
         assert a == pytest.approx(1.0, abs=1e-9)
         assert b == pytest.approx(2.0, abs=1e-9)
         assert r2 == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("lams, mfpts", [
+        ([1, 2, 4], [3.0, 2.0]),      # lengths differ
+        ([1], [3.0]),                 # one point
+        ([], []),
+        ([[1, 2]], [[3.0, 2.0]]),     # not 1-D
+    ])
+    def test_fit_rejects_unpaired_or_short_input(self, lams, mfpts):
+        with pytest.raises(ValueError, match="equal length >= 2"):
+            fit_log_mfpt_inverse_lambda(lams, mfpts)
 
 
 class TestHamiltonianAndQuasipotential:
