@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .rng import RngStream, StreamBlock
+from .rng import RngStream, StreamBlock, _run_ids
 from .sde import FastSlowModel, IntegrationFailure
 
 ENSEMBLE_SCHEMES = ("direct", "hmm", "phmm")
@@ -116,17 +116,6 @@ def _field_burst(model, x, y, xi, dt):
     return f_sum / xi.shape[1], y
 
 
-def _burst(model, x, y, xi, dt):
-    """One micro burst of M steps per lane at frozen x.
-
-    ``xi`` holds each lane's (M * e,) normals, step-major. Returns
-    (f_avg, y_end): the Birkhoff averages of f over the post-update states
-    and the final fast states. A failure's ``replica`` is the lane index.
-    """
-    burst = _ou_burst if model.scalar_ou is not None else _field_burst
-    return burst(model, x, y, xi, dt)
-
-
 def burst_batch(model: FastSlowModel, x: np.ndarray, y: np.ndarray,
                 streams: StreamBlock, m_count: int, dt: float):
     """Advance one micro burst of M steps for a batch of frozen-x chains.
@@ -135,16 +124,21 @@ def burst_batch(model: FastSlowModel, x: np.ndarray, y: np.ndarray,
         x, y: lanes of frozen slow values and initial fast states: shape
             (B,) for a ScalarOU model, else (B, d) and (B, e).
         streams: a block of B streams; chain i draws its (M, e) Gaussian
-            block from stream i.
+            block from stream i, as its (M * e,) normals, step-major.
 
     Returns:
-        (f_avg, y_end): Birkhoff averages over the post-update states and
-        the final fast states, lane-major like ``x`` and ``y``.
+        (f_avg, y_end): the Birkhoff averages of f over the post-update
+        states and the final fast states, lane-major like ``x`` and ``y``.
+
+    Raises:
+        IntegrationFailure: for a non-finite fast state; its ``replica``
+            is the lane index.
     """
     xi = streams.normals(m_count * model.fast_dim)
     if xi.shape[0] != x.shape[0]:
         raise ValueError(f"{xi.shape[0]} streams for {x.shape[0]} chains")
-    return _burst(model, x, y, xi, dt)
+    burst = _ou_burst if model.scalar_ou is not None else _field_burst
+    return burst(model, x, y, xi, dt)
 
 
 def _burst_failure(err, ids, k, burst, **where):
@@ -371,7 +365,7 @@ def map_blocks(fn, n: int, block: int, executor=None) -> list:
 def _samples(model, scheme, cfg, x0, y0, t_chain, ids, base, record_dt,
              allowed=ENSEMBLE_SCHEMES):
     """(times, rec) of a block of chains recorded every ``record_dt``."""
-    ids = np.asarray(ids, dtype=int)
+    ids = _run_ids(ids)
     x, yrep = _start_arrays(model, x0, y0, ids.size,
                             _replica_count(scheme, cfg, allowed))
     lanes = _lanes(model, scheme, cfg, ids, x, yrep, base.children(ids[:, None]))
@@ -471,7 +465,7 @@ def first_passage_block(model: FastSlowModel, scheme: str, cfg, basin,
     Each lane records its first crossing step.
     """
     k = _replica_count(scheme, cfg)
-    ids = np.asarray(ids, dtype=int)
+    ids = _run_ids(ids)
     keys = base.children(ids[:, None])
     x, yrep = _start_arrays(model, basin.start_point, None, ids.size, k)
     yrep = _equilibrate_fast(model, cfg, x, yrep, ids, keys, equil_fast_time)

@@ -305,6 +305,11 @@ def _run_stationary(cfg: ExperimentConfig, executor) -> list[OutputTable]:
             model, scheme, scfg, x0, None, cfg.scheme["t"], n_chains,
             cfg.scheme["burn_in"], base, executor=executor)
         if cfg.analysis == "variance_vs_lambda":
+            if samples.size < 2:
+                raise ConfigError(
+                    f"{scheme} at lam {scfg.lam} pools {samples.size} "
+                    "sample(s) after burn_in, too few for a variance",
+                    key="burn_in")
             table.rows.append([scheme, scfg.lam, repr(scfg.macro_dt),
                                samples.size,
                                repr(float(np.var(samples, ddof=1)))])

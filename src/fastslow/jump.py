@@ -46,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rng import RngStream
+from .rng import RngStream, _run_ids
 from .sde import Trajectory
 
 _ORTHANT_TOL = 1e-12
@@ -203,15 +203,6 @@ def _lanes(model, x0, T, n):
     return x0, np.tile(x0, (n, 1)), np.zeros((n, model.dim))
 
 
-def _run_ids(ids):
-    """Run ids of a batched driver, checked to be a 1-D integer array."""
-    ids = np.asarray(ids)
-    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
-        raise ValueError("ids must be a 1-D array of integers, got "
-                         f"shape {ids.shape} and dtype {ids.dtype}")
-    return ids.astype(int)
-
-
 def _ssa(model, x0, T, keys, on_event=lambda t, x: None):
     """Lockstep SSA lanes from x0 to T, one per row of the run key block:
     a run's waiting times come from the generator of its ``child(0)`` and
@@ -270,36 +261,31 @@ def _poisson_search(lam, u):
     """Smallest n with P(Poisson(lam) <= n) > u for 1-D float arrays, by
     summing the CDF from 0.
 
-    Near u = 1 the summed CDF can stop growing at or below u (at lam = 25
-    it stalls at 1 - 2**-53); such a draw ends at the first term too small
-    to change the sum, whose probability is below half an ulp of 1.
+    One masked loop over every draw: each pass adds the next term to every
+    CDF and counts it for the draws whose CDF is still at most u. Every
+    operation is elementwise, so a count does not depend on its block, and
+    the loop ends once every draw has settled. Near u = 1 the summed CDF
+    can stop growing at or below u (at lam = 25 it stalls at 1 - 2**-53);
+    such a draw ends at the first term too small to change the sum, whose
+    probability is below half an ulp of 1.
     """
-    n = np.empty(lam.size, dtype=np.int64)
-    idx = np.arange(lam.size)
     u = u.copy()  # a stalled draw's u is set to -1 to end its search
     # lam is a contiguous copy, so np.exp runs one loop whatever the block
     p = np.exp(-lam)
     cdf = p.copy()
-    cnt = np.zeros(lam.size, dtype=np.int64)  # terms with cdf <= u so far
+    n = np.zeros(lam.size, dtype=np.int64)
+    going = cdf <= u
     k = 0
-    while True:
-        going = cdf <= u
-        live = np.count_nonzero(going)
-        if 2 * live <= going.size:
-            # compact once half the draws have settled
-            n[idx[~going]] = cnt[~going]
-            if not live:
-                return n
-            idx, lam, u, p, cdf, cnt = (a[going] for a in
-                                        (idx, lam, u, p, cdf, cnt))
-            going = True
-        cnt += going
+    while going.any():
+        n += going
         k += 1
         p *= lam
         p /= k
         new = cdf + p
         np.copyto(u, -1.0, where=new == cdf)  # settled draws stay settled
         cdf = new
+        going = cdf <= u
+    return n
 
 
 def _poisson_quantile(lam, u):

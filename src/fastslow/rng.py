@@ -161,6 +161,15 @@ def _key_parts(parts) -> np.ndarray:
     return arr.astype(np.uint64)
 
 
+def _run_ids(ids):
+    """Chain or run ids of a batched driver, checked to be 1-D integers."""
+    ids = np.asarray(ids)
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise ValueError("ids must be a 1-D array of integers, got "
+                         f"shape {ids.shape} and dtype {ids.dtype}")
+    return ids.astype(int)
+
+
 @dataclass(frozen=True, eq=False)
 class StreamBlock:
     """B streams, row r keyed by the ``_key_halves`` ``(h0[r], h1[r])``;

@@ -604,6 +604,17 @@ def test_bad_value_exits_2(tmp_path, capsys, analysis, key, value, named):
     assert "unknown key" not in err
 
 
+def test_variance_of_fewer_than_two_samples_exits_2(tmp_path, capsys):
+    # a chain of one macro step and no burn-in pools one sample; its
+    # variance used to be written as nan with exit status 0
+    path = tmp_path / "exp.cfg"
+    path.write_text(_set_key(_config_text("variance_vs_lambda"), "t", "0.08"))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "hmm at lam 2 pools 1 sample(s)" in err and "key 'burn_in'" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("model, analysis, key, value", [
     ("linear_ou", "variance_vs_lambda", "mu", "2"),
     ("double_well", "mfpt_vs_lambda", "mu", "-1"),

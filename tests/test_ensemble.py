@@ -353,6 +353,22 @@ def test_ensemble_drivers_reject_other_schemes(scheme):
                            base)
 
 
+@pytest.mark.parametrize("ids", [[0.5, 1.5], [True, False], [[0, 1]]])
+def test_sde_drivers_reject_ids_that_are_not_integers(ids):
+    # an id cast to int would run chain 0 twice or key a chain by a flag
+    model = fs.LinearOUModel().system()
+    cfg = SchemeConfig(eps=1e-2, lam=2, macro_dt=0.08, micro_dt=0.1,
+                       root_seed=9)
+    base, match = RngStream(9), "^ids must be a 1-D array of integers"
+    with pytest.raises(ValueError, match=match):
+        scheme_samples(model, "hmm", cfg, 0.0, None, 1.0, ids, base)
+    with pytest.raises(ValueError, match=match):
+        direct_samples(model, cfg, 0.0, None, 1.0, ids, base)
+    with pytest.raises(ValueError, match=match):
+        first_passage_block(model, "phmm", cfg, fs.BasinSpec(0.0, 0.3), ids,
+                            1.0, base)
+
+
 def test_zero_sizes_are_rejected():
     model = fs.LinearOUModel().system()
     cfg = SchemeConfig(eps=1e-2, lam=1, macro_dt=0.08, micro_dt=0.1,

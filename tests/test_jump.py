@@ -10,7 +10,7 @@ from fastslow import (JumpModel, Reaction, RngStream, birth_death,
                       ks_distance, ssa_final_states, ssa_run,
                       tau_leap_final_states, tau_leap_run)
 from fastslow.jump import (_SEARCH_LAM_MAX, _TAU_CHUNK, _poisson_counts,
-                           _tau_windows)
+                           _poisson_search, _tau_windows)
 from fastslow.rng import StreamBlock
 
 
@@ -119,8 +119,6 @@ class TestSsaChannelSelection:
     def _fired(rates, u, monkeypatch):
         """Channel fired first by ssa_run and by ssa_final_states, with
         unit exponentials and every channel uniform u."""
-        monkeypatch.setattr(RngStream, "generator",
-                            property(lambda self: _UnitExponentials()))
         monkeypatch.setattr(
             StreamBlock, "generators",
             lambda self: [_UnitExponentials() for _ in range(len(self))])
@@ -470,6 +468,38 @@ def test_poisson_counts_mean_and_variance(lam):
     # the sample variance of Poisson(lam) has variance ~ (2 lam^2 + lam) / n
     assert abs(n.var(ddof=1) - lam) < 5 * math.sqrt((2 * lam ** 2 + lam)
                                                     / size)
+
+
+def _reference_search(lam, u):
+    """The CDF search written out per draw in Python floats, from the terms
+    ``p0`` of one ``np.exp(-lam)`` over the whole array, as the kernel
+    takes them: count terms while the CDF is at most u, and stop at a term
+    too small to change the CDF."""
+    counts = []
+    for p, m, v in zip(np.exp(-lam).tolist(), lam.tolist(), u.tolist()):
+        cdf, n = p, 0
+        while cdf <= v:
+            n += 1
+            p = p * m / n
+            if cdf + p == cdf:
+                break
+            cdf += p
+        counts.append(n)
+    return np.array(counts)
+
+
+def test_poisson_search_matches_the_reference_bitwise():
+    # with these means half the draws settle within the first terms while
+    # the others run on, up to the stall of the CDF just below 1
+    means = np.array([1e-3, 0.5, 3.0, 12.0, 29.9])
+    uniforms = np.array([0.0, 1e-9, 0.3, 0.5, 0.9, 1 - 1e-9, 1 - 2.0 ** -53])
+    lam, u = (a.ravel() for a in np.meshgrid(means, uniforms))
+    order = np.random.default_rng(4).permutation(lam.size)
+    lam, u = lam[order], u[order]
+    n = _poisson_search(lam.copy(), u)
+    assert n.dtype == np.int64
+    assert np.array_equal(n, _reference_search(lam, u))
+    assert np.mean(n <= 1) >= 0.4
 
 
 def _reference_guarded_rates(model, x):
