@@ -7,24 +7,18 @@ composition, scheduling and worker count. The ensemble functions run many
 chains per block; :func:`fastslow.schemes.run_scheme` is a one-lane call
 of the same drivers whose chain key is empty.
 
-Two back-ends, picked from ``model.scalar_ou``, each with one micro
-burst and one direct Euler step, and each advancing all lanes at once:
-
-* ScalarOU models (all builtins): lanes are (B,) arrays. The micro burst
-  reduces to a first-order linear recurrence: one ``scipy.signal.lfilter``
-  call when all lanes share the decay, else one loop over time doing
-  lfilter's float operations for all lanes, whose output must be
-  C-contiguous (``mean(axis=1)`` sums a strided view in another order).
-* Models without the hint, of any (d, e): lanes are (B, d) and (B, e)
-  arrays, and each step calls ``f``, ``g`` and ``sigma`` once on all of
-  them. No field sees a non-finite state: a burst lane that turns
-  non-finite keeps its last finite state, and direct steps stop at the
-  first non-finite one.
+Slow and fast lanes are (B,) arrays, and each micro burst or direct
+Euler step calls the model's ``f`` and its fast process's ``decay`` and
+``mean`` once on all lanes. The micro burst reduces to a first-order
+linear recurrence: one ``scipy.signal.lfilter`` call when all lanes share
+the decay, else one loop over time doing lfilter's float operations for
+all lanes, whose output must be C-contiguous (``mean(axis=1)`` sums a
+strided view in another order).
 
 Every run builds its lanes and their stream keys in :func:`_lanes` and
 steps them through one chunked loop, :func:`_chunks`; fixed-horizon runs
 record on the grid of :func:`_fixed_horizon`. The ensemble entry points
-need the hint: they start (B,) lanes, by default at the fast mean.
+start the fast lanes, by default, at the frozen-x fast mean.
 """
 
 from __future__ import annotations
@@ -68,8 +62,27 @@ def _ou_path(sou, x: np.ndarray, y0: np.ndarray, xi: np.ndarray,
     return _linear_recurrence(1.0 - kappa * dt, u, y0)
 
 
-def _ou_burst(model, x, y, xi, dt):
-    """ScalarOU micro bursts of lanes x, y (B,) with normals xi (B, M)."""
+def burst_batch(model: FastSlowModel, x: np.ndarray, y: np.ndarray,
+                streams: StreamBlock, m_count: int, dt: float):
+    """Advance one micro burst of M steps for a batch of frozen-x chains.
+
+    Args:
+        x, y: (B,) lanes of frozen slow values and initial fast states.
+        streams: a block of B streams; chain i draws its M normals from
+            stream i.
+
+    Returns:
+        (f_avg, y_end): the Birkhoff averages of f over the post-update
+        states and the final fast states, each (B,).
+
+    Raises:
+        IntegrationFailure: for a non-finite fast state or f value; its
+            ``replica`` is the lowest failing lane and its ``micro_index``
+            that lane's first non-finite step.
+    """
+    xi = streams.normals(m_count)
+    if xi.shape[0] != x.shape[0]:
+        raise ValueError(f"{xi.shape[0]} streams for {x.shape[0]} chains")
     y_path = _ou_path(model.scalar_ou, x, y, xi, dt)
     f_path = np.asarray(model.f(x[:, None], y_path), dtype=float)
     f_avg = f_path.mean(axis=1)
@@ -82,63 +95,8 @@ def _ou_burst(model, x, y, xi, dt):
         # a lane with finite steps overflowed in the sum of its average
         raise IntegrationFailure(
             "non-finite fast state in micro burst", replica=lane,
-            micro_index=int(steps[0]) + 1 if steps.size else xi.shape[1])
+            micro_index=int(steps[0]) + 1 if steps.size else m_count)
     return f_avg, y_end
-
-
-def _fast_step(model, x, y, z, dt, sq_dt):
-    """One Euler-Maruyama fast step of lanes x (B, d), y (B, e) of a model
-    without the hint, driven by normals z (B, e); ``sq_dt`` is sqrt(dt)."""
-    return (y + dt * model.g(x, y)
-            + sq_dt * (model.sigma(x, y) @ z[:, :, None])[:, :, 0])
-
-
-def _field_burst(model, x, y, xi, dt):
-    """Micro bursts of lanes x (B, d), y (B, e) of a model without the hint.
-    A lane that turns non-finite keeps its last finite state; the lowest
-    such lane fails, at its first non-finite step."""
-    sq_dt = math.sqrt(dt)
-    xi = xi.reshape(len(x), -1, model.fast_dim)
-    f_sum = np.zeros(x.shape)
-    failed = np.zeros(len(x), dtype=int)  # first non-finite step, 0 if none
-    for m in range(xi.shape[1]):
-        y_new = _fast_step(model, x, y, xi[:, m], dt, sq_dt)
-        if not np.isfinite(y_new).all():
-            bad = ~np.isfinite(y_new).all(axis=1)
-            failed[bad & (failed == 0)] = m + 1
-            y_new[bad] = y[bad]
-        y = y_new
-        f_sum += model.f(x, y)
-    if failed.any():
-        lane = int(np.argmax(failed > 0))
-        raise IntegrationFailure("non-finite fast state in micro burst",
-                                 micro_index=int(failed[lane]), replica=lane)
-    return f_sum / xi.shape[1], y
-
-
-def burst_batch(model: FastSlowModel, x: np.ndarray, y: np.ndarray,
-                streams: StreamBlock, m_count: int, dt: float):
-    """Advance one micro burst of M steps for a batch of frozen-x chains.
-
-    Args:
-        x, y: lanes of frozen slow values and initial fast states: shape
-            (B,) for a ScalarOU model, else (B, d) and (B, e).
-        streams: a block of B streams; chain i draws its (M, e) Gaussian
-            block from stream i, as its (M * e,) normals, step-major.
-
-    Returns:
-        (f_avg, y_end): the Birkhoff averages of f over the post-update
-        states and the final fast states, lane-major like ``x`` and ``y``.
-
-    Raises:
-        IntegrationFailure: for a non-finite fast state; its ``replica``
-            is the lane index.
-    """
-    xi = streams.normals(m_count * model.fast_dim)
-    if xi.shape[0] != x.shape[0]:
-        raise ValueError(f"{xi.shape[0]} streams for {x.shape[0]} chains")
-    burst = _ou_burst if model.scalar_ou is not None else _field_burst
-    return burst(model, x, y, xi, dt)
 
 
 def _burst_failure(err, ids, k, burst, **where):
@@ -152,9 +110,9 @@ def _burst_failure(err, ids, k, burst, **where):
 
 class _MacroLanes:
     """HMM/PHMM lanes: chain ids, slow lanes x, k fast replicas per chain
-    ``yrep`` (B, k) + fast lane shape, and the replicas' key prefix (B * k
-    streams). A chunk is one macro step, whose bursts draw from
-    ``prefix.child(s)`` for step index s."""
+    ``yrep`` (B, k), and the replicas' key prefix (B * k streams). A chunk
+    is one macro step, whose bursts draw from ``prefix.child(s)`` for step
+    index s."""
 
     chunk = 1
 
@@ -166,17 +124,15 @@ class _MacroLanes:
         """Macro step s; returns the slow and fast lanes after it, each
         stacked along a leading axis of length 1."""
         model, cfg, x, yrep = self.model, self.cfg, self.x, self.yrep
-        n_chains, k = yrep.shape[:2]
+        k = yrep.shape[1]
         try:
             f_avg, y_end = burst_batch(
-                model, np.repeat(x, k, axis=0),
-                yrep.reshape((n_chains * k,) + yrep.shape[2:]),
+                model, np.repeat(x, k), yrep.reshape(-1),
                 self.prefix.child(s), cfg.micro_count, cfg.micro_dt)
         except IntegrationFailure as err:
             raise _burst_failure(err, self.ids, k, "burst",
                                  time=s * cfg.macro_dt, macro_index=s) from err
-        self.x = x + cfg.macro_dt * f_avg.reshape(
-            (n_chains, k) + f_avg.shape[1:]).mean(axis=1)
+        self.x = x + cfg.macro_dt * f_avg.reshape(-1, k).mean(axis=1)
         self.yrep = y_end.reshape(yrep.shape)
         return self.x[None], self.yrep[None]
 
@@ -191,19 +147,8 @@ class _MacroLanes:
                                   replica=int(self.ids[lane]))
 
 
-def _one_lane(model, point: np.ndarray) -> np.ndarray:
-    """A (dim,) point as one lane: (1,) for a ScalarOU model (d = e = 1),
-    else (1, dim)."""
-    return point if model.scalar_ou is not None else point[None]
-
-
 def _start_arrays(model, x0, y0, n_chains, k):
-    """Per-chain start values of a ScalarOU model; y0 defaults to the
-    frozen-x fast mean."""
-    if model.scalar_ou is None:
-        raise ValueError(
-            f"model {model.name!r} has no ScalarOU structure; the batched "
-            "drivers support scalar fast-OU models only")
+    """Per-chain start values; y0 defaults to the frozen-x fast mean."""
     x = np.broadcast_to(np.asarray(x0, dtype=float), (n_chains,)).copy()
     y = model.scalar_ou.mean(x) if y0 is None else y0
     y = np.broadcast_to(np.asarray(y, dtype=float), (n_chains,)).copy()
@@ -227,46 +172,12 @@ def _replicas(keys, k, *middle):
     return rows.child(np.tile(np.arange(k), len(keys)))
 
 
-def _ou_steps(model, cfg, x, y, xi):
-    """Direct Euler steps of ScalarOU lanes (B,) driven by normals xi (B, n):
-    the slow and fast lanes after each step, shape (n, B) each. The noise
-    is scaled once per chunk and stored step-major."""
-    sou = model.scalar_ou
-    noise = np.multiply(sou.sigma * math.sqrt(cfg.micro_dt), xi.T, order="C")
-    h, dt = cfg.eps * cfg.micro_dt, cfg.micro_dt
-    xs, ys = np.empty_like(noise), np.empty_like(noise)
-    for z, x_out, y_out in zip(noise, xs, ys):
-        f_val = model.f(x, y)
-        y = np.add(y + dt * sou.decay(x) * (sou.mean(x) - y), z, y_out)
-        x = np.add(x, h * f_val, x_out)
-    return xs, ys
-
-
-def _field_steps(model, cfg, x, y, xi):
-    """Direct Euler steps of lanes x (B, d), y (B, e) of a model without
-    the hint, with normals xi (B, n * e): the lanes after each step, shapes
-    (n, B, d) and (n, B, e). Stepping stops after the first non-finite step,
-    so no field sees a non-finite state; :func:`_chunks` raises there."""
-    h, dt = cfg.eps * cfg.micro_dt, cfg.micro_dt
-    sq_dt = math.sqrt(dt)
-    xi = xi.reshape(len(x), -1, model.fast_dim)
-    xs = np.empty((xi.shape[1],) + x.shape)
-    ys = np.empty((xi.shape[1],) + y.shape)
-    for m in range(xi.shape[1]):
-        x_new = x + h * model.f(x, y)
-        y = ys[m] = _fast_step(model, x, y, xi[:, m], dt, sq_dt)
-        x = xs[m] = x_new
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            return xs[:m + 1], ys[:m + 1]
-    return xs, ys
-
-
 class _DirectLanes:
     """Direct Euler lanes: chain ids, slow and fast lanes x and y, and one
-    generator per lane. A chunk is 512 steps, whose ``512 * e`` normals
-    each lane first draws from its generator; a lane's draws are sequential
-    in its own generator, so its path depends neither on how a run is cut
-    into chunks nor on which lanes share a chunk."""
+    generator per lane. A chunk is 512 steps, whose 512 normals each lane
+    first draws from its generator; a lane's draws are sequential in its
+    own generator, so its path depends neither on how a run is cut into
+    chunks nor on which lanes share a chunk."""
 
     chunk = 512
 
@@ -276,13 +187,20 @@ class _DirectLanes:
 
     def advance(self, s, n):
         """Steps s + 1 .. s + n; returns the slow and fast lanes after each,
-        stacked along a leading axis of length n."""
-        model = self.model
-        xi = np.empty((len(self.gens), n * model.fast_dim))
+        shape (n, B) each. The noise is scaled once per chunk and stored
+        step-major."""
+        f, sou = self.model.f, self.model.scalar_ou
+        dt, h = self.cfg.micro_dt, self.dt
+        xi = np.empty((len(self.gens), n))
         for row, g in zip(xi, self.gens):
             g.standard_normal(out=row)
-        steps = _ou_steps if model.scalar_ou is not None else _field_steps
-        xs, ys = steps(model, self.cfg, self.x, self.y, xi)
+        noise = np.multiply(sou.sigma * math.sqrt(dt), xi.T, order="C")
+        x, y = self.x, self.y
+        xs, ys = np.empty_like(noise), np.empty_like(noise)
+        for z, x_out, y_out in zip(noise, xs, ys):
+            f_val = f(x, y)
+            y = np.add(y + dt * sou.decay(x) * (sou.mean(x) - y), z, y_out)
+            x = np.add(x, h * f_val, x_out)
         self.x, self.y = xs[-1], ys[-1]
         return xs, ys
 
@@ -312,8 +230,8 @@ def _chunks(lanes, n_steps):
     while s < n_steps and lanes.ids.size:
         path, fast = lanes.advance(s, min(lanes.chunk, n_steps - s))
         if not (np.isfinite(path).all() and np.isfinite(fast).all()):
-            n, width = path.shape[:2]
-            ok = (np.isfinite(path).reshape(n, width, -1).all(axis=2)
+            n, width = path.shape
+            ok = (np.isfinite(path)
                   & np.isfinite(fast).reshape(n, width, -1).all(axis=2))
             j, lane = divmod(int(np.argmin(ok)), width)
             raise lanes.failure(s + j, lane)
@@ -323,9 +241,9 @@ def _chunks(lanes, n_steps):
 
 def _lanes(model, scheme, cfg, ids, x, yrep, keys):
     """The lanes of a run of ``scheme``: chain ids, slow lanes x, fast
-    replicas yrep (B, k) + fast lane shape, and one chain key per lane in
-    the block ``keys``. Direct lanes draw from ``key.child(-2, 0)``, the
-    burst of replica rep at macro step n from ``key.child(rep, n)``."""
+    replicas yrep (B, k), and one chain key per lane in the block ``keys``.
+    Direct lanes draw from ``key.child(-2, 0)``, the burst of replica rep
+    at macro step n from ``key.child(rep, n)``."""
     if scheme == "direct":
         return _DirectLanes(model, cfg, ids, x, yrep[:, 0],
                             keys.child(-2).child(0).generators())

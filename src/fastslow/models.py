@@ -46,7 +46,7 @@ class LinearOUModel:
     def system(self) -> FastSlowModel:
         th, mu = self.theta, self.mu
         return FastSlowModel(
-            1, 1, lambda x, y: y - x, averaged_drift=self.averaged_drift,
+            lambda x, y: y - x, averaged_drift=self.averaged_drift,
             scalar_ou=ScalarOU(decay=lambda x: th,
                                mean=lambda x: mu * np.asarray(x, dtype=float),
                                sigma=self.sigma_f),
@@ -77,7 +77,7 @@ class DoubleWellModel:
     def system(self) -> FastSlowModel:
         th, mu = self.theta, self.mu
         return FastSlowModel(
-            1, 1, lambda x, y: y - x ** 3, averaged_drift=self.averaged_drift,
+            lambda x, y: y - x ** 3, averaged_drift=self.averaged_drift,
             scalar_ou=ScalarOU(decay=lambda x: th,
                                mean=lambda x: mu * np.asarray(x, dtype=float),
                                sigma=self.sigma_f),
@@ -120,7 +120,7 @@ class NonDiffusiveModel:
     def system(self) -> FastSlowModel:
         nu = self.nu
         return FastSlowModel(
-            1, 1, lambda x, y: y ** 2 - nu * x,
+            lambda x, y: y ** 2 - nu * x,
             averaged_drift=self.averaged_drift,
             scalar_ou=ScalarOU(decay=self.gamma, mean=lambda x: 0.0,
                                sigma=self.sigma_f),

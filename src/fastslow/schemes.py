@@ -22,8 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ensemble import (ENSEMBLE_SCHEMES, _fixed_horizon, _lanes, _one_lane,
-                       _replica_count)
+from .ensemble import ENSEMBLE_SCHEMES, _fixed_horizon, _lanes, _replica_count
 from .rng import RngStream
 from .sde import FastSlowModel, IntegrationFailure, Trajectory, _as_point
 
@@ -100,15 +99,16 @@ def run_scheme(model: FastSlowModel, scheme: str, x0, y0, cfg: SchemeConfig,
     ``scheme`` is one of direct | hmm | phmm. Macro schemes take
     ceil(T / macro_dt) steps and record every macro iterate; ``direct``
     integrates at step eps*micro_dt and records every step. Each scheme
-    runs one lane of the ensemble drivers of :mod:`fastslow.ensemble`, so
-    any :class:`FastSlowModel` works. All randomness derives from
-    cfg.root_seed through keyed substreams; :mod:`fastslow.rng` documents
-    the key layout.
+    runs one lane of the ensemble drivers of :mod:`fastslow.ensemble`.
+    ``x0`` and ``y0`` are scalars or of shape (1,). All randomness derives
+    from cfg.root_seed through keyed substreams; :mod:`fastslow.rng`
+    documents the key layout.
 
     Raises:
         ValueError: for an unknown scheme, a horizon that is not positive
-            and finite or is shorter than one step, or a point or field of
-            the wrong shape.
+            and finite or is shorter than one step, a start value that is
+            not one scalar, or an ``f`` that does not return shape (1,) on
+            one lane.
         IntegrationFailure: with the time and step, or macro and micro
             index, of the first non-finite state; a burst failure also
             names the failing replica (0 for hmm, j < lam for phmm).
@@ -121,13 +121,13 @@ def run_scheme(model: FastSlowModel, scheme: str, x0, y0, cfg: SchemeConfig,
     meta = {"scheme": scheme, "config_hash": cfg.config_hash(),
             "seed": cfg.root_seed, "model": model.name, "lam": cfg.lam,
             "eps": cfg.eps}
-    x = _as_point(x0, model.slow_dim, "x0")
-    y = _as_point(y0, model.fast_dim, "y0")
-    model.check_shapes(x[None], y[None])
-    y = _one_lane(model, y)
+    x, y = _as_point(x0, "x0"), _as_point(y0, "y0")
+    shape = np.shape(model.f(x, y))
+    if shape != (1,):
+        raise ValueError(f"f returned shape {shape} on one lane, expected "
+                         "(1,)")
     # one lane, chain id 0, whose chain key is empty
-    lanes = _lanes(model, scheme, cfg, np.zeros(1, dtype=int),
-                   _one_lane(model, x),
+    lanes = _lanes(model, scheme, cfg, np.zeros(1, dtype=int), x,
                    np.repeat(y[:, None], _replica_count(scheme, cfg), axis=1),
                    RngStream(cfg.root_seed).children(np.zeros((1, 0), int)))
     if T < lanes.dt:
@@ -142,5 +142,5 @@ def run_scheme(model: FastSlowModel, scheme: str, x0, y0, cfg: SchemeConfig,
             "non-finite fast state in a replica burst", time=err.time,
             macro_index=err.macro_index, micro_index=err.micro_index,
             replica=burst.replica) from err
-    return Trajectory(times, rec.reshape(len(times), -1), meta)
+    return Trajectory(times, rec, meta)
 

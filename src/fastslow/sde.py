@@ -1,10 +1,10 @@
 """Fast-slow system definitions: models, trajectories and failures.
 
-The systems handled here couple d slow components x with e fast components
-y::
+The systems handled here couple one slow component x with one fast
+component y, a scalar Ornstein-Uhlenbeck process at frozen x::
 
     dx/dt = f(x, y)
-    dy    = (1/eps) g(x, y) dt + (1/sqrt(eps)) sigma(x, y) dW
+    dy    = (1/eps) decay(x) (mean(x) - y) dt + (sigma/sqrt(eps)) dW
 
 The direct Euler-Maruyama step that resolves the stiff system at the fast
 scale, and the micro bursts of the multiscale schemes, are the lane
@@ -46,88 +46,46 @@ class IntegrationFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class ScalarOU:
-    """Structure hint for models whose fast process is a scalar OU.
+    """The fast process of a model: a scalar OU process at frozen x.
 
-    Declares d = e = 1, the fast drift ``g(x, y) = decay(x) * (mean(x) - y)``
-    and the constant diffusion amplitude ``sigma``; a model with the hint
-    takes its ``g`` and ``sigma`` from the bound methods :meth:`g` and
-    :meth:`diffusion` (a constant (1, 1)), and its ``f`` must act elementwise.
-    The lane drivers keep its lanes as (B,) arrays and advance its micro
-    bursts with a C-level linear recurrence; the ensemble entry points
-    require it.
+    Its drift is ``decay(x) * (mean(x) - y)`` and its diffusion amplitude
+    the constant ``sigma``. ``decay`` and ``mean`` act elementwise on
+    arrays of slow lanes and may return anything that broadcasts to them.
+    The lane drivers keep the lanes as (B,) arrays and advance the micro
+    bursts with a C-level linear recurrence.
     """
 
     decay: Callable[[np.ndarray], np.ndarray]
     mean: Callable[[np.ndarray], np.ndarray]
     sigma: float
 
-    def g(self, x, y):
-        return self.decay(x) * (self.mean(x) - y)
-
-    def diffusion(self, x, y):
-        return np.full((1, 1), float(self.sigma))
-
 
 @dataclass(frozen=True)
 class FastSlowModel:
-    """A fast-slow system given by its vector fields.
+    """A fast-slow system: a slow drift and its scalar OU fast process.
 
     Args:
-        slow_dim: dimension d of the slow block.
-        fast_dim: dimension e of the fast block.
-        f: slow drift, (x: (B, d), y: (B, e)) -> (B, d).
-        g: fast drift before the 1/eps scaling, (x, y) -> (B, e).
-        sigma: fast diffusion before the 1/sqrt(eps) scaling, -> (B, e, e).
+        f: slow drift f(x, y), elementwise in arrays of lanes.
+        scalar_ou: the :class:`ScalarOU` fast process.
         averaged_drift: optional closed-form averaged slow drift F(x), the
             oracle that the schemes' slow paths are checked against.
-        scalar_ou: optional :class:`ScalarOU` hint, given instead of g and
-            sigma.
         name: label recorded in trajectory metadata.
 
-    The fields take B lanes at once, lane i depending on lane i only, and
-    return arrays that broadcast to the shapes above (a constant field may
-    return ``np.eye(e)``). All callables must be pure; :meth:`check_shapes`
-    checks one lane.
+    The lane drivers call ``f``, ``decay`` and ``mean`` on whole chunks of
+    lanes, including lanes that have turned non-finite, so they must be
+    pure and accept any float. Raises TypeError when ``scalar_ou`` is not a
+    :class:`ScalarOU`.
     """
 
-    slow_dim: int
-    fast_dim: int
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    sigma: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    scalar_ou: ScalarOU
     averaged_drift: Callable[[np.ndarray], np.ndarray] | None = None
-    scalar_ou: ScalarOU | None = None
     name: str = "custom"
 
     def __post_init__(self):
-        if self.slow_dim < 1 or self.fast_dim < 1:
-            raise ValueError("slow_dim and fast_dim must be positive")
-        sou, fields = self.scalar_ou, (self.g, self.sigma)
-        if sou is None and None in fields:
-            raise ValueError("a model without a ScalarOU hint needs g and "
-                             "sigma")
-        if sou is None:
-            return
-        if (self.slow_dim, self.fast_dim) != (1, 1):
-            raise ValueError(f"a ScalarOU model has d = e = 1, got d = "
-                             f"{self.slow_dim}, e = {self.fast_dim}")
-        # g and sigma that dataclasses.replace carries over are derived anew
-        if any(fn is not None and getattr(fn, "__func__", None) is not method
-               for fn, method in zip(fields, (ScalarOU.g, ScalarOU.diffusion))):
-            raise ValueError("a ScalarOU model takes g and sigma from its "
-                             "hint; pass f only")
-        object.__setattr__(self, "g", sou.g)
-        object.__setattr__(self, "sigma", sou.diffusion)
-
-    def check_shapes(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Verify the declared (d, e) on one lane, x (1, d) and y (1, e)."""
-        d, e = self.slow_dim, self.fast_dim
-        for label, fn, want in (("f", self.f, (d,)), ("g", self.g, (e,)),
-                                ("sigma", self.sigma, (e, e))):
-            shape = np.shape(fn(x, y))
-            if shape not in (want, (1,) + want):
-                raise ValueError(f"{label} returned shape {shape}, expected "
-                                 f"{want} or {(1,) + want}")
+        if not isinstance(self.scalar_ou, ScalarOU):
+            raise TypeError(f"scalar_ou must be a ScalarOU, got "
+                            f"{type(self.scalar_ou).__name__}")
 
 
 @dataclass
@@ -161,8 +119,10 @@ class Trajectory:
         return self.states[:, component]
 
 
-def _as_point(value, dim: int, label: str) -> np.ndarray:
+def _as_point(value, label: str) -> np.ndarray:
+    """A scalar or (1,) start value as one (1,) lane."""
     arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.shape != (dim,):
-        raise ValueError(f"{label} must have shape ({dim},), got {arr.shape}")
+    if arr.shape != (1,):
+        raise ValueError(f"{label} must be a scalar or have shape (1,), got "
+                         f"{arr.shape}")
     return arr

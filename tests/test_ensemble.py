@@ -1,8 +1,8 @@
-"""The lane drivers: the ScalarOU back-end must match the field back-end
-(``f``, ``g`` and ``sigma`` called on all lanes at once) to rounding, and
-every lane of either must be invariant to block composition, executors
-and whether it runs alone."""
+"""The lane drivers: their bursts and direct steps must match a plain
+per-step scalar Euler loop on the same keyed normals, and every lane must
+be invariant to block composition, executors and whether it runs alone."""
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -27,10 +27,6 @@ def dw_cfg():
                         root_seed=11)
 
 
-def _hintless(model):
-    return fs.FastSlowModel(1, 1, model.f, model.g, model.sigma)
-
-
 def _direct_lanes(model, cfg, ids, x, y, base):
     """Direct lanes whose chain cid draws from ``base.child(cid, -2, 0)``."""
     return _DirectLanes(model, cfg, ids, x, y,
@@ -44,19 +40,45 @@ def _every_step(lanes, n_steps):
     return rec
 
 
+def _euler_burst(model, x, y, xi, dt):
+    """One lane's micro burst at frozen x, one scalar Euler step per normal
+    in ``xi``: (average of f over the post-update states, last state)."""
+    sou, f_sum = model.scalar_ou, 0.0
+    for z in xi:
+        y = (y + dt * sou.decay(x) * (sou.mean(x) - y)
+             + sou.sigma * math.sqrt(dt) * z)
+        f_sum += model.f(x, y)
+    return f_sum / len(xi), y
+
+
+def _euler_direct(model, cfg, x, y, xi):
+    """One lane's slow states after each direct Euler step, one scalar step
+    per normal in ``xi``."""
+    sou, dt, h = model.scalar_ou, cfg.micro_dt, cfg.eps * cfg.micro_dt
+    xs = []
+    for z in xi:
+        x, y = (x + h * model.f(x, y),
+                y + dt * sou.decay(x) * (sou.mean(x) - y)
+                + sou.sigma * math.sqrt(dt) * z)
+        xs.append(x)
+    return np.array(xs)
+
+
 def test_batched_burst_matches_reference(dw_cfg):
-    # the field back-end is the reference of the ScalarOU one
-    streams = RngStream(11).children([[0, 4]])
-    for model in (fs.DoubleWellModel().system(),
-                  fs.NonDiffusiveModel().system()):
-        ref_f, ref_y = burst_batch(_hintless(model), np.array([[0.7]]),
-                                   np.array([[0.3]]), streams,
-                                   dw_cfg.micro_count, dw_cfg.micro_dt)
-        bat_f, bat_y = burst_batch(model, np.array([0.7]), np.array([0.3]),
-                                   streams, dw_cfg.micro_count,
+    # non_diffusive's decay differs between lanes, so its bursts take the
+    # time loop of _linear_recurrence, the others one lfilter call
+    x, y = np.array([0.7, 1.3, 2.0]), np.array([0.3, -0.2, 0.5])
+    streams = RngStream(11).children([[i, 4] for i in range(3)])
+    xi = streams.normals(dw_cfg.micro_count)
+    for name in ("double_well", "linear_ou", "non_diffusive"):
+        model = fs.make_model(name).system()
+        bat_f, bat_y = burst_batch(model, x, y, streams, dw_cfg.micro_count,
                                    dw_cfg.micro_dt)
-        assert bat_f[0] == pytest.approx(ref_f[0, 0], abs=1e-12)
-        assert bat_y[0] == pytest.approx(ref_y[0, 0], abs=1e-12)
+        for i in range(3):
+            ref_f, ref_y = _euler_burst(model, x[i], y[i], xi[i],
+                                        dw_cfg.micro_dt)
+            assert bat_f[i] == pytest.approx(ref_f, abs=1e-12)
+            assert bat_y[i] == pytest.approx(ref_y, abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -94,89 +116,20 @@ def test_burst_batch_is_block_invariant(dw_cfg):
         assert y1[0] == y3[i]
 
 
-_A23 = np.array([[1.0, 0.2, 0.0], [0.1, 0.5, 0.3], [0.0, 0.4, 1.1]])
-
-
-def _model_23():
-    """d = 2, e = 3, with lane-dependent f, g and sigma."""
-    return fs.FastSlowModel(
-        2, 3,
-        f=lambda x, y: np.stack([y[:, 0] * y[:, 1] - x[:, 0],
-                                 np.sin(x[:, 1]) + y[:, 2]], axis=1),
-        g=lambda x, y: np.concatenate([x, x[:, :1]], axis=1) - y,
-        sigma=lambda x, y: _A23 * (1.0 + 0.1 * np.tanh(x[:, :1]))[:, :, None])
-
-
-_HINTLESS_LANES = {
-    "linear_ou": (_hintless(fs.LinearOUModel().system()), [[-1.0], [0.4],
-                                                           [1.3]]),
-    "double_well": (_hintless(fs.DoubleWellModel(sigma_f=7.5).system()),
-                    [[-1.0], [0.4], [1.3]]),
-    "non_diffusive": (_hintless(fs.NonDiffusiveModel().system()),
-                      [[0.6], [1.0], [2.2]]),
-    "d2_e3": (_model_23(), [[0.3, -0.2], [1.0, 0.5], [-0.7, 2.0]]),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_HINTLESS_LANES))
-def test_field_lanes_alone_equal_lanes_in_block(dw_cfg, name):
-    # the field back-end steps all lanes at once; each lane must still get
-    # bitwise what it gets alone, in a burst and over direct chunks
-    model, x = _HINTLESS_LANES[name]
-    x = np.array(x)
-    y = np.linspace(-0.5, 0.5, 3 * model.fast_dim).reshape(3, -1)
-    base = RngStream(17)
-    ids = np.arange(3)
-    streams = base.children(ids[:, None])
-    f3, y3 = burst_batch(model, x, y, streams, 300, 0.05)
-    rec3 = _every_step(_direct_lanes(model, dw_cfg, ids, x, y, base), 700)
-    for i in ids:
-        one = ids[i:i + 1]
-        f1, y1 = burst_batch(model, x[one], y[one], streams[one], 300, 0.05)
-        rec1 = _every_step(_direct_lanes(model, dw_cfg, one, x[one], y[one],
-                                         base), 700)
-        assert np.array_equal(f1[0], f3[i]) and np.array_equal(y1[0], y3[i])
-        assert np.array_equal(rec1[:, 0], rec3[:, i])
-
-
 @pytest.mark.filterwarnings("ignore:overflow")
-def test_field_burst_names_the_lowest_failing_lane():
-    # g = y^3 at dt = 1 without noise: y = 3 runs 30, 2.7e4, 2e13, 8e39,
-    # 5e119 and overflows on step 6, y = 30 one step earlier; lane 1 fails
-    # after lane 2 but is the lower lane, so it is reported at its own step
-    def g(x, y):
-        assert np.isfinite(y).all()  # no field sees a non-finite state
-        return y ** 3
-
-    model = fs.FastSlowModel(1, 1, f=lambda x, y: y, g=g,
-                             sigma=lambda x, y: np.zeros((1, 1)))
+def test_burst_names_the_lowest_failing_lane():
+    # decay -1 at micro_dt 1 without noise doubles y every step: lane 2
+    # (2^10) overflows on step 1,014, lane 1 (1) on step 1,024 and lane 0
+    # never; lane 1 fails after lane 2 but is the lower lane, so it is
+    # reported at its own step
+    sou = fs.ScalarOU(decay=lambda x: np.full_like(x, -1.0),
+                      mean=lambda x: np.zeros_like(x), sigma=0.0)
+    model = fs.FastSlowModel(lambda x, y: y, sou)
     with pytest.raises(fs.IntegrationFailure) as err:
-        burst_batch(model, np.zeros((3, 1)), np.array([[0.0], [3.0], [30.0]]),
-                    RngStream(1).children([[0], [1], [2]]), 10, 1.0)
+        burst_batch(model, np.zeros(3), np.array([0.0, 1.0, 2.0 ** 10]),
+                    RngStream(1).children([[0], [1], [2]]), 2000, 1.0)
     assert err.value.replica == 1
-    assert err.value.micro_index == 6
-
-
-@pytest.mark.parametrize("kwargs,match", [
-    ({"g": lambda x, y: -y}, "pass f only"),
-    ({"sigma": lambda x, y: np.eye(1)}, "pass f only"),
-    ({"slow_dim": 2}, "d = e = 1"),
-    ({"fast_dim": 2}, "d = e = 1"),
-])
-def test_hint_model_takes_f_and_the_hint_only(kwargs, match):
-    args = {"slow_dim": 1, "fast_dim": 1, "f": lambda x, y: y,
-            "scalar_ou": fs.ScalarOU(decay=lambda x: 1.0,
-                                     mean=lambda x: 0.0, sigma=1.0)}
-    with pytest.raises(ValueError, match=match):
-        fs.FastSlowModel(**{**args, **kwargs})
-
-
-@pytest.mark.parametrize("missing", ["g", "sigma"])
-def test_model_without_hint_needs_g_and_sigma(missing):
-    fields = {"g": lambda x, y: -y, "sigma": lambda x, y: np.eye(1)}
-    del fields[missing]
-    with pytest.raises(ValueError, match="needs g and sigma"):
-        fs.FastSlowModel(1, 1, lambda x, y: y, **fields)
+    assert err.value.micro_index == 1024
 
 
 def test_burst_batch_needs_one_stream_per_chain(dw_cfg):
@@ -184,18 +137,6 @@ def test_burst_batch_needs_one_stream_per_chain(dw_cfg):
     with pytest.raises(ValueError, match="2 streams for 3 chains"):
         burst_batch(model, np.zeros(3), np.zeros(3),
                     RngStream(1).children([[0], [1]]), 5, 0.1)
-
-
-def test_batched_rejects_models_without_structure(dw_cfg):
-    # the ensemble entry points start lanes at the ScalarOU fast mean
-    generic = _hintless(fs.LinearOUModel().system())
-    base = RngStream(1)
-    with pytest.raises(ValueError, match="ScalarOU"):
-        pooled_stationary_samples(generic, "hmm", dw_cfg, 0.0, None, 10.0, 2,
-                                  1.0, base)
-    with pytest.raises(ValueError, match="ScalarOU"):
-        fs.first_passage_times(generic, "direct", dw_cfg,
-                               fs.BasinSpec(0.0, 0.3), 2, 1.0)
 
 
 def test_scheme_samples_block_invariance(dw_cfg):
@@ -215,19 +156,20 @@ def test_scheme_samples_block_invariance(dw_cfg):
 
 
 def test_direct_samples_match_reference_integrator(dw_cfg):
-    # the field back-end on the same keys is the reference
+    # a scalar Euler loop on the same keyed normals is the reference
     model = fs.DoubleWellModel().system()
     base = RngStream(21)
     times, rec = direct_samples(model, dw_cfg, -1.0, 0.5, 1.0, [4], base,
                                 record_dt=0.05)
     h = dw_cfg.eps * dw_cfg.micro_dt
     stride = round(0.05 / h)
-    ref_times, ref = _fixed_horizon(
-        _direct_lanes(_hintless(model), dw_cfg, np.array([4]),
-                      np.array([[-1.0]]), np.array([[0.5]]), base), 1.0, 0.05)
+    n_steps = (len(times) - 1) * stride
+    xi = base.child(4, -2, 0).generator.standard_normal(n_steps)
+    ref = _euler_direct(model, dw_cfg, -1.0, 0.5, xi)
     assert np.allclose(times, np.arange(len(times)) * stride * h)
-    assert np.array_equal(ref_times, times)
-    assert np.allclose(rec[:, 0], ref[:, 0, 0], atol=1e-9)
+    assert times[-1] == pytest.approx(1.0)
+    assert rec[0, 0] == -1.0
+    assert np.array_equal(rec[1:, 0], ref[stride - 1::stride])
 
 
 @pytest.mark.parametrize("stride", [3, 700])
@@ -399,7 +341,7 @@ def test_equilibration_failure_names_the_chain(scheme):
     # step, so it overflows after about 1,025 of the 2,000 steps
     sou = fs.ScalarOU(decay=lambda x: np.full_like(x, -1.0),
                       mean=lambda x: np.zeros_like(x), sigma=1.0)
-    model = fs.FastSlowModel(1, 1, f=lambda x, y: y, scalar_ou=sou)
+    model = fs.FastSlowModel(f=lambda x, y: y, scalar_ou=sou)
     cfg = SchemeConfig(eps=0.01, lam=2, macro_dt=0.1, micro_dt=1.0,
                        root_seed=1)
     with pytest.raises(fs.IntegrationFailure,
@@ -465,7 +407,7 @@ def _scripted_model():
     scaled normal, and x moves by h * y one step later."""
     sou = fs.ScalarOU(decay=lambda x: np.full_like(x, 2.0),
                       mean=lambda x: np.zeros_like(x), sigma=1.0)
-    return fs.FastSlowModel(1, 1, f=lambda x, y: y, scalar_ou=sou)
+    return fs.FastSlowModel(f=lambda x, y: y, scalar_ou=sou)
 
 
 _SCRIPTED_CFG = SchemeConfig(eps=0.01, lam=1, macro_dt=0.005, micro_dt=0.5,

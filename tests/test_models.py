@@ -114,19 +114,16 @@ class TestCltVarianceOracle:
 def _birkhoff_drift(model, x, micro_dt, t_burn, t_avg, seed):
     """Estimate of the averaged drift F(x): a burn-in burst, then an
     averaging burst, of ``burst_batch`` on one lane at frozen x, drawing
-    from the keyed streams (0,) and (1,) of ``RngStream(seed)``. A ScalarOU
-    model starts at its frozen-x fast mean, one without the hint at 0."""
-    if model.scalar_ou is not None:
-        x_lane = np.array([float(x)])
-        y = np.zeros(1) + model.scalar_ou.mean(x_lane)
-    else:
-        x_lane, y = np.array([[float(x)]]), np.zeros((1, model.fast_dim))
+    from the keyed streams (0,) and (1,) of ``RngStream(seed)``, starting
+    at the frozen-x fast mean."""
+    x_lane = np.array([float(x)])
+    y = np.zeros(1) + model.scalar_ou.mean(x_lane)
     base = RngStream(seed)
     _, y = burst_batch(model, x_lane, y, base.children([[0]]),
                        round(t_burn / micro_dt), micro_dt)
     f_avg, _ = burst_batch(model, x_lane, y, base.children([[1]]),
                            round(t_avg / micro_dt), micro_dt)
-    return float(f_avg.flat[0])
+    return float(f_avg[0])
 
 
 class TestEmpiricalAveragedDrift:
@@ -168,12 +165,3 @@ class TestEmpiricalAveragedDrift:
             band = 3 * 5.0 / math.sqrt(0.5 * 4000.0) + 0.02
             assert abs(est - expected) < band
 
-
-def test_generic_and_structured_drift_paths_agree():
-    # the ScalarOU fast path and the generic micro-step loop consume the
-    # same streams and must agree to rounding error
-    m = NonDiffusiveModel().system()
-    generic = fs.FastSlowModel(1, 1, m.f, m.g, m.sigma)
-    a = _birkhoff_drift(m, 1.3, 0.05, 5.0, 50.0, 77)
-    b = _birkhoff_drift(generic, 1.3, 0.05, 5.0, 50.0, 77)
-    assert a == pytest.approx(b, abs=1e-10)

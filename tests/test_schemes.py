@@ -59,76 +59,64 @@ class TestSchemeConfig:
 
 
 def _burst(model, x, y, m_count, dt, seed):
-    """One burst of one lane of a d = e = 1 model on stream ``seed``."""
-    lane = (1,) if model.scalar_ou else (1, 1)
-    f_avg, y_end = burst_batch(model, np.full(lane, x), np.full(lane, y),
+    """One burst of one lane on stream ``seed``."""
+    f_avg, y_end = burst_batch(model, np.full(1, x), np.full(1, y),
                                RngStream(seed).children([[0]]), m_count, dt)
-    return float(f_avg.flat[0]), float(y_end.flat[0])
+    return float(f_avg[0]), float(y_end[0])
 
 
-def _hintless(model):
-    return fs.FastSlowModel(1, 1, model.f, model.g, model.sigma)
+def _model(f, decay, sigma):
+    """Slow drift f over a fast OU process of constant decay, mean 0."""
+    return fs.FastSlowModel(f, fs.ScalarOU(
+        decay=lambda x: np.full_like(x, decay),
+        mean=lambda x: np.zeros_like(x), sigma=sigma))
 
 
 class TestMicroBurst:
-    # builtin models run on both back-ends: ScalarOU and the lane fields
     def test_frozen_fast_state(self):
-        m = fs.FastSlowModel(1, 1,
-                             f=lambda x, y: x + 2 * y,
-                             g=lambda x, y: np.zeros(1),
-                             sigma=lambda x, y: np.zeros((1, 1)))
+        m = _model(lambda x, y: x + 2 * y, 0.0, 0.0)
         f_avg, y_end = _burst(m, 3.0, 0.25, 1, 0.1, 7)
         assert f_avg == pytest.approx(3.5)
         assert y_end == 0.25
 
     def test_noiseless_burst_sits_at_fast_fixed_point(self):
         m = fs.LinearOUModel(sigma_f=0.0).system()
-        for model in (m, _hintless(m)):
-            f_avg, y_end = _burst(model, 1.0, 0.5, 10 ** 4, 0.1, 7)
-            assert abs(f_avg - (-0.5)) < 1e-6
-            assert abs(y_end - 0.5) < 1e-12
+        f_avg, y_end = _burst(m, 1.0, 0.5, 10 ** 4, 0.1, 7)
+        assert abs(f_avg - (-0.5)) < 1e-6
+        assert abs(y_end - 0.5) < 1e-12
 
     def test_ergodic_average_of_fast_ou(self):
         # x frozen at 0: f-average tends to the ergodic mean 0 within
         # 3 * sqrt(sigma^2 / (2 theta^2 T_fast)) with T_fast = M * dt
         m = fs.LinearOUModel(sigma_f=5.0).system()
         band = 3 * math.sqrt(25.0 / (2 * 1e4))
-        for model in (m, _hintless(m)):
-            f_avg, _ = _burst(model, 0.0, 0.0, 10 ** 5, 0.1, 21)
-            assert abs(f_avg) < band
+        f_avg, _ = _burst(m, 0.0, 0.0, 10 ** 5, 0.1, 21)
+        assert abs(f_avg) < band
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_burst_failure_carries_micro_index(self):
-        m = fs.FastSlowModel(1, 1,
-                             f=lambda x, y: y,
-                             g=lambda x, y: y ** 3,
-                             sigma=lambda x, y: np.zeros((1, 1)))
-        cfg = SchemeConfig(eps=1e-2, lam=1, macro_dt=0.1, micro_dt=1.0,
+        # decay -1 at micro_dt 1 doubles y each micro step: 3 * 2^1022 is
+        # finite, 3 * 2^1023 overflows, inside the first 2,000-step burst
+        m = _model(lambda x, y: y, -1.0, 0.0)
+        cfg = SchemeConfig(eps=1e-2, lam=1, macro_dt=20.0, micro_dt=1.0,
                            root_seed=7)
         with pytest.raises(fs.IntegrationFailure) as err:
-            run_scheme(m, "hmm", [0.0], [3.0], cfg, T=1.0)
-        # y runs 30, 2.7e4, 2e13, 8e39, 5e119, then overflows on step 6
+            run_scheme(m, "hmm", [0.0], [3.0], cfg, T=40.0)
         assert err.value.macro_index == 0
-        assert err.value.micro_index == 6
+        assert err.value.micro_index == 1023
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_scalar_burst_failure_carries_micro_index(self):
         # decay -1 at dt = 1 doubles y each micro step: 2^1024 overflows
-        sou = fs.ScalarOU(decay=lambda x: np.full_like(x, -1.0),
-                          mean=lambda x: np.zeros_like(x), sigma=0.0)
-        m = fs.FastSlowModel(1, 1, lambda x, y: y, scalar_ou=sou)
-        for model in (m, _hintless(m)):
-            with pytest.raises(fs.IntegrationFailure) as err:
-                _burst(model, 0.0, 1.0, 2000, 1.0, 1)
-            assert err.value.micro_index == 1024
+        m = _model(lambda x, y: y, -1.0, 0.0)
+        with pytest.raises(fs.IntegrationFailure) as err:
+            _burst(m, 0.0, 1.0, 2000, 1.0, 1)
+        assert err.value.micro_index == 1024
 
 
 class TestSteppers:
     def test_hmm_step_keeps_x_when_f_is_zero(self):
-        m = fs.FastSlowModel(1, 1,
-                             f=lambda x, y: np.zeros(1),
-                             g=lambda x, y: -y,
-                             sigma=lambda x, y: np.eye(1))
+        m = _model(lambda x, y: np.zeros_like(y), 1.0, 1.0)
         cfg = _cfg()
         traj = run_scheme(m, "hmm", [0.7], [0.1], cfg, T=3 * cfg.macro_dt)
         assert np.array_equal(traj.slow(), [0.7] * 4)
@@ -155,10 +143,7 @@ class TestSteppers:
         assert np.array_equal(a.states, b.states)
 
     def test_constant_slow_drift_ignores_lambda(self):
-        m = fs.FastSlowModel(1, 1,
-                             f=lambda x, y: np.full(1, 2.5),
-                             g=lambda x, y: -y,
-                             sigma=lambda x, y: np.eye(1))
+        m = _model(lambda x, y: np.full_like(y, 2.5), 1.0, 1.0)
         for lam in (1, 4):
             cfg = _cfg(lam=lam)
             traj = run_scheme(m, "phmm", [1.0], [0.0], cfg, T=cfg.macro_dt)
@@ -176,23 +161,21 @@ class TestSteppers:
         assert traj.slow()[1] == 1.0 + cfg.macro_dt * f_avg.mean()
 
     def test_phmm_burst_failure_names_the_replica(self):
-        # y turns infinite the step after it passes 1.5, so replica j fails
-        # one step after its noise walk from the keys (j, 0) first does
-        m = fs.FastSlowModel(1, 1, f=lambda x, y: y,
-                             g=lambda x, y: np.where(y > 1.5, np.inf, 0.0),
-                             sigma=lambda x, y: np.eye(1))
+        # without decay y is the noise walk from the keys (j, 0); f turns
+        # infinite on the step where it passes 1.5, so replica j fails there
+        m = _model(lambda x, y: np.where(y > 1.5, np.inf, y), 0.0, 1.0)
         cfg = SchemeConfig(eps=1e-2, lam=4, macro_dt=0.4, micro_dt=1.0,
                            root_seed=6)
         walks = np.cumsum(RngStream(cfg.root_seed).children(
             [[j, 0] for j in range(4)]).normals(cfg.micro_count), axis=1)
-        crossed = walks[:, :-1] > 1.5
+        crossed = walks > 1.5
         rep = int(np.argmax(crossed.any(axis=1)))
         assert rep > 0 and crossed[rep + 1:].any()  # not the first, not alone
         with pytest.raises(fs.IntegrationFailure) as err:
             run_scheme(m, "phmm", [0.0], [0.0], cfg, T=cfg.macro_dt)
         assert err.value.macro_index == 0
         assert err.value.replica == rep
-        assert err.value.micro_index == int(np.argmax(crossed[rep])) + 2
+        assert err.value.micro_index == int(np.argmax(crossed[rep])) + 1
 
 
 class TestRunScheme:
@@ -217,10 +200,7 @@ class TestRunScheme:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_failure_carries_macro_index(self):
-        m = fs.FastSlowModel(1, 1,
-                             f=lambda x, y: x ** 3,
-                             g=lambda x, y: -y,
-                             sigma=lambda x, y: np.zeros((1, 1)))
+        m = _model(lambda x, y: x ** 3, 1.0, 0.0)
         with pytest.raises(fs.IntegrationFailure) as err:
             run_scheme(m, "hmm", [5.0], [0.0], _cfg(), T=100.0)
         assert err.value.macro_index is not None

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -17,21 +16,17 @@ def _direct(model, x0, y0, eps, h, T, seed=1):
     return run_scheme(model, "direct", x0, y0, cfg, T)
 
 
-def _zero_model(d=2, e=3):
-    return FastSlowModel(
-        d, e,
-        f=lambda x, y: np.zeros(d),
-        g=lambda x, y: np.zeros(e),
-        sigma=lambda x, y: np.zeros((e, e)),
-        name="zero",
-    )
+def _model(f, decay=0.0, sigma=0.0):
+    """Slow drift f over a fast OU process of constant decay, mean 0."""
+    return FastSlowModel(f, fs.ScalarOU(decay=lambda x: decay,
+                                        mean=lambda x: 0.0, sigma=sigma))
 
 
 def test_zero_fields_leave_state_unchanged():
-    m = _zero_model()
-    traj = _direct(m, [1.0, -2.0], [0.5, 0.5, 0.5], eps=0.1, h=0.25, T=1.0)
+    m = _model(lambda x, y: np.zeros_like(y))
+    traj = _direct(m, [1.0], [0.5], eps=0.1, h=0.25, T=1.0)
     assert np.array_equal(traj.times, [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert all(np.array_equal(row, [1.0, -2.0]) for row in traj.states)
+    assert np.array_equal(traj.slow(), [1.0] * 5)
 
 
 def test_noiseless_fast_relaxation_matches_matrix_exponential():
@@ -55,7 +50,7 @@ def test_noiseless_fast_relaxation_matches_matrix_exponential():
 
 
 def test_single_step_trajectory_has_two_points():
-    m = _zero_model(1, 1)
+    m = _model(lambda x, y: np.zeros_like(y))
     traj = _direct(m, [0.0], [0.0], eps=0.1, h=0.5, T=0.5)
     assert len(traj) == 2
     assert traj.meta["scheme"] == "direct"
@@ -63,10 +58,7 @@ def test_single_step_trajectory_has_two_points():
 
 def test_deterministic_euler_recursion():
     # zero noise, f = -x, g = 0: x(T) = x0 (1-h)^(T/h) exactly
-    m = FastSlowModel(1, 1,
-                      f=lambda x, y: -x,
-                      g=lambda x, y: np.zeros(1),
-                      sigma=lambda x, y: np.zeros((1, 1)))
+    m = _model(lambda x, y: -x)
     h, T, x0 = 0.01, 1.0, 2.0
     traj = _direct(m, [x0], [0.0], eps=0.1, h=h, T=T)
     expected = x0 * (1 - h) ** round(T / h)
@@ -77,29 +69,41 @@ def test_deterministic_euler_recursion():
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_blowup_is_reported_with_step_index():
-    # the second f raises on inf (math.sin), so the integrator must stop
-    # before the field sees the overflowed state
-    for f in (lambda x, y: x ** 3,
-              lambda x, y: x ** 3 + 0.0 * math.sin(x[0, 0])):
-        m = FastSlowModel(1, 1,
-                          f=f,
-                          g=lambda x, y: np.zeros(1),
-                          sigma=lambda x, y: np.zeros((1, 1)))
-        with pytest.raises(IntegrationFailure) as err:
-            _direct(m, [4.0], [0.0], eps=0.1, h=1.0, T=50.0)
-        # x runs 68, 3.1e5, 3.1e16, 3.0e49, 2.7e148, then overflows on
-        # step 6
-        assert err.value.step == 6
-        assert err.value.time == 6.0
+    m = _model(lambda x, y: x ** 3)
+    with pytest.raises(IntegrationFailure) as err:
+        _direct(m, [4.0], [0.0], eps=0.1, h=1.0, T=50.0)
+    # x runs 68, 3.1e5, 3.1e16, 3.0e49, 2.7e148, then overflows on step 6
+    assert err.value.step == 6
+    assert err.value.time == 6.0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {}, {"scalar_ou": None}, {"scalar_ou": (1.0, 0.0, 1.0)},
+    {"scalar_ou": fs.ScalarOU(lambda x: 1.0, lambda x: 0.0, 1.0),
+     "g": lambda x, y: -y},
+])
+def test_model_is_f_and_a_scalar_ou(kwargs):
+    # a missing or malformed fast process, or a field of the deleted
+    # general (d, e) form, fails when the model is built
+    with pytest.raises(TypeError):
+        FastSlowModel(lambda x, y: y, **kwargs)
 
 
 def test_dimension_mismatch_is_rejected():
-    bad = FastSlowModel(2, 1,
-                        f=lambda x, y: np.zeros(1),  # wrong: d = 2
-                        g=lambda x, y: np.zeros(1),
-                        sigma=lambda x, y: np.zeros((1, 1)))
-    with pytest.raises(ValueError, match="f returned shape"):
-        _direct(bad, [0.0, 0.0], [0.0], 0.1, 0.1, 1.0)
+    m = fs.LinearOUModel().system()
+    for x0, y0, label in (([0.0, 0.0], [0.0], "x0"), (0.0, [[0.0]], "y0"),
+                          (0.0, np.zeros(2), "y0")):
+        with pytest.raises(ValueError,
+                           match=f"^{label} must be a scalar or have shape"):
+            _direct(m, x0, y0, 0.1, 0.1, 1.0)
+    # scalars and (1,) start values give the same path
+    assert np.array_equal(_direct(m, 0.5, 0.2, 0.1, 0.1, 1.0).states,
+                          _direct(m, [0.5], [0.2], 0.1, 0.1, 1.0).states)
+    # an f that returns two values would fail inside the lane drivers
+    two = _model(lambda x, y: np.concatenate([x, y]), decay=1.0)
+    for scheme in ("direct", "hmm", "phmm"):
+        with pytest.raises(ValueError, match=r"f returned shape \(2,\)"):
+            run_scheme(two, scheme, [0.0], [0.0], _REPLACE_CFG, 1.0)
 
 
 _REPLACE_CFG = SchemeConfig(eps=4e-3, lam=3, macro_dt=0.06, micro_dt=0.05,
@@ -107,11 +111,8 @@ _REPLACE_CFG = SchemeConfig(eps=4e-3, lam=3, macro_dt=0.06, micro_dt=0.05,
 
 
 def _runs(model):
-    """run_scheme states of the three lane schemes, on a hint-less copy too
-    (which steps with the model's g and sigma)."""
-    plain = FastSlowModel(1, 1, model.f, model.g, model.sigma)
-    return [run_scheme(m, scheme, [-0.5], [0.2], _REPLACE_CFG, T).states
-            for m in (model, plain)
+    """run_scheme states of the three lane schemes."""
+    return [run_scheme(model, scheme, [-0.5], [0.2], _REPLACE_CFG, T).states
             for scheme, T in (("direct", 0.05), ("hmm", 1.2), ("phmm", 1.2))]
 
 
@@ -124,24 +125,18 @@ def test_replace_renames_a_hint_model():
         assert np.array_equal(a, b)
 
 
-def test_replace_rederives_g_and_sigma_from_a_new_hint():
+def test_replace_takes_a_new_fast_process():
     model = fs.LinearOUModel().system()
     hint = fs.ScalarOU(decay=lambda x: 2.0 + 0.0 * x, mean=lambda x: 0.3 * x,
                        sigma=4.0)
     rehinted = dataclasses.replace(model, scalar_ou=hint)
-    fresh = FastSlowModel(1, 1, model.f, scalar_ou=hint)
-    x, y = np.array([[0.5]]), np.array([[1.5]])
-    assert np.array_equal(rehinted.g(x, y), 2.0 * (0.15 - y))
-    assert np.array_equal(rehinted.sigma(x, y), [[4.0]])
-    for a, b in zip(_runs(rehinted), _runs(fresh)):
+    fresh = FastSlowModel(model.f, scalar_ou=hint)
+    assert rehinted.scalar_ou is hint
+    for a, b, old in zip(_runs(rehinted), _runs(fresh), _runs(model)):
         assert np.array_equal(a, b)
-
-
-def test_replace_still_refuses_a_user_field_on_a_hint_model():
-    model = fs.DoubleWellModel().system()
-    for field in ("g", "sigma"):
-        with pytest.raises(ValueError, match="pass f only"):
-            dataclasses.replace(model, **{field: lambda x, y: -y})
+        assert not np.array_equal(a, old)
+    with pytest.raises(TypeError, match="must be a ScalarOU"):
+        dataclasses.replace(model, scalar_ou=None)
 
 
 def test_trajectory_invariants():
