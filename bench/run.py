@@ -12,7 +12,10 @@ of the runs (fail count, outputs changed from the reference digests); the
 ``src/fastslow/*.py`` line count, in total and per file; the machine
 record of the first run; and, for each bundled ``_quick`` config, the
 median of 3 wall times of the whole ``python -m fastslow.cli run <name>
---workers 1`` process, imports included.
+--workers 1`` process, imports included, raw and rescaled to perfbench's
+reference machine speed: perfbench's reference kernel runs before the first
+process and after every one, and a time t between kernel times k0 and k1
+becomes ``t * 2 * K_REF / (k0 + k1)``, as perfbench rescales serial passes.
 ``--tier1-log`` adds the Tier-1 outcome counts, time and ``--durations``
 table parsed from a saved pytest log.
 """
@@ -20,6 +23,7 @@ table parsed from a saved pytest log.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import re
@@ -94,9 +98,20 @@ def src_lines(root: Path) -> dict:
             for p in sorted((root / "src" / "fastslow").glob("*.py"))}
 
 
-def quick_config_times(root: Path) -> dict:
-    """Median and values of ``QUICK_RUNS`` process wall times of every
-    bundled ``_quick`` config, run one at a time with ``--workers 1``."""
+def reference_kernel(root: Path):
+    """``reference_kernel`` and ``K_REF`` of ``perfbench/worker.py``."""
+    sys.path.insert(0, str(root / "perfbench"))  # for its ``import configs``
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_worker", root / "perfbench" / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    return worker.reference_kernel, worker.K_REF
+
+
+def quick_config_times(root: Path, kernel, k_ref: float) -> dict:
+    """Raw and rescaled median and values of ``QUICK_RUNS`` process wall
+    times of every bundled ``_quick`` config, run one at a time with
+    ``--workers 1``, and the ``kernel`` times around them."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
@@ -105,7 +120,7 @@ def quick_config_times(root: Path) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(p.stem for p in configs.glob("*_quick.cfg")):
             print(f"fastslow run {name}", file=sys.stderr)
-            values = []
+            values, kernels = [], [kernel()]
             for _ in range(QUICK_RUNS):
                 start = time.perf_counter()
                 subprocess.run([sys.executable, "-m", "fastslow.cli", "run",
@@ -113,8 +128,13 @@ def quick_config_times(root: Path) -> dict:
                                cwd=root, env=env, check=True,
                                capture_output=True)
                 values.append(time.perf_counter() - start)
+                kernels.append(kernel())
+            scaled = [t * 2 * k_ref / (k0 + k1)
+                      for t, k0, k1 in zip(values, kernels, kernels[1:])]
             out[name] = {"median": statistics.median(values),
-                         "values": values}
+                         "values": values, "kernels": kernels,
+                         "scaled_median": statistics.median(scaled),
+                         "scaled_values": scaled}
     return out
 
 
@@ -156,7 +176,8 @@ def main(argv=None) -> int:
     record = {"seconds": seconds, "src_lines": sum(lines.values()),
               "src_file_lines": lines, "env": env,
               "workloads": {w: summarise(r) for w, r in results.items()},
-              "quick_configs_s": quick_config_times(root)}
+              "quick_configs_s": quick_config_times(
+                  root, *reference_kernel(root))}
     if args.tier1_log:
         record["tier1"] = parse_tier1_log(args.tier1_log.read_text())
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -76,6 +76,9 @@ def burst_batch(model: FastSlowModel, x: np.ndarray, y: np.ndarray,
         states and the final fast states, each (B,).
 
     Raises:
+        ValueError: if ``f(x[:, None], y_path)`` on the (B, M) fast path
+            returns neither shape (B, M) nor, for an ``f`` of x alone,
+            (B, 1).
         IntegrationFailure: for a non-finite fast state or f value; its
             ``replica`` is the lowest failing lane and its ``micro_index``
             that lane's first non-finite step.
@@ -85,6 +88,9 @@ def burst_batch(model: FastSlowModel, x: np.ndarray, y: np.ndarray,
         raise ValueError(f"{xi.shape[0]} streams for {x.shape[0]} chains")
     y_path = _ou_path(model.scalar_ou, x, y, xi, dt)
     f_path = np.asarray(model.f(x[:, None], y_path), dtype=float)
+    if f_path.shape not in (y_path.shape, (len(x), 1)):
+        raise ValueError(f"f returned shape {f_path.shape} on a burst of "
+                         f"shape {y_path.shape}, expected {y_path.shape}")
     f_avg = f_path.mean(axis=1)
     y_end = y_path[:, -1]
     bad = ~(np.isfinite(f_avg) & np.isfinite(y_end))

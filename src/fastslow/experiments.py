@@ -55,6 +55,7 @@ FINITE = (math.isfinite, "finite")
 NON_NEGATIVE = (lambda v: math.isfinite(v) and v >= 0,
                 "finite and non-negative")
 AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+AT_LEAST_2 = (lambda v: v >= 2, "at least 2")  # a sample variance or stderr
 
 
 def _one_of(*choices):
@@ -444,7 +445,7 @@ ANALYSES = {
         "scheme": _POOLED_SCHEME, "analysis": _POOLED}),
     "mfpt_vs_lambda": Analysis(_run_mfpt, _SDE_MODELS, {
         "scheme": {**_STEPS, **_LAMBDAS},
-        "analysis": {**_PASSAGE,
+        "analysis": {**_PASSAGE, "n_samples": (int, REQUIRED, AT_LEAST_2),
                      "direction": (str, REQUIRED, _one_of(*_CROSSINGS))}}),
     "fpt_cdf": Analysis(_run_fpt_cdf, _SDE_MODELS, {
         "scheme": {**_STEPS, "lambda": (int, REQUIRED, AT_LEAST_1)},
@@ -459,8 +460,7 @@ ANALYSES = {
         "analysis": {"x0": (float, REQUIRED, NON_NEGATIVE),
                      "t": (float, REQUIRED, POSITIVE),
                      "tau": (float, REQUIRED, POSITIVE),
-                     "n_runs": (int, REQUIRED,  # a sample variance
-                                (lambda v: v >= 2, "at least 2"))}}),
+                     "n_runs": (int, REQUIRED, AT_LEAST_2)}}),
 }
 
 

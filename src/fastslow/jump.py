@@ -7,21 +7,18 @@ every jump; tau-leaping freezes the propensities over windows of length tau
 and draws Poisson jump counts per window.
 
 Draw conventions (fixed so single runs and batched ensembles agree bitwise):
-the i-th SSA event consumes the i-th value of the stream's exponential
-substream ``stream.child(0)`` and of its uniform substream ``stream.child(1)``.
+every draw is a uniform ``random()`` value read from a run's keyed row at
+its counter offset (``StreamBlock.uniforms``), so no run owns a generator
+and draws made earlier from the same stream object do not shift them.
+SSA event j takes values 2j and 2j + 1 of the substream ``stream.child(0)``:
+its waiting time is the unit exponential ``-log1p(-u)`` of the first, its
+channel uniform the second; a lane reads them 512 events at a time.
 Tau-leap window w of an m-channel model consumes values w*m to w*m + m - 1
-of the uniforms ``random()`` of the stream, one per channel in channel
-order, zero-rate channels included. Channel k of the window fires the
-smallest n with P(Poisson(lam_k) <= n) > u_k: an inverse-CDF count that
-depends on its own mean and uniform only. Window w ends at
-``min((w + 1) * tau, T)``, so the last record is exactly T.
-
-Uniforms are read by position: ``StreamBlock.uniforms`` gives each run's
-keyed row at a counter offset, 512 values per SSA chunk and at most
-``_TAU_CHUNK`` windows per tau-leap chunk, so draws made earlier from the
-same stream object do not shift them. A waiting time takes a varying
-number of Philox words, so each run draws its waiting times from one
-generator of its own, in event order.
+of the stream itself, one per channel in channel order, zero-rate channels
+included, read at most ``_TAU_CHUNK`` windows at a time. Channel k of the
+window fires the smallest n with P(Poisson(lam_k) <= n) > u_k: an
+inverse-CDF count that depends on its own mean and uniform only. Window w
+ends at ``min((w + 1) * tau, T)``, so the last record is exactly T.
 
 An SSA event with uniform u fires the first channel whose cumulative rate
 exceeds u times the last cumulative rate, and its waiting time divides by
@@ -50,7 +47,7 @@ from .rng import RngStream, _run_ids
 from .sde import Trajectory
 
 _ORTHANT_TOL = 1e-12
-_SSA_CHUNK = 512  # SSA draws per lane per refill
+_SSA_CHUNK = 512  # SSA events per lane per refill, two draws each
 _TAU_CHUNK = 64  # tau-leap windows per uniform refill
 _SEARCH_LAM_MAX = 30.0  # Poisson means below it take the CDF search
 # largest tau-leap mean: a count 10 standard deviations above it fits int64
@@ -205,13 +202,14 @@ def _lanes(model, x0, T, n):
 
 def _ssa(model, x0, T, keys, on_event=lambda t, x: None):
     """Lockstep SSA lanes from x0 to T, one per row of the run key block:
-    a run's waiting times come from the generator of its ``child(0)`` and
-    its channel uniforms from the keyed row of its ``child(1)``.
+    event j of a run reads values 2j and 2j + 1 of the keyed row of its
+    ``child(0)``, kept off the run's own stream so that tau-leaping on the
+    same run ids draws independently.
 
     ``on_event(t, x)`` sees the live lanes at the start and after every
     event. Returns the final states (B, dim) and absorbed flags (B,).
     """
-    exp_gens, uni_keys = keys.child(0).generators(), keys.child(1)
+    keys = keys.child(0)
     x0, x, shift = _lanes(model, x0, T, len(keys))
     t = np.zeros(len(x))
     final = np.empty_like(x)
@@ -223,10 +221,12 @@ def _ssa(model, x0, T, keys, on_event=lambda t, x: None):
     cursor, chunk = _SSA_CHUNK, 0
     while pos.size:
         if cursor == _SSA_CHUNK:
-            exps = np.empty((pos.size, _SSA_CHUNK))
-            for i, p in enumerate(pos):
-                exps[i] = exp_gens[p].standard_exponential(_SSA_CHUNK)
-            unis = uni_keys[pos].uniforms(_SSA_CHUNK, _SSA_CHUNK * chunk)
+            draws = waits = None  # free the spent chunk before the next read
+            draws = keys[pos].uniforms(2 * _SSA_CHUNK, 2 * _SSA_CHUNK * chunk
+                                       ).reshape(pos.size, _SSA_CHUNK, 2)
+            waits = draws[:, :, 0]  # unit exponentials -log1p(-u), in place
+            np.log1p(np.negative(waits, out=waits), out=waits)
+            np.negative(waits, out=waits)
             row = np.arange(pos.size)  # chunk row of each live lane
             cursor, chunk = 0, chunk + 1
         # cumulative rates in channel order, one add per channel over all
@@ -236,8 +236,8 @@ def _ssa(model, x0, T, keys, on_event=lambda t, x: None):
             cur += prev
         total = cum[-1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_next = t + model.eps * exps[row, cursor] / total
-        u_cum = unis[row, cursor] * total
+            t_next = t + model.eps * draws[row, cursor, 0] / total
+        u_cum = draws[row, cursor, 1] * total
         cursor += 1
         stuck = total <= 0.0
         done = stuck | (t_next > T)

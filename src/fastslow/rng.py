@@ -8,16 +8,29 @@ statistically independent streams, and the sequence drawn from a given
 scheduling order. Values are consumed sequentially, so drawing a block of
 n values is bitwise identical to n single draws.
 
-Key layout used by the lane drivers (internal, documented here so outputs
-can be reproduced externally). Every SDE lane has a chain key: ``chain =
-base.child(i)`` for ensemble chain or passage sample ``i``, and the empty
-key, ``chain = base = RngStream(root_seed)``, for the one lane of
-``run_scheme``. A lane with e fast components draws e normals per micro or
-direct step, step-major, from:
+Key layout used by the lane drivers and jump kernels (internal, documented
+here so outputs can be reproduced externally). Every SDE lane has a chain
+key: ``chain = base.child(i)`` for ensemble chain or passage sample ``i``,
+and the empty key, ``chain = base = RngStream(root_seed)``, for the one
+lane of ``run_scheme``. A lane with e fast components draws e normals per
+micro or direct step, step-major, from:
 
 * burst of replica j (0 for hmm) at macro step n -> ``chain.child(j, n)``
 * equilibration burst of replica j              -> ``chain.child(-1, j)``
 * sequential draws of direct stepping           -> ``chain.child(-2, 0)``
+
+Jump run i of a batched driver uses ``run = base.child(i)``, and the one
+run of ``ssa_run`` or ``tau_leap_run`` uses its stream as ``run``. Every
+jump draw is a value of ``Generator.random()`` read by its position:
+
+* tau-leap window w of an m-channel model -> values w*m to w*m + m - 1 of
+  ``run``, one per channel in channel order
+* SSA event j -> values 2j (waiting time) and 2j + 1 (channel) of
+  ``run.child(0)``
+
+The SSA reads a substream of its own because the jump comparisons run
+both methods on the same base and run ids: on one stream the SSA and
+tau-leap samples would be coupled and their KS distance would shrink.
 
 Blocks of streams. A :class:`StreamBlock` holds B streams as their folded
 Philox key halves, two (B,) uint64 arrays. Key parts fold in one at a time,

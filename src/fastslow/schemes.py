@@ -108,7 +108,7 @@ def run_scheme(model: FastSlowModel, scheme: str, x0, y0, cfg: SchemeConfig,
         ValueError: for an unknown scheme, a horizon that is not positive
             and finite or is shorter than one step, a start value that is
             not one scalar, or an ``f`` that does not return shape (1,) on
-            one lane.
+            one lane or, in a burst, the shape that ``burst_batch`` needs.
         IntegrationFailure: with the time and step, or macro and micro
             index, of the first non-finite state; a burst failure also
             names the failing replica (0 for hmm, j < lam for phmm).

@@ -75,6 +75,31 @@ def test_tier1_log_is_parsed(summary_line):
          "test": "tests/test_acceptance.py::test_criterion_08"}]
 
 
+def test_quick_config_times_are_rescaled_by_the_kernels_around_them(
+        tmp_path, monkeypatch):
+    configs = tmp_path / "src" / "fastslow" / "configs"
+    configs.mkdir(parents=True)
+    (configs / "a_quick.cfg").write_text("")
+    (configs / "a.cfg").write_text("")  # not a quick config
+    clock, walls, ran = [0.0], iter([1.0, 2.0, 4.0]), []
+
+    def run(cmd, **kwargs):
+        ran.append(cmd[cmd.index("run") + 1])
+        clock[0] += next(walls)
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    monkeypatch.setattr(bench.time, "perf_counter", lambda: clock[0])
+    kernels = iter([0.1, 0.3, 0.2, 0.6])
+    out = bench.quick_config_times(tmp_path, lambda: next(kernels), 0.2)
+    assert ran == ["a_quick"] * 3 and list(out) == ["a_quick"]
+    times = out["a_quick"]
+    assert times["values"] == [1.0, 2.0, 4.0] and times["median"] == 2.0
+    assert times["kernels"] == [0.1, 0.3, 0.2, 0.6]
+    # t * 2 K_REF / (k0 + k1), with the kernel times on either side of t
+    assert times["scaled_values"] == pytest.approx([1.0, 1.6, 2.0])
+    assert times["scaled_median"] == pytest.approx(1.6)
+
+
 def test_sweep_summary_counts_passes_and_finds_the_smallest_margin(
         seed_sweep):
     sweep = seed_sweep

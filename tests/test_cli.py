@@ -544,6 +544,7 @@ def _bad_rows(rows):
 @pytest.mark.parametrize("analysis, key, value, named", _bad_rows([
     ("variance_vs_lambda", "n_replicas", "0"),
     ("mfpt_vs_lambda", "n_samples", "-1"),
+    ("mfpt_vs_lambda", "n_samples", "1"),  # no standard error of one sample
     ("histogram", "n_bins", "0"),
     ("jump_compare", "n_runs", "0"),
     ("jump_compare", "n_runs", "1"),  # no sample variance of one run

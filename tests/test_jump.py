@@ -88,6 +88,30 @@ class TestSsa:
             traj = ssa_run(model, [1.0], 3.0, base.child(i))
             assert traj.states[-1, 0] == finals[i, 0]
 
+    def test_events_read_two_values_of_the_child_stream_each(self):
+        # event j waits -log1p(-u) for value 2j of child(0) and picks its
+        # channel with value 2j + 1; recomputed here one event at a time
+        model, x0, t_end = birth_death(1.0, 1.0, 0.05), 1.0, 2.0
+        path = ssa_run(model, [x0], t_end, RngStream(12))
+        draws = RngStream(12).child(0).generator.random(2 * len(path))
+        t, shift, n_events = 0.0, 0.0, len(path) - 2
+        assert n_events > 20
+        for j in range(n_events):
+            total = 1.0 + (x0 + model.eps * shift)  # birth plus death rate
+            t = t + model.eps * -np.log1p(-draws[2 * j]) / total
+            shift += 1.0 if 1.0 > draws[2 * j + 1] * total else -1.0
+            assert path.times[j + 1] == t
+            assert path.states[j + 1, 0] == x0 + model.eps * shift
+        assert path.times[-1] == t_end
+
+    def test_batched_run_reads_the_child_stream_of_its_id(self):
+        # the id keys a run's stream, not its position in the block
+        model, base, ids = birth_death(1.0, 1.0, 0.05), RngStream(13), [4, 0, 9]
+        finals = ssa_final_states(model, [1.0], 1.5, ids, base)
+        for i, final in zip(ids, finals):
+            assert np.array_equal(
+                final, ssa_run(model, [1.0], 1.5, base.child(i)).states[-1])
+
     def test_event_path_is_recorded(self):
         traj = ssa_run(_pure_birth(1.0, 0.1), [0.0], 2.0, RngStream(3))
         assert np.all(np.diff(traj.times) > 0)
@@ -95,13 +119,6 @@ class TestSsa:
         # every jump adds exactly eps
         steps = np.diff(traj.states[:-1, 0])
         assert np.allclose(steps, 0.1)
-
-
-class _UnitExponentials:
-    """Stands in for a generator of waiting times: unit exponentials."""
-
-    def standard_exponential(self, n):
-        return np.ones(n)
 
 
 def _constant_rate_network(rates, eps=0.5):
@@ -118,12 +135,15 @@ class TestSsaChannelSelection:
     @staticmethod
     def _fired(rates, u, monkeypatch):
         """Channel fired first by ssa_run and by ssa_final_states, with
-        unit exponentials and every channel uniform u."""
-        monkeypatch.setattr(
-            StreamBlock, "generators",
-            lambda self: [_UnitExponentials() for _ in range(len(self))])
-        monkeypatch.setattr(StreamBlock, "uniforms",
-                            lambda self, m, start: np.full((len(self), m), u))
+        unit waiting times and every channel uniform u."""
+        def uniforms(self, m, start):
+            # even values give the waiting times -log1p(-u) = 1, odd the
+            # channel uniforms; a zero waiting time would never reach T
+            draws = np.full((len(self), m), u)
+            draws[:, ::2] = 1.0 - math.exp(-1.0)
+            return draws
+
+        monkeypatch.setattr(StreamBlock, "uniforms", uniforms)
         model = _constant_rate_network(rates)
         x0 = np.zeros(len(rates))
         # unit exponentials: the second event falls past T

@@ -5,7 +5,7 @@ import pytest
 
 import fastslow as fs
 from fastslow import RngStream, SchemeConfig, config_for_lambda, run_scheme
-from fastslow.ensemble import burst_batch
+from fastslow.ensemble import burst_batch, scheme_samples
 
 
 def _cfg(**kw):
@@ -148,6 +148,23 @@ class TestSteppers:
             cfg = _cfg(lam=lam)
             traj = run_scheme(m, "phmm", [1.0], [0.0], cfg, T=cfg.macro_dt)
             assert traj.slow()[1] == pytest.approx(1.0 + cfg.macro_dt * 2.5)
+
+    def test_f_of_the_wrong_burst_shape_is_named(self):
+        # (1,) on one lane passes run_scheme's check, but a burst calls f on
+        # x (B, 1) and y (B, M): it used to fail with a numpy AxisError
+        bad = _model(lambda x, y: np.full(1, 2.5), 1.0, 1.0)
+        cfg = _cfg(lam=2)
+        match = r"^f returned shape \(1,\) on a burst of shape \(\d+, \d+\)"
+        for scheme in ("hmm", "phmm"):
+            with pytest.raises(ValueError, match=match):
+                run_scheme(bad, scheme, [1.0], [0.0], cfg, T=cfg.macro_dt)
+        with pytest.raises(ValueError, match=match):
+            scheme_samples(bad, "hmm", cfg, 1.0, 0.0, cfg.macro_dt, [0, 1],
+                           RngStream(1))
+        # an f of x alone may return (B, 1)
+        of_x = _model(lambda x, y: 2.5 + 0.0 * x, 1.0, 1.0)
+        traj = run_scheme(of_x, "phmm", [1.0], [0.0], cfg, T=cfg.macro_dt)
+        assert traj.slow()[1] == 1.0 + cfg.macro_dt * 2.5
 
     def test_phmm_averages_lam_replica_bursts(self):
         # replica j of the one path draws from root.child(j, n)
