@@ -13,7 +13,9 @@ opt-in and not part of Tier-1. Point ``PYTHONPATH`` at another checkout's
 ``src`` to sweep that code.
 
 A gate enters the table in the change that re-draws the streams it
-checks, so the pass rate can be compared with the parent's.
+checks, so the pass rate can be compared with the parent's. The shared
+fixtures of the tests build their samples with the samplers here at their
+frozen seeds, so a gate and its fixture share their sizes.
 """
 
 import math
@@ -25,22 +27,30 @@ from typing import Callable
 import numpy as np
 
 import fastslow as fs
+from fastslow.ensemble import pooled_stationary_samples
 
 
 @dataclass(frozen=True)
 class Limit:
-    """One threshold of a gate: ``value < bound``, or ``<=`` if not strict."""
+    """One threshold of a gate: ``value < bound``, or ``<=`` if not strict;
+    ``value > bound`` (or ``>=``) if ``above``."""
 
     quantity: str
     bound: float
     strict: bool = True
+    above: bool = False
+
+    def margin(self, value: float) -> float:
+        """How far ``value`` lies inside the bound (negative outside)."""
+        return value - self.bound if self.above else self.bound - value
 
     def passes(self, value: float) -> bool:
-        return value < self.bound if self.strict else value <= self.bound
+        lo, hi = (self.bound, value) if self.above else (value, self.bound)
+        return lo < hi if self.strict else lo <= hi
 
     @property
     def op(self) -> str:
-        return "<" if self.strict else "<="
+        return (">" if self.above else "<") + ("" if self.strict else "=")
 
 
 @dataclass(frozen=True)
@@ -52,6 +62,7 @@ class Gate:
     test: str
     limits: tuple
     run: Callable[[int], dict]
+    measure: Callable | None = None  # values from the samples of a fixture
 
     def passes(self, values: dict) -> bool:
         return all(lim.passes(values[lim.quantity]) for lim in self.limits)
@@ -95,6 +106,91 @@ def _ks_decreases_with_tau(seed: int) -> dict:
 
 _KS_NOISE = 2 * math.sqrt(2.0 / _RUNS)
 
+_LINEAR = fs.LinearOUModel(theta=1.0, mu=0.5, sigma_f=5.0)
+_DOUBLE_WELL = fs.DoubleWellModel(theta=1.0, mu=1.0, sigma_f=15.0)
+DW_BASIN = fs.BasinSpec(-1.0, 1.0, "upcrossing")
+DW_EPS, DW_MICRO_DT = 1e-3, 0.05
+
+
+def linear_direct_samples(seed: int) -> np.ndarray:
+    """Direct-simulation stationary samples of the linear model.
+
+    eps = 1e-2, micro step 0.1, total slow-time budget 1e3 over 4 chains,
+    recorded every 0.08, burn-in 50 per chain.
+    """
+    cfg = fs.SchemeConfig(eps=1e-2, lam=1, macro_dt=0.08, micro_dt=0.1,
+                          root_seed=seed)
+    return pooled_stationary_samples(_LINEAR.system(), "direct", cfg, 0.0,
+                                     None, 1000.0, 4, 50.0, fs.RngStream(seed))
+
+
+def _criterion_02(samples) -> dict:
+    # the closed form was verified against the exact stationary Lyapunov
+    # solution of the full linear system and an independent long run
+    predicted = fs.clt_stationary_variance_linear(_LINEAR, 1e-2)
+    return {"rel_dev": abs(float(np.var(samples, ddof=1)) / predicted - 1.0)}
+
+
+def dw_histogram_samples(seed: int) -> dict:
+    """Pooled stationary samples of the double well by scheme, for the
+    bimodality comparison.
+
+    T = 5e3 budget over 25 chains started evenly in both wells, burn-in 50,
+    lam = 5 for the multiscale schemes.
+    """
+    model = _DOUBLE_WELL.system()
+    x0 = np.where(np.arange(25) % 2 == 0, -1.0, 1.0)
+    out = {}
+    for scheme, lam in (("direct", 1), ("hmm", 5), ("phmm", 5)):
+        cfg = fs.SchemeConfig(eps=DW_EPS, lam=lam, macro_dt=0.05,
+                              micro_dt=DW_MICRO_DT, root_seed=seed)
+        out[scheme] = pooled_stationary_samples(
+            model, scheme, cfg, x0, None, 5000.0, 25, 50.0,
+            fs.RngStream(seed))
+    return out
+
+
+def _criterion_03(samples) -> dict:
+    # saddle occupancy relative to the well population, as in the
+    # barrier-overpopulation comparison
+    def saddle_vs_wells(x):
+        return fs.occupancy_fraction(x, 0.0, 0.25) / (
+            fs.occupancy_fraction(x, -1.0, 0.25)
+            + fs.occupancy_fraction(x, 1.0, 0.25))
+
+    phmm = samples["phmm"]
+    saddle = fs.occupancy_fraction(phmm, 0.0, 0.25)
+    rel = {scheme: saddle_vs_wells(x) for scheme, x in samples.items()}
+    return {"phmm left well - 3 saddle":
+            fs.occupancy_fraction(phmm, -1.0, 0.25) - 3 * saddle,
+            "phmm right well - 3 saddle":
+            fs.occupancy_fraction(phmm, 1.0, 0.25) - 3 * saddle,
+            "phmm/direct": rel["phmm"] / rel["direct"],
+            "hmm/phmm": rel["hmm"] / rel["phmm"]}
+
+
+def dw_passages(scheme: str, lam: int, seed: int):
+    """200 passage samples of the double well from -1 up to 1, capped at
+    2000, as (elapsed, censored); macro step ~0.06 snapped per lam."""
+    cfg = fs.config_for_lambda(
+        fs.SchemeConfig(eps=DW_EPS, lam=1, macro_dt=0.06,
+                        micro_dt=DW_MICRO_DT, root_seed=seed), lam)
+    return fs.first_passage_times(_DOUBLE_WELL.system(), scheme, cfg,
+                                  DW_BASIN, 200, 2000.0)
+
+
+def _criterion_05(direct, phmm5, hmm5) -> dict:
+    """KS distances of the uncensored direct passage times to those of
+    phmm and hmm at lam 5; each argument is an (elapsed, censored) pair."""
+    def uncensored(passages):
+        elapsed, censored = passages
+        return elapsed[~censored]
+
+    times = uncensored(direct)
+    return {"ks(direct, phmm5)": fs.ks_distance(times, uncensored(phmm5)),
+            "ks(direct, hmm5)": fs.ks_distance(times, uncensored(hmm5))}
+
+
 GATES = {gate.name: gate for gate in (
     Gate("criterion_08",
          "tests/test_acceptance.py::test_criterion_08_tau_leaping_fidelity",
@@ -105,6 +201,29 @@ GATES = {gate.name: gate for gate in (
          (Limit("ks(0.1) - ks(0.2)", _KS_NOISE, strict=False),
           Limit("ks(0.05) - ks(0.1)", _KS_NOISE, strict=False)),
          _ks_decreases_with_tau),
+    Gate("criterion_02",
+         "tests/test_acceptance.py::test_criterion_02_analytic_clt_oracle",
+         (Limit("rel_dev", 0.2),),
+         lambda seed: _criterion_02(linear_direct_samples(seed)),
+         _criterion_02),
+    Gate("criterion_03",
+         "tests/test_acceptance.py::test_criterion_03_metastable_bimodality",
+         (Limit("phmm left well - 3 saddle", 0.0, above=True),
+          Limit("phmm right well - 3 saddle", 0.0, above=True),
+          Limit("phmm/direct", 0.5, strict=False, above=True),
+          Limit("phmm/direct", 2.0, strict=False),
+          Limit("hmm/phmm", 5.0, strict=False, above=True)),
+         lambda seed: _criterion_03(dw_histogram_samples(seed)),
+         _criterion_03),
+    Gate("criterion_05",
+         "tests/test_acceptance.py::"
+         "test_criterion_05_fpt_distribution_fidelity",
+         (Limit("ks(direct, phmm5)", 0.15),
+          Limit("ks(direct, hmm5)", 0.5, above=True)),
+         lambda seed: _criterion_05(dw_passages("direct", 1, seed),
+                                    dw_passages("phmm", 5, seed),
+                                    dw_passages("hmm", 5, seed)),
+         _criterion_05),
 )}
 
 
@@ -114,7 +233,7 @@ def summarise(gate: Gate, values: dict) -> dict:
     seeds = sorted(values)
     limits = []
     for limit in gate.limits:
-        margins = {s: limit.bound - values[s][limit.quantity] for s in seeds}
+        margins = {s: limit.margin(values[s][limit.quantity]) for s in seeds}
         worst = min(seeds, key=margins.get)
         limits.append({
             "quantity": limit.quantity,

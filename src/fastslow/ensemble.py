@@ -114,38 +114,49 @@ def _burst_failure(err, ids, k, burst, **where):
         micro_index=err.micro_index, replica=int(ids[chain]), **where)
 
 
-class _MacroLanes:
-    """HMM/PHMM lanes: chain ids, slow lanes x, k fast replicas per chain
-    ``yrep`` (B, k), and the replicas' key prefix (B * k streams). A chunk
-    is one macro step, whose bursts draw from ``prefix.child(s)`` for step
-    index s."""
+class _Lanes:
+    """Chain ids, slow lanes x, fast lanes y, and a block ``keys`` of one
+    stream per fast lane. Chunk c, ``chunk`` steps from step c * chunk,
+    draws from ``keys.child(c)``: a lane's draws depend on its keys and the
+    chunk index alone, not on which lanes share a chunk."""
+
+    def __init__(self, model, cfg, ids, x, y, keys):
+        self.model, self.cfg = model, cfg
+        self.ids, self.x, self.y, self.keys = ids, x, y, keys
+
+    def draws(self, s):
+        """The streams of the chunk that starts at step index s."""
+        return self.keys.child(s // self.chunk)
+
+    def keep(self, mask):
+        """Stop the lanes where ``mask`` is False."""
+        rows = np.repeat(mask, len(self.keys) // mask.size)
+        self.ids, self.x, self.y = self.ids[mask], self.x[mask], self.y[mask]
+        self.keys = self.keys[rows]
+
+
+class _MacroLanes(_Lanes):
+    """HMM/PHMM lanes: k fast replicas per chain, y (B, k), one key per
+    replica; a chunk is one macro step."""
 
     chunk = 1
-
-    def __init__(self, model, cfg, ids, x, yrep, prefix):
-        self.model, self.cfg, self.dt = model, cfg, cfg.macro_dt
-        self.ids, self.x, self.yrep, self.prefix = ids, x, yrep, prefix
+    dt = property(lambda self: self.cfg.macro_dt)
 
     def advance(self, s, n):
         """Macro step s; returns the slow and fast lanes after it, each
         stacked along a leading axis of length 1."""
-        model, cfg, x, yrep = self.model, self.cfg, self.x, self.yrep
-        k = yrep.shape[1]
+        model, cfg, x, y = self.model, self.cfg, self.x, self.y
+        k = y.shape[1]
         try:
             f_avg, y_end = burst_batch(
-                model, np.repeat(x, k), yrep.reshape(-1),
-                self.prefix.child(s), cfg.micro_count, cfg.micro_dt)
+                model, np.repeat(x, k), y.reshape(-1), self.draws(s),
+                cfg.micro_count, cfg.micro_dt)
         except IntegrationFailure as err:
             raise _burst_failure(err, self.ids, k, "burst",
                                  time=s * cfg.macro_dt, macro_index=s) from err
         self.x = x + cfg.macro_dt * f_avg.reshape(-1, k).mean(axis=1)
-        self.yrep = y_end.reshape(yrep.shape)
-        return self.x[None], self.yrep[None]
-
-    def keep(self, mask):
-        self.ids, self.x = self.ids[mask], self.x[mask]
-        self.yrep = self.yrep[mask]
-        self.prefix = self.prefix[np.repeat(mask, self.yrep.shape[1])]
+        self.y = y_end.reshape(y.shape)
+        return self.x[None], self.y[None]
 
     def failure(self, s, lane):
         return IntegrationFailure("non-finite slow state",
@@ -178,18 +189,12 @@ def _replicas(keys, k, *middle):
     return rows.child(np.tile(np.arange(k), len(keys)))
 
 
-class _DirectLanes:
-    """Direct Euler lanes: chain ids, slow and fast lanes x and y, and one
-    generator per lane. A chunk is 512 steps, whose 512 normals each lane
-    first draws from its generator; a lane's draws are sequential in its
-    own generator, so its path depends neither on how a run is cut into
-    chunks nor on which lanes share a chunk."""
+class _DirectLanes(_Lanes):
+    """Direct Euler lanes: y (B,), one key per lane; a chunk is 512 steps,
+    whose normals each lane takes from the start of its chunk stream."""
 
     chunk = 512
-
-    def __init__(self, model, cfg, ids, x, y, gens):
-        self.model, self.cfg, self.dt = model, cfg, cfg.eps * cfg.micro_dt
-        self.ids, self.x, self.y, self.gens = ids, x, y, gens
+    dt = property(lambda self: self.cfg.eps * self.cfg.micro_dt)
 
     def advance(self, s, n):
         """Steps s + 1 .. s + n; returns the slow and fast lanes after each,
@@ -197,10 +202,8 @@ class _DirectLanes:
         step-major."""
         f, sou = self.model.f, self.model.scalar_ou
         dt, h = self.cfg.micro_dt, self.dt
-        xi = np.empty((len(self.gens), n))
-        for row, g in zip(xi, self.gens):
-            g.standard_normal(out=row)
-        noise = np.multiply(sou.sigma * math.sqrt(dt), xi.T, order="C")
+        noise = np.multiply(sou.sigma * math.sqrt(dt),
+                            self.draws(s).normals(n).T, order="C")
         x, y = self.x, self.y
         xs, ys = np.empty_like(noise), np.empty_like(noise)
         for z, x_out, y_out in zip(noise, xs, ys):
@@ -209,10 +212,6 @@ class _DirectLanes:
             x = np.add(x, h * f_val, x_out)
         self.x, self.y = xs[-1], ys[-1]
         return xs, ys
-
-    def keep(self, mask):
-        self.ids, self.x, self.y = self.ids[mask], self.x[mask], self.y[mask]
-        self.gens = [g for g, kept in zip(self.gens, mask) if kept]
 
     def failure(self, s, lane):
         return IntegrationFailure("non-finite state in direct integration",
@@ -248,11 +247,10 @@ def _chunks(lanes, n_steps):
 def _lanes(model, scheme, cfg, ids, x, yrep, keys):
     """The lanes of a run of ``scheme``: chain ids, slow lanes x, fast
     replicas yrep (B, k), and one chain key per lane in the block ``keys``.
-    Direct lanes draw from ``key.child(-2, 0)``, the burst of replica rep
-    at macro step n from ``key.child(rep, n)``."""
+    Chunk c of a direct lane draws from ``key.child(-2, c)``, the burst of
+    replica rep at macro step n from ``key.child(rep, n)``."""
     if scheme == "direct":
-        return _DirectLanes(model, cfg, ids, x, yrep[:, 0],
-                            keys.child(-2).child(0).generators())
+        return _DirectLanes(model, cfg, ids, x, yrep[:, 0], keys.child(-2))
     return _MacroLanes(model, cfg, ids, x, yrep, _replicas(keys, yrep.shape[1]))
 
 
@@ -315,8 +313,8 @@ def direct_samples(model: FastSlowModel, cfg, x0, y0, t_chain: float, ids,
     """Slow-variable samples of a block of direct chains.
 
     Integrates at step h = eps*micro_dt and records every ``record_dt`` of
-    slow time (default: cfg.macro_dt). Chain cid draws sequentially from
-    ``base.child(cid, -2, 0)``.
+    slow time (default: cfg.macro_dt). Steps 512c + 1 .. 512c + 512 of
+    chain cid draw from ``base.child(cid, -2, c)``.
     """
     return _samples(model, "direct", cfg, x0, y0, t_chain, ids, base,
                     cfg.macro_dt if record_dt is None else record_dt)

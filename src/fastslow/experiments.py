@@ -339,6 +339,12 @@ def _run_mfpt(cfg: ExperimentConfig, executor) -> list[OutputTable]:
     for scheme, scfg, elapsed, censored in _passages(
             cfg, basin, cfg.scheme["lambdas"], executor):
         s = summarize_fpt(elapsed, censored)
+        crossed = s.n_total - s.n_censored
+        if crossed < 2:
+            raise RuntimeError(f"{scheme} at lam {scfg.lam}: only {crossed} "
+                               f"of {s.n_total} passage samples crossed "
+                               "before t_cap, too few for a stderr; increase "
+                               "t_cap")
         rows.append([scheme, scfg.lam, repr(scfg.macro_dt), s.n_total,
                      s.n_censored, repr(s.mfpt), repr(s.stderr)])
     return [OutputTable("mfpt",

@@ -165,8 +165,9 @@ def birth_death(birth: float = 1.0, death: float = 1.0,
     Stationary law of x is eps * Poisson(birth / (death * eps)): mean
     birth/death, variance eps * birth/death.
     """
-    if birth < 0 or death < 0:
-        raise ValueError("rates must be nonnegative")
+    if not (0 <= birth < math.inf and 0 <= death < math.inf):
+        raise ValueError("rates must be finite and nonnegative, got birth "
+                         f"{birth} and death {death}")
 
     def a_birth(x):
         return np.broadcast_to(float(birth), np.asarray(x).shape[:-1]).copy()

@@ -12,12 +12,14 @@ Key layout used by the lane drivers and jump kernels (internal, documented
 here so outputs can be reproduced externally). Every SDE lane has a chain
 key: ``chain = base.child(i)`` for ensemble chain or passage sample ``i``,
 and the empty key, ``chain = base = RngStream(root_seed)``, for the one
-lane of ``run_scheme``. A lane with e fast components draws e normals per
-micro or direct step, step-major, from:
+lane of ``run_scheme``. Lanes step in chunks, one normal per micro or
+direct step: chunk c reads the first normals of ``lane_key.child(c)``.
 
-* burst of replica j (0 for hmm) at macro step n -> ``chain.child(j, n)``
-* equilibration burst of replica j              -> ``chain.child(-1, j)``
-* sequential draws of direct stepping           -> ``chain.child(-2, 0)``
+* replica j (0 for hmm): lane key ``chain.child(j)``, one macro step per
+  chunk, so the burst of macro step n reads ``chain.child(j, n)``
+* direct: lane key ``chain.child(-2)``, 512 steps per chunk, so direct
+  step s (from 0) takes normal s mod 512 of ``chain.child(-2, s // 512)``
+* equilibration burst of replica j -> ``chain.child(-1, j)``
 
 Jump run i of a batched driver uses ``run = base.child(i)``, and the one
 run of ``ssa_run`` or ``tau_leap_run`` uses its stream as ``run``. Every
@@ -87,11 +89,12 @@ def _splitmix64_u64(z: np.ndarray) -> np.ndarray:
 
 def _key_halves(root_seed: int, key: tuple[int, ...]) -> tuple[int, int]:
     """Fold (root_seed, key...), one part at a time, into the two 64-bit
-    Philox key halves."""
-    h0 = _splitmix64(int(root_seed) & _MASK64)
+    Philox key halves; TypeError for a seed or part that is not an
+    integer."""
+    h0 = _splitmix64(operator.index(root_seed) & _MASK64)
     h1 = _splitmix64(h0 ^ 0xA5A5A5A5A5A5A5A5)
     for part in key:
-        p = int(part) & _MASK64
+        p = operator.index(part) & _MASK64
         h0 = _splitmix64(h0 ^ p)
         h1 = _splitmix64((h1 + _splitmix64(p ^ _GOLDEN)) & _MASK64)
     return h0, h1
@@ -108,12 +111,6 @@ def _fresh_state(k0: int, k1: int) -> dict:
     return {"bit_generator": "Philox", "buffer": [0, 0, 0, 0],
             "state": {"counter": [0, 0, 0, 0], "key": [k0, k1]},
             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-
-def _keyed_generator(k0: int, k1: int) -> np.random.Generator:
-    bitgen = np.random.Philox(_PLACEHOLDER_SEED)
-    bitgen.state = _fresh_state(k0, k1)
-    return np.random.Generator(bitgen)
 
 
 @dataclass
@@ -148,8 +145,10 @@ class RngStream:
     @property
     def generator(self) -> np.random.Generator:
         if self._gen is None:
-            self._gen = _keyed_generator(*_key_halves(self.root_seed,
-                                                      self.stream_key))
+            bitgen = np.random.Philox(_PLACEHOLDER_SEED)
+            bitgen.state = _fresh_state(*_key_halves(self.root_seed,
+                                                     self.stream_key))
+            self._gen = np.random.Generator(bitgen)
         return self._gen
 
     def normals(self, shape) -> np.ndarray:
@@ -247,8 +246,3 @@ class StreamBlock:
             bitgen.state = state
             draw(out=row)
         return out
-
-    def generators(self) -> list[np.random.Generator]:
-        """One generator per row, for streams drawn across several calls."""
-        return [_keyed_generator(k0, k1)
-                for k0, k1 in zip(self.h0.tolist(), self.h1.tolist())]

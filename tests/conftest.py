@@ -37,18 +37,10 @@ def linear_model():
 
 
 @pytest.fixture(scope="session")
-def linear_direct_samples(linear_model, timings):
-    """Direct-simulation stationary samples of the linear model.
-
-    eps = 1e-2, micro step 0.1, total slow-time budget 1e3 over 4 chains,
-    recorded every 0.08, burn-in 50 per chain.
-    """
-    cfg = fs.SchemeConfig(eps=1e-2, lam=1, macro_dt=0.08, micro_dt=0.1,
-                          root_seed=424242)
-    base = fs.RngStream(cfg.root_seed)
+def linear_direct_samples(seed_sweep, timings):
+    """``seed_sweep.linear_direct_samples`` at seed 424242."""
     start = time.perf_counter()
-    samples = pooled_stationary_samples(linear_model.system(), "direct", cfg,
-                                        0.0, None, 1000.0, 4, 50.0, base)
+    samples = seed_sweep.linear_direct_samples(424242)
     timings["linear_direct"] = time.perf_counter() - start
     return samples
 
@@ -75,67 +67,42 @@ def clt_variance_sweep(linear_model, timings):
     return out
 
 
-DW_EPS, DW_MICRO_DT = 1e-3, 0.05
-
-
 @pytest.fixture(scope="session")
 def double_well_model():
     return fs.DoubleWellModel(theta=1.0, mu=1.0, sigma_f=15.0)
 
 
 @pytest.fixture(scope="session")
-def dw_basin():
-    return fs.BasinSpec(-1.0, 1.0, "upcrossing")
+def dw_basin(seed_sweep):
+    return seed_sweep.DW_BASIN
 
 
 @pytest.fixture(scope="session")
-def dw_mfpt_points(double_well_model, dw_basin, timings):
-    """Criterion-scale passage sweeps: 200 samples per (scheme, lam), as
-    {scheme: {lam: (elapsed, censored)}}, macro step ~0.06 snapped per lam."""
-    cfg = fs.SchemeConfig(eps=DW_EPS, lam=1, macro_dt=0.06,
-                          micro_dt=DW_MICRO_DT, root_seed=777)
-    model = double_well_model.system()
+def dw_mfpt_points(seed_sweep, timings):
+    """Criterion-scale passage sweeps, ``seed_sweep.dw_passages`` at seed
+    777 as {scheme: {lam: (elapsed, censored)}}."""
     start = time.perf_counter()
-    out = {
-        scheme: {lam: fs.first_passage_times(
-            model, scheme, fs.config_for_lambda(cfg, lam), dw_basin, 200,
-            2000.0) for lam in (1, 2, 3, 5)}
-        for scheme in ("hmm", "phmm")
-    }
+    out = {scheme: {lam: seed_sweep.dw_passages(scheme, lam, 777)
+                    for lam in (1, 2, 3, 5)}
+           for scheme in ("hmm", "phmm")}
     timings["dw_mfpt"] = time.perf_counter() - start
     return out
 
 
 @pytest.fixture(scope="session")
-def dw_direct_fpt(double_well_model, dw_basin, timings):
-    """200 direct-simulation passage samples of the double-well model, as
-    (elapsed, censored) arrays."""
-    cfg = fs.SchemeConfig(eps=DW_EPS, lam=1, macro_dt=0.06,
-                          micro_dt=DW_MICRO_DT, root_seed=777)
+def dw_direct_fpt(seed_sweep, timings):
+    """The direct passages of ``seed_sweep.dw_passages`` at seed 777."""
     start = time.perf_counter()
-    out = fs.first_passage_times(double_well_model.system(), "direct", cfg,
-                                 dw_basin, 200, 2000.0)
+    out = seed_sweep.dw_passages("direct", 1, 777)
     timings["dw_direct_fpt"] = time.perf_counter() - start
     return out
 
 
 @pytest.fixture(scope="session")
-def dw_histogram_samples(double_well_model, timings):
-    """Pooled stationary samples for the bimodality comparison.
-
-    T = 5e3 budget over 25 chains started evenly in both wells, burn-in 50,
-    lam = 5 for the multiscale schemes.
-    """
-    model = double_well_model.system()
-    base = fs.RngStream(1234)
-    x0 = np.where(np.arange(25) % 2 == 0, -1.0, 1.0)
-    out = {}
+def dw_histogram_samples(seed_sweep, timings):
+    """``seed_sweep.dw_histogram_samples`` at seed 1234."""
     start = time.perf_counter()
-    for scheme, lam in (("direct", 1), ("hmm", 5), ("phmm", 5)):
-        cfg = fs.SchemeConfig(eps=DW_EPS, lam=lam, macro_dt=0.05,
-                              micro_dt=DW_MICRO_DT, root_seed=1234)
-        out[scheme] = pooled_stationary_samples(model, scheme, cfg, x0, None,
-                                                5000.0, 25, 50.0, base)
+    out = seed_sweep.dw_histogram_samples(1234)
     timings["dw_histogram"] = time.perf_counter() - start
     return out
 

@@ -12,7 +12,6 @@ import numpy as np
 import fastslow as fs
 from fastslow import (NonDiffusiveModel, SchemeConfig,
                       fit_log_mfpt_inverse_lambda, hamiltonian_nondiffusive,
-                      ks_distance, occupancy_fraction,
                       quasipotential, quasipotential_derivative, run_scheme,
                       summarize_fpt)
 from fastslow.cli import bundled_configs, main
@@ -39,50 +38,27 @@ def test_criterion_01_clt_variance_scaling(clt_variance_sweep, timings):
             f"runtime {elapsed:.0f}s (cap 120s)")
 
 
-def test_criterion_02_analytic_clt_oracle(linear_direct_samples, timings):
-    # the closed form was verified against the exact stationary Lyapunov
-    # solution of the full linear system and an independent long run
-    predicted = fs.clt_stationary_variance_linear(
-        fs.LinearOUModel(theta=1.0, mu=0.5, sigma_f=5.0), 1e-2)
-    var = float(np.var(linear_direct_samples, ddof=1))
-    rel = abs(var / predicted - 1.0)
+def test_criterion_02_analytic_clt_oracle(linear_direct_samples, timings,
+                                          seed_sweep):
+    gate = seed_sweep.GATES["criterion_02"]
+    values = gate.measure(linear_direct_samples)
     elapsed = timings["linear_direct"]
-    ok = rel < 0.2 and elapsed < 60
-    _report(2, ok,
-            f"direct Var = {var:.4f} vs oracle {predicted:.4f} "
-            f"(rel dev {rel:.3f}, need < 0.2), runtime {elapsed:.0f}s "
-            f"(cap 60s)")
+    ok = gate.passes(values) and elapsed < 60
+    _report(2, ok, f"direct Var vs the analytic oracle: "
+                   f"{gate.describe(values)}, runtime {elapsed:.0f}s "
+                   f"(cap 60s)")
 
 
-def test_criterion_03_metastable_bimodality(dw_histogram_samples, timings):
-    def occupancies(samples):
-        saddle = occupancy_fraction(samples, 0.0, 0.25)
-        wells = (occupancy_fraction(samples, -1.0, 0.25)
-                 + occupancy_fraction(samples, 1.0, 0.25))
-        return saddle, wells
-
-    s_direct, w_direct = occupancies(dw_histogram_samples["direct"])
-    s_phmm, w_phmm = occupancies(dw_histogram_samples["phmm"])
-    s_hmm, w_hmm = occupancies(dw_histogram_samples["hmm"])
-    # saddle occupancy relative to the well population, as in the
-    # barrier-overpopulation comparison
-    rel_direct = s_direct / w_direct
-    rel_phmm = s_phmm / w_phmm
-    rel_hmm = s_hmm / w_hmm
-    phmm_vs_direct = rel_phmm / rel_direct
-    hmm_vs_phmm = rel_hmm / rel_phmm
-    bimodal = (occupancy_fraction(dw_histogram_samples["phmm"], -1.0, 0.25)
-               > 3 * s_phmm) and \
-              (occupancy_fraction(dw_histogram_samples["phmm"], 1.0, 0.25)
-               > 3 * s_phmm)
+def test_criterion_03_metastable_bimodality(dw_histogram_samples, timings,
+                                            seed_sweep):
+    # saddle occupancies relative to the well population: PHMM near
+    # direct, HMM at least 5 times PHMM, and PHMM bimodal
+    gate = seed_sweep.GATES["criterion_03"]
+    values = gate.measure(dw_histogram_samples)
     elapsed = timings["dw_histogram"]
-    ok = bimodal and 0.5 <= phmm_vs_direct <= 2.0 and hmm_vs_phmm >= 5.0 \
-        and elapsed < 600
-    _report(3, ok,
-            f"PHMM bimodal = {bimodal}, PHMM/direct saddle occupancy ratio "
-            f"= {phmm_vs_direct:.2f} (need within [0.5, 2]), HMM/PHMM = "
-            f"{hmm_vs_phmm:.1f} (need >= 5), runtime {elapsed:.0f}s "
-            f"(cap 600s)")
+    ok = gate.passes(values) and elapsed < 600
+    _report(3, ok, f"{gate.describe(values)}, runtime {elapsed:.0f}s "
+                   f"(cap 600s)")
 
 
 def test_criterion_04_mfpt_collapse(dw_mfpt_points, timings):
@@ -103,21 +79,14 @@ def test_criterion_04_mfpt_collapse(dw_mfpt_points, timings):
 
 
 def test_criterion_05_fpt_distribution_fidelity(dw_mfpt_points,
-                                                dw_direct_fpt):
-    def uncensored(scheme):
-        elapsed, censored = dw_mfpt_points[scheme][5]
-        return elapsed[~censored]
-
-    elapsed, censored = dw_direct_fpt
-    direct = elapsed[~censored]
-    phmm5, hmm5 = uncensored("phmm"), uncensored("hmm")
-    ks_phmm = ks_distance(direct, phmm5)
-    ks_hmm = ks_distance(direct, hmm5)
-    ok = ks_phmm < 0.15 and ks_hmm > 0.5
-    _report(5, ok,
-            f"KS(direct, PHMM lam=5) = {ks_phmm:.3f} (need < 0.15); "
-            f"KS(direct, HMM lam=5) = {ks_hmm:.3f} (need > 0.5); "
-            f"n = {direct.size}/{phmm5.size}/{hmm5.size}")
+                                                dw_direct_fpt, seed_sweep):
+    gate = seed_sweep.GATES["criterion_05"]
+    values = gate.measure(dw_direct_fpt, dw_mfpt_points["phmm"][5],
+                          dw_mfpt_points["hmm"][5])
+    n = [(~censored).sum() for _, censored in
+         (dw_direct_fpt, dw_mfpt_points["phmm"][5], dw_mfpt_points["hmm"][5])]
+    _report(5, gate.passes(values),
+            f"{gate.describe(values)}; n = {n[0]}/{n[1]}/{n[2]}")
 
 
 def test_criterion_06_quasipotential_consistency():

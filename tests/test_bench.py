@@ -105,22 +105,32 @@ def test_sweep_summary_counts_passes_and_finds_the_smallest_margin(
     sweep = seed_sweep
     gate = sweep.Gate("fake", "tests/test_x.py::test_fake",
                       (sweep.Limit("ks", 0.05),
-                       sweep.Limit("drop", 0.02, strict=False)),
+                       sweep.Limit("drop", 0.02, strict=False),
+                       sweep.Limit("ratio", 0.5, strict=False, above=True),
+                       sweep.Limit("gap", 0.0, above=True)),
                       run=None)
-    values = {1: {"ks": 0.01, "drop": 0.02},    # drop at its bound: passes
-              2: {"ks": 0.05, "drop": -0.01},   # ks at its bound: fails
-              3: {"ks": 0.03, "drop": 0.025}}   # drop over its bound
+    # seed 1: drop and ratio at their bounds pass; seed 2: ks and gap at
+    # their bounds fail; seed 3: drop over and ratio under their bounds
+    values = {1: {"ks": 0.01, "drop": 0.02, "ratio": 0.5, "gap": 0.1},
+              2: {"ks": 0.05, "drop": -0.01, "ratio": 0.7, "gap": 0.0},
+              3: {"ks": 0.03, "drop": 0.025, "ratio": 0.4, "gap": 0.2}}
     summary = sweep.summarise(gate, values)
     assert (summary["seeds"], summary["passed"]) == (3, 1)
-    ks, drop = summary["limits"]
+    ks, drop, ratio, gap = summary["limits"]
     assert (ks["passed"], ks["worst_seed"]) == (2, 2)
     assert ks["min_margin"] == 0.0
     assert (drop["passed"], drop["worst_seed"]) == (2, 3)
     assert drop["min_margin"] == pytest.approx(-0.005)
+    assert (ratio["passed"], ratio["worst_seed"]) == (2, 3)
+    assert ratio["min_margin"] == pytest.approx(-0.1)
+    assert (gap["passed"], gap["worst_seed"]) == (2, 2)
+    assert gap["min_margin"] == 0.0
     text = sweep.format_summary(summary)
     assert "passed 1/3 seeds" in text
     assert "ks < 0.05: 2/3, smallest margin 0 (seed 2)" in text
     assert "drop <= 0.02: 2/3, smallest margin -0.005 (seed 3)" in text
+    assert "ratio >= 0.5: 2/3, smallest margin -0.1 (seed 3)" in text
+    assert "gap > 0: 2/3, smallest margin 0 (seed 2)" in text
 
 
 def test_sweep_gates_name_their_tests(seed_sweep):

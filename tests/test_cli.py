@@ -649,6 +649,41 @@ def _set_key(text, key, value):
 
 
 class TestNumericalFailure:
+    def test_mfpt_row_of_one_uncensored_sample_exits_1(self, tmp_path,
+                                                       capsys):
+        # one of the two hmm samples crosses before t_cap; its row would
+        # carry stderr = nan, so the run fails as an all-censored one does
+        path = tmp_path / "one.cfg"
+        path.write_text("""\
+[experiment]
+analysis = mfpt_vs_lambda
+seed = 20260104
+
+[model]
+name = double_well
+theta = 1.0
+mu = 1.0
+sigma = 15.0
+
+[scheme]
+eps = 1e-3
+micro_dt = 0.05
+macro_dt = 0.06
+lambdas = 5
+
+[analysis]
+schemes = hmm
+n_samples = 2
+t_cap = 3
+start = -1.0
+threshold = 1.0
+direction = upcrossing
+""")
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "numerical failure: hmm at lam 5: only 1 of 2" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unstable_scheme_exits_1(self, tmp_path, capsys):
         # micro step far beyond the fast stability limit: the burst blows

@@ -28,9 +28,18 @@ def dw_cfg():
 
 
 def _direct_lanes(model, cfg, ids, x, y, base):
-    """Direct lanes whose chain cid draws from ``base.child(cid, -2, 0)``."""
+    """Direct lanes whose chain cid draws chunk c from
+    ``base.child(cid, -2, c)``."""
     return _DirectLanes(model, cfg, ids, x, y,
-                        [base.child(int(cid), -2, 0).generator for cid in ids])
+                        base.children(ids[:, None]).child(-2))
+
+
+def _direct_normals(chain, n_steps):
+    """The normals of n_steps direct steps of a chain: step s takes normal
+    s mod 512 of ``chain.child(-2, s // 512)``."""
+    chunks = [chain.child(-2, c).normals(512)
+              for c in range(-(-n_steps // 512))]
+    return np.concatenate(chunks)[:n_steps]
 
 
 def _every_step(lanes, n_steps):
@@ -164,8 +173,8 @@ def test_direct_samples_match_reference_integrator(dw_cfg):
     h = dw_cfg.eps * dw_cfg.micro_dt
     stride = round(0.05 / h)
     n_steps = (len(times) - 1) * stride
-    xi = base.child(4, -2, 0).generator.standard_normal(n_steps)
-    ref = _euler_direct(model, dw_cfg, -1.0, 0.5, xi)
+    ref = _euler_direct(model, dw_cfg, -1.0, 0.5,
+                        _direct_normals(base.child(4), n_steps))
     assert np.allclose(times, np.arange(len(times)) * stride * h)
     assert times[-1] == pytest.approx(1.0)
     assert rec[0, 0] == -1.0
@@ -210,7 +219,7 @@ def test_lane_alone_equals_lane_in_block(name, scheme):
     if scheme == "direct":
         t_end = 0.2
         lanes = _DirectLanes(model, cfg, ids, x0, y0,
-                             [base.child(-2, 0).generator for _ in ids])
+                             base.children(np.zeros((3, 0), int)).child(-2))
         rec = _every_step(lanes, round(t_end / (cfg.eps * cfg.micro_dt)))
     else:
         t_end = 20 * cfg.macro_dt
@@ -244,16 +253,18 @@ def test_lanes_draw_the_documented_keys(ensemble):
     direct = _lanes(model, "direct", cfg, ids, x, yrep[:, :1], keys)
     hmm = _lanes(model, "hmm", cfg, ids, x, yrep[:, :1], keys)
     phmm = _lanes(model, "phmm", cfg, ids, x, yrep, keys)
-    hmm_draws = hmm.prefix.child(n).normals(m)
-    phmm_draws = phmm.prefix.child(n).normals(m)
+    hmm_draws = hmm.draws(n).normals(m)
+    phmm_draws = phmm.draws(n).normals(m)
+    # direct chunk c holds steps 512c + 1 .. 512c + 512
+    direct_draws = {c: direct.draws(512 * c).normals(m) for c in (0, 1, 3)}
     equil_draws = _replicas(keys, k, -1).normals(m)
 
     def ref(*key):
         return RngStream(root).child(*key).normals(m)
 
     for i, chain in enumerate(chains):
-        assert np.array_equal(direct.gens[i].standard_normal(m),
-                              ref(*chain, -2, 0))
+        for c, draws in direct_draws.items():
+            assert np.array_equal(draws[i], ref(*chain, -2, c))
         assert np.array_equal(hmm_draws[i], ref(*chain, 0, n))
         for rep in range(k):
             assert np.array_equal(phmm_draws[i * k + rep], ref(*chain, rep, n))
@@ -354,8 +365,8 @@ def test_equilibration_failure_names_the_chain(scheme):
 @pytest.mark.parametrize("scheme", ["direct", "hmm", "phmm"])
 def test_first_passage_block_invariance(double_well_model, dw_basin, scheme):
     # direct lanes leave the block only at the end of a 512-step chunk; the
-    # shorter direct cap (400,000 steps) leaves some lanes censored
-    t_cap = 20.0 if scheme == "direct" else 400.0
+    # shorter direct cap (500,000 steps) leaves some lanes censored
+    t_cap = 25.0 if scheme == "direct" else 400.0
     cfg = SchemeConfig(eps=1e-3, lam=2, macro_dt=0.06, micro_dt=0.05,
                        root_seed=5)
     model = double_well_model.system()
@@ -374,15 +385,24 @@ def test_first_passage_block_invariance(double_well_model, dw_basin, scheme):
         assert not cen.any()
 
 
-class _ScriptedNormals:
-    """Stands in for a lane's generator: hands out a fixed noise script."""
+class _ScriptedKeys:
+    """Stands in for the key block of direct lanes: chunk c of lane r draws
+    ``script[r, 512 c:]``."""
 
     def __init__(self, script):
-        self.script, self.pos = script, 0
+        self.script = script
 
-    def standard_normal(self, out):
-        out[:] = self.script[self.pos:self.pos + out.size]
-        self.pos += out.size
+    def __len__(self):
+        return len(self.script)
+
+    def __getitem__(self, rows):
+        return _ScriptedKeys(self.script[rows])
+
+    def child(self, c):
+        return _ScriptedKeys(self.script[:, _DirectLanes.chunk * c:])
+
+    def normals(self, m):
+        return self.script[:, :m].copy()
 
 
 def _scripted_lanes(monkeypatch, start_y, script=None):
@@ -398,8 +418,10 @@ def _scripted_lanes(monkeypatch, start_y, script=None):
 
     monkeypatch.setattr(StreamBlock, "normals", normals)
     if script is not None:
-        monkeypatch.setattr(StreamBlock, "generators", lambda self: [
-            _ScriptedNormals(row) for row in script])
+        monkeypatch.setattr(
+            "fastslow.ensemble._DirectLanes",
+            lambda model, cfg, ids, x, y, keys: _DirectLanes(
+                model, cfg, ids, x, y, _ScriptedKeys(script)))
 
 
 def _scripted_model():

@@ -34,6 +34,16 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             birth_death(birth=-1.0)
 
+    @pytest.mark.parametrize("birth, death", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+        (-1.0, 1.0), (1.0, -0.5)])
+    def test_birth_death_rates_must_be_finite_and_nonnegative(self, birth,
+                                                              death):
+        # a NaN rate used to pass and fail late as a propensity overflow
+        with pytest.raises(ValueError,
+                           match="^rates must be finite and nonnegative"):
+            birth_death(birth, death)
+
     @pytest.mark.parametrize("eps, nu, match", [
         (math.nan, [1.0], "^eps must be positive and finite"),
         (math.inf, [1.0], "^eps must be positive and finite"),

@@ -68,6 +68,17 @@ def test_numpy_integer_seeds_and_parts_key_like_python_ints():
     assert np.array_equal(block.normals(4)[0], b)
 
 
+@pytest.mark.parametrize("stream", [
+    lambda: RngStream(3).child(0.9), lambda: RngStream(2.7),
+    lambda: RngStream(3, (np.float64(1.0),)), lambda: RngStream(3.0).child(1)])
+def test_non_integer_seeds_and_parts_are_refused(stream):
+    # int() would truncate them: child(0.9) would key what child(0) keys
+    with pytest.raises(TypeError):
+        stream().normals(1)
+    with pytest.raises(TypeError):
+        stream().children(np.zeros((1, 1), dtype=int))
+
+
 def test_negative_key_parts_are_distinct():
     a = RngStream(3).child(-1, 0).normals(8)
     b = RngStream(3).child(0, 0).normals(8)
@@ -144,16 +155,11 @@ def test_plain_int_reset_draws_like_a_freshly_keyed_philox():
 
 
 def test_keyed_generators_draw_like_philox_of_their_key():
-    # generators() and RngStream.generator set the keyed state on a Philox
-    # from a placeholder seed; their draws must be those of Philox(key=k)
-    h0 = np.array([0, 2 ** 63, 2 ** 64 - 1, 12345], dtype=np.uint64)
-    h1 = np.array([2 ** 64 - 1, 7, 2 ** 63 + 1, 12345], dtype=np.uint64)
-    block = StreamBlock(h0, h1)
+    # RngStream.generator sets the keyed state on a Philox from a
+    # placeholder seed; its draws must be those of Philox(key=k)
     streams = [RngStream(5, (r, -2, 0)) for r in range(4)]
-    gens = block.generators() + [s.generator for s in streams]
-    keys = list(block.keys()) + [_philox_key(s.root_seed, s.stream_key)
-                                 for s in streams]
-    for gen, key in zip(gens, keys):
+    for s in streams:
+        gen, key = s.generator, _philox_key(s.root_seed, s.stream_key)
         fresh = np.random.Generator(np.random.Philox(key=key))
         for m in (3, 257):
             assert np.array_equal(gen.standard_normal(m),

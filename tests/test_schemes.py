@@ -215,6 +215,26 @@ class TestRunScheme:
             with pytest.raises(ValueError, match="unknown scheme"):
                 run_scheme(m, scheme, [0.0], [0.0], _cfg(), T=1.0)
 
+    def test_direct_step_reads_its_chunk_key(self):
+        # direct step s (from 0) takes normal s mod 512 of the stream
+        # child(-2, s // 512); 1,300 steps cross two chunk boundaries
+        model = fs.DoubleWellModel().system()
+        cfg = _cfg(eps=1e-3, macro_dt=0.05, micro_dt=0.05)
+        sou, dt, n = model.scalar_ou, cfg.micro_dt, 1300
+        h = cfg.eps * dt
+        traj = run_scheme(model, "direct", [-0.5], [0.2], cfg,
+                          T=(n - 0.5) * h)
+        chain = RngStream(cfg.root_seed)  # run_scheme's empty chain key
+        xi = np.concatenate([chain.child(-2, c).normals(512)
+                             for c in range(3)])
+        x, y, ref = -0.5, 0.2, [-0.5]
+        for z in xi[:n]:
+            x, y = (x + h * model.f(x, y),
+                    y + dt * sou.decay(x) * (sou.mean(x) - y)
+                    + sou.sigma * math.sqrt(dt) * z)
+            ref.append(x)
+        assert np.array_equal(traj.slow(), ref)
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_failure_carries_macro_index(self):
         m = _model(lambda x, y: x ** 3, 1.0, 0.0)
