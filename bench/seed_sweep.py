@@ -12,10 +12,11 @@ so a gate's computation and thresholds live only in this table. It is
 opt-in and not part of Tier-1. Point ``PYTHONPATH`` at another checkout's
 ``src`` to sweep that code.
 
-A gate enters the table in the change that re-draws the streams it
-checks, so the pass rate can be compared with the parent's. The shared
-fixtures of the tests build their samples with the samplers here at their
-frozen seeds, so a gate and its fixture share their sizes.
+Every statistical acceptance gate is in the table, so a change that
+re-draws the streams a gate checks can compare its pass rate with the
+parent's. The shared fixtures of the tests build their samples with the
+samplers here at their frozen seeds, so a gate and its fixture share their
+sizes.
 """
 
 import math
@@ -112,6 +113,38 @@ DW_BASIN = fs.BasinSpec(-1.0, 1.0, "upcrossing")
 DW_EPS, DW_MICRO_DT = 1e-3, 0.05
 
 
+_CLT_LAMS = (1, 2, 4, 8)
+
+
+def clt_variances(seed: int) -> dict:
+    """Stationary variance of HMM and PHMM at lam in {1, 2, 4, 8} on the
+    linear model, as {(scheme, lam): variance}.
+
+    T = 1e3 over 4 chains, burn-in 50, macro step ~0.08 snapped per lam.
+    """
+    base_cfg = fs.SchemeConfig(eps=1e-2, lam=1, macro_dt=0.08, micro_dt=0.1,
+                               root_seed=seed)
+    model = _LINEAR.system()
+    out = {}
+    for scheme in ("hmm", "phmm"):
+        for lam in _CLT_LAMS:
+            samples = pooled_stationary_samples(
+                model, scheme, fs.config_for_lambda(base_cfg, lam), 0.0,
+                None, 1000.0, 4, 50.0, fs.RngStream(seed))
+            out[(scheme, lam)] = float(np.var(samples, ddof=1))
+    return out
+
+
+def _criterion_01(variances) -> dict:
+    # HMM inflates the variance by lam, so Var(lam) / Var(1) rises with
+    # slope 1; PHMM keeps it flat
+    hmm = np.array([variances[("hmm", lam)] for lam in _CLT_LAMS])
+    phmm = np.array([variances[("phmm", lam)] for lam in _CLT_LAMS])
+    slope = float(np.polyfit(np.array(_CLT_LAMS, dtype=float), hmm, 1)[0])
+    return {"hmm slope / Var(1)": slope / hmm[0],
+            "phmm max dev": float(np.max(np.abs(phmm / phmm[0] - 1.0)))}
+
+
 def linear_direct_samples(seed: int) -> np.ndarray:
     """Direct-simulation stationary samples of the linear model.
 
@@ -179,6 +212,26 @@ def dw_passages(scheme: str, lam: int, seed: int):
                                   DW_BASIN, 200, 2000.0)
 
 
+def dw_mfpt_points(seed: int) -> dict:
+    """``dw_passages`` of hmm and phmm at lam 1, 2, 3 and 5, as
+    {scheme: {lam: (elapsed, censored)}}."""
+    return {scheme: {lam: dw_passages(scheme, lam, seed)
+                     for lam in (1, 2, 3, 5)}
+            for scheme in ("hmm", "phmm")}
+
+
+def _criterion_04(points) -> dict:
+    # the HMM's log-MFPT falls linearly in 1/lam; PHMM's MFPT stays flat
+    def mfpts(scheme):
+        return [fs.summarize_fpt(*passages).mfpt
+                for passages in points[scheme].values()]
+
+    _, b, r2 = fs.fit_log_mfpt_inverse_lambda(list(points["hmm"]),
+                                              mfpts("hmm"))
+    phmm = mfpts("phmm")
+    return {"b": b, "R^2": r2, "phmm max/min": max(phmm) / min(phmm)}
+
+
 def _criterion_05(direct, phmm5, hmm5) -> dict:
     """KS distances of the uncensored direct passage times to those of
     phmm and hmm at lam 5; each argument is an (elapsed, censored) pair."""
@@ -201,6 +254,13 @@ GATES = {gate.name: gate for gate in (
          (Limit("ks(0.1) - ks(0.2)", _KS_NOISE, strict=False),
           Limit("ks(0.05) - ks(0.1)", _KS_NOISE, strict=False)),
          _ks_decreases_with_tau),
+    Gate("criterion_01",
+         "tests/test_acceptance.py::test_criterion_01_clt_variance_scaling",
+         (Limit("hmm slope / Var(1)", 0.8, strict=False, above=True),
+          Limit("hmm slope / Var(1)", 1.2, strict=False),
+          Limit("phmm max dev", 0.2)),
+         lambda seed: _criterion_01(clt_variances(seed)),
+         _criterion_01),
     Gate("criterion_02",
          "tests/test_acceptance.py::test_criterion_02_analytic_clt_oracle",
          (Limit("rel_dev", 0.2),),
@@ -215,6 +275,12 @@ GATES = {gate.name: gate for gate in (
           Limit("hmm/phmm", 5.0, strict=False, above=True)),
          lambda seed: _criterion_03(dw_histogram_samples(seed)),
          _criterion_03),
+    Gate("criterion_04",
+         "tests/test_acceptance.py::test_criterion_04_mfpt_collapse",
+         (Limit("b", 0.0, above=True), Limit("R^2", 0.9, above=True),
+          Limit("phmm max/min", 2.0)),
+         lambda seed: _criterion_04(dw_mfpt_points(seed)),
+         _criterion_04),
     Gate("criterion_05",
          "tests/test_acceptance.py::"
          "test_criterion_05_fpt_distribution_fidelity",

@@ -15,10 +15,12 @@ the decay, else one loop over time doing lfilter's float operations for
 all lanes, whose output must be C-contiguous (``mean(axis=1)`` sums a
 strided view in another order).
 
-Every run builds its lanes and their stream keys in :func:`_lanes` and
-steps them through one chunked loop, :func:`_chunks`; fixed-horizon runs
-record on the grid of :func:`_fixed_horizon`. The ensemble entry points
-start the fast lanes, by default, at the frozen-x fast mean.
+Every run builds its lanes in :func:`_lanes`, which keys them by the one
+run-key rule of :func:`fastslow.rng._run_keys`, chooses their start states
+(the fast replicas, by default, at the frozen-x fast mean) and, for a
+passage run, equilibrates their fast replicas. Every run then steps its
+lanes through one chunked loop, :func:`_chunks`; fixed-horizon runs record
+on the grid of :func:`_fixed_horizon`.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import math
 
 import numpy as np
 
-from .rng import RngStream, StreamBlock, _run_ids
-from .sde import FastSlowModel, IntegrationFailure
+from .rng import RngStream, StreamBlock, _run_keys
+from .sde import FastSlowModel, IntegrationFailure, _positive, _positive_int
 
 ENSEMBLE_SCHEMES = ("direct", "hmm", "phmm")
 
@@ -164,14 +166,6 @@ class _MacroLanes(_Lanes):
                                   replica=int(self.ids[lane]))
 
 
-def _start_arrays(model, x0, y0, n_chains, k):
-    """Per-chain start values; y0 defaults to the frozen-x fast mean."""
-    x = np.broadcast_to(np.asarray(x0, dtype=float), (n_chains,)).copy()
-    y = model.scalar_ou.mean(x) if y0 is None else y0
-    y = np.broadcast_to(np.asarray(y, dtype=float), (n_chains,)).copy()
-    return x, np.repeat(y[:, None], k, axis=1)
-
-
 def _replica_count(scheme: str, cfg, allowed=ENSEMBLE_SCHEMES) -> int:
     """Fast replicas per chain of ``scheme``: ``lam`` for phmm, else 1.
     Raises ValueError for a scheme not in ``allowed``."""
@@ -244,14 +238,35 @@ def _chunks(lanes, n_steps):
         s += len(path)
 
 
-def _lanes(model, scheme, cfg, ids, x, yrep, keys):
-    """The lanes of a run of ``scheme``: chain ids, slow lanes x, fast
-    replicas yrep (B, k), and one chain key per lane in the block ``keys``.
-    Chunk c of a direct lane draws from ``key.child(-2, c)``, the burst of
-    replica rep at macro step n from ``key.child(rep, n)``."""
+def _lanes(model, scheme, cfg, base, ids, x0, y0, equil_fast_time=None,
+           allowed=ENSEMBLE_SCHEMES):
+    """The lanes of ``scheme`` on the runs ``ids`` of ``base`` (None: the
+    one run of ``base``), keyed by :func:`fastslow.rng._run_keys`, at x0
+    with every fast replica at y0 (None: the frozen-x fast mean), after an
+    equilibration burst of ``equil_fast_time`` fast time if one is given.
+    ValueError for a scheme not in ``allowed`` or a negative or non-finite
+    ``equil_fast_time``."""
+    k = _replica_count(scheme, cfg, allowed)
+    ids, keys = _run_keys(base, ids)
+    x = np.broadcast_to(np.asarray(x0, dtype=float), ids.shape).copy()
+    y = model.scalar_ou.mean(x) if y0 is None else y0
+    yrep = np.repeat(np.broadcast_to(np.asarray(y, dtype=float),
+                                     ids.shape)[:, None], k, axis=1)
+    if equil_fast_time is not None:
+        if not (math.isfinite(equil_fast_time) and equil_fast_time >= 0):
+            raise ValueError("equil_fast_time must be finite and nonnegative,"
+                             f" got {equil_fast_time}")
+        try:
+            _, y_end = burst_batch(
+                model, np.repeat(x, k), yrep.reshape(-1),
+                _replicas(keys, k, -1),
+                max(1, round(equil_fast_time / cfg.micro_dt)), cfg.micro_dt)
+        except IntegrationFailure as err:
+            raise _burst_failure(err, ids, k, "equilibration burst") from err
+        yrep = y_end.reshape(yrep.shape)
     if scheme == "direct":
         return _DirectLanes(model, cfg, ids, x, yrep[:, 0], keys.child(-2))
-    return _MacroLanes(model, cfg, ids, x, yrep, _replicas(keys, yrep.shape[1]))
+    return _MacroLanes(model, cfg, ids, x, yrep, _replicas(keys, k))
 
 
 def _fixed_horizon(lanes, t_end, record_dt):
@@ -275,23 +290,12 @@ def map_blocks(fn, n: int, block: int, executor=None) -> list:
     """``fn(ids)`` for consecutive id blocks of range(n), on ``executor`` if
     given; results come back in block order whatever order they finish in.
     Raises ValueError for a block size below 1."""
-    if block < 1:
-        raise ValueError(f"block size must be a positive integer, got {block}")
+    block = _positive_int("block size", block)
     blocks = [np.arange(lo, min(lo + block, n)) for lo in range(0, n, block)]
     if executor is None:
         return [fn(ids) for ids in blocks]
     futures = [executor.submit(fn, ids) for ids in blocks]
     return [fut.result() for fut in futures]
-
-
-def _samples(model, scheme, cfg, x0, y0, t_chain, ids, base, record_dt,
-             allowed=ENSEMBLE_SCHEMES):
-    """(times, rec) of a block of chains recorded every ``record_dt``."""
-    ids = _run_ids(ids)
-    x, yrep = _start_arrays(model, x0, y0, ids.size,
-                            _replica_count(scheme, cfg, allowed))
-    lanes = _lanes(model, scheme, cfg, ids, x, yrep, base.children(ids[:, None]))
-    return _fixed_horizon(lanes, t_chain, record_dt)
 
 
 def scheme_samples(model: FastSlowModel, scheme: str, cfg, x0, y0,
@@ -302,10 +306,11 @@ def scheme_samples(model: FastSlowModel, scheme: str, cfg, x0, y0,
     recorded value at every macro time is returned as (n_rec, B). The fast
     replicas are carried across macro steps. ``x0``/``y0`` may be scalars or
     per-chain arrays; ``y0=None`` starts each fast replica at the frozen-x
-    mean.
+    mean. Raises ValueError for a scheme other than hmm or phmm.
     """
-    return _samples(model, scheme, cfg, x0, y0, t_chain, ids, base,
-                    cfg.macro_dt, ("hmm", "phmm"))
+    return _fixed_horizon(_lanes(model, scheme, cfg, base, ids, x0, y0,
+                                 allowed=("hmm", "phmm")),
+                          _positive("t_chain", t_chain), cfg.macro_dt)
 
 
 def direct_samples(model: FastSlowModel, cfg, x0, y0, t_chain: float, ids,
@@ -316,8 +321,11 @@ def direct_samples(model: FastSlowModel, cfg, x0, y0, t_chain: float, ids,
     slow time (default: cfg.macro_dt). Steps 512c + 1 .. 512c + 512 of
     chain cid draw from ``base.child(cid, -2, c)``.
     """
-    return _samples(model, "direct", cfg, x0, y0, t_chain, ids, base,
-                    cfg.macro_dt if record_dt is None else record_dt)
+    if record_dt is None:
+        record_dt = cfg.macro_dt
+    return _fixed_horizon(_lanes(model, "direct", cfg, base, ids, x0, y0),
+                          _positive("t_chain", t_chain),
+                          _positive("record_dt", record_dt))
 
 
 def pooled_stationary_samples(model: FastSlowModel, scheme: str, cfg,
@@ -340,11 +348,10 @@ def pooled_stationary_samples(model: FastSlowModel, scheme: str, cfg,
             time does not exceed ``burn_in``.
     """
     _replica_count(scheme, cfg)  # rejects an unsupported scheme up front
-    if n_chains < 1:
-        raise ValueError(f"n_chains must be a positive integer, got {n_chains}")
-    if t_total / n_chains <= burn_in:
+    n_chains = _positive_int("n_chains", n_chains)
+    t_chain = _positive("t_total", t_total) / n_chains
+    if not t_chain > burn_in:
         raise ValueError("per-chain time must exceed burn_in")
-    t_chain = t_total / n_chains
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (n_chains,))
 
     def run(ids):
@@ -360,19 +367,6 @@ def pooled_stationary_samples(model: FastSlowModel, scheme: str, cfg,
     return np.concatenate([p.T.reshape(-1) for p in parts])
 
 
-def _equilibrate_fast(model, cfg, x, yrep, ids, keys, equil_fast_time):
-    """Fast replicas yrep (B, k) after frozen-x equilibration bursts."""
-    k = yrep.shape[1]
-    m_eq = max(1, round(equil_fast_time / cfg.micro_dt))
-    try:
-        _, y_end = burst_batch(model, np.repeat(x, k), yrep.reshape(-1),
-                               _replicas(keys, k, -1), m_eq,
-                               cfg.micro_dt)
-    except IntegrationFailure as err:
-        raise _burst_failure(err, ids, k, "equilibration burst") from err
-    return y_end.reshape(yrep.shape)
-
-
 def first_passage_block(model: FastSlowModel, scheme: str, cfg, basin,
                         ids, t_cap: float, base: RngStream,
                         equil_fast_time: float = 50.0):
@@ -386,17 +380,14 @@ def first_passage_block(model: FastSlowModel, scheme: str, cfg, basin,
     chunk in which they crossed; macro lanes leave after the crossing step.
     Each lane records its first crossing step.
     """
-    k = _replica_count(scheme, cfg)
-    ids = _run_ids(ids)
-    keys = base.children(ids[:, None])
-    x, yrep = _start_arrays(model, basin.start_point, None, ids.size, k)
-    yrep = _equilibrate_fast(model, cfg, x, yrep, ids, keys, equil_fast_time)
-    lanes = _lanes(model, scheme, cfg, ids, x, yrep, keys)
+    _positive("t_cap", t_cap)
+    lanes = _lanes(model, scheme, cfg, base, ids, basin.start_point, None,
+                   equil_fast_time)
+    pos = np.arange(lanes.ids.size)  # before lanes.keep drops lanes
     up = basin.direction == "upcrossing"
     thr = basin.target_threshold
-    elapsed = np.full(ids.size, float(t_cap))
-    censored = np.ones(ids.size, dtype=bool)
-    pos = np.arange(ids.size)
+    elapsed = np.full(pos.size, float(t_cap))
+    censored = np.ones(pos.size, dtype=bool)
     for s, path in _chunks(lanes, math.ceil(t_cap / lanes.dt)):
         cross = path >= thr if up else path <= thr
         if cross.any():

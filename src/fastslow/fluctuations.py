@@ -18,7 +18,7 @@ from .ensemble import first_passage_block, map_blocks
 from .models import NonDiffusiveModel
 from .rng import RngStream
 from .schemes import SchemeConfig
-from .sde import FastSlowModel, Trajectory
+from .sde import FastSlowModel, Trajectory, _positive_int
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +128,10 @@ def first_passage_times(model: FastSlowModel, scheme: str, cfg: SchemeConfig,
     carry elapsed = t_cap and should be excluded from means.
 
     Raises:
+        ValueError: for an ``n_samples`` below 1 or bad passage arguments.
         RuntimeError: if every sample was censored.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    n_samples = _positive_int("n_samples", n_samples)
     base = RngStream(cfg.root_seed)
 
     def run(ids):

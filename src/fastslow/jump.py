@@ -43,8 +43,8 @@ from typing import Callable
 
 import numpy as np
 
-from .rng import RngStream, _run_ids
-from .sde import Trajectory
+from .rng import RngStream, _run_keys
+from .sde import Trajectory, _positive
 
 _ORTHANT_TOL = 1e-12
 _SSA_CHUNK = 512  # SSA events per lane per refill, two draws each
@@ -87,8 +87,7 @@ class JumpModel:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be positive")
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        _positive("eps", self.eps)
         rx = tuple(r if isinstance(r, Reaction) else Reaction(*r)
                    for r in self.reactions)
         if not rx:
@@ -340,17 +339,16 @@ def _window_count(T, tau):
     return n + 1 if n * tau < T else n
 
 
-def _tau_windows(model, x0, T, tau, keys, ids):
-    """Lockstep tau-leap lanes from x0 to T, one per row of the key block
-    and run id; yields ``(t, x)`` with x (B, dim) at t = 0 and after every
-    window.
+def _tau_windows(model, x0, T, tau, ids, keys):
+    """Lockstep tau-leap lanes from x0 to T, one per run id and row of the
+    run key block; yields ``(t, x)`` with x (B, dim) at t = 0 and after
+    every window.
 
     Each window takes m uniforms per run, one per channel in channel
     order, read from chunks of at most ``_TAU_CHUNK`` windows of every
     run's keyed row.
     """
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    _positive("tau", tau)
     x0, x, shift = _lanes(model, x0, T, len(keys))
     nu = model.stoichiometry_matrix
     terms = list(zip(*np.nonzero(nu)))  # (channel, coordinate), row-major
@@ -391,8 +389,7 @@ def ssa_run(model: JumpModel, x0, T: float, stream: RngStream) -> Trajectory:
     set. Otherwise a terminal snapshot at time T closes the record.
     """
     path = []
-    final, absorbed = _ssa(model, x0, T,
-                           stream.children(np.empty((1, 0), dtype=int)),
+    final, absorbed = _ssa(model, x0, T, _run_keys(stream)[1],
                            lambda t, x: path.append((t[0], x[0])))
     if not absorbed[0] and T > path[-1][0]:
         path.append((T, final[0]))
@@ -411,8 +408,7 @@ def tau_leap_run(model: JumpModel, x0, T: float, tau: float,
     stoichiometry. Records every window end, the last at exactly T.
     """
     times, states = zip(*((t, x[0]) for t, x in _tau_windows(
-        model, x0, T, tau, stream.children(np.empty((1, 0), dtype=int)),
-        [0])))
+        model, x0, T, tau, *_run_keys(stream))))
     return Trajectory(np.array(times), np.array(states),
                       _meta(model, "tau_leap", stream, False))
 
@@ -425,8 +421,7 @@ def ssa_final_states(model: JumpModel, x0, T: float, ids,
     ``ssa_run(model, x0, T, base.child(i))`` would consume, so the two are
     bitwise interchangeable.
     """
-    ids = _run_ids(ids)
-    return _ssa(model, x0, T, base.children(ids[:, None]))[0]
+    return _ssa(model, x0, T, _run_keys(base, ids)[1])[0]
 
 
 def tau_leap_final_states(model: JumpModel, x0, T: float, tau: float, ids,
@@ -436,8 +431,6 @@ def tau_leap_final_states(model: JumpModel, x0, T: float, tau: float, ids,
     Matches ``tau_leap_run(model, x0, T, tau, base.child(i))`` bitwise for
     run i.
     """
-    ids = _run_ids(ids)
-    for _, x in _tau_windows(model, x0, T, tau, base.children(ids[:, None]),
-                             ids):
+    for _, x in _tau_windows(model, x0, T, tau, *_run_keys(base, ids)):
         pass
     return x

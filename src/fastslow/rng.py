@@ -9,11 +9,13 @@ scheduling order. Values are consumed sequentially, so drawing a block of
 n values is bitwise identical to n single draws.
 
 Key layout used by the lane drivers and jump kernels (internal, documented
-here so outputs can be reproduced externally). Every SDE lane has a chain
-key: ``chain = base.child(i)`` for ensemble chain or passage sample ``i``,
-and the empty key, ``chain = base = RngStream(root_seed)``, for the one
-lane of ``run_scheme``. Lanes step in chunks, one normal per micro or
-direct step: chunk c reads the first normals of ``lane_key.child(c)``.
+here so outputs can be reproduced externally). One rule, :func:`_run_keys`,
+keys every run: run i of a batched driver draws from ``base.child(i)``, and
+the one run of ``run_scheme`` (``base = RngStream(root_seed)``), ``ssa_run``
+or ``tau_leap_run`` from ``base`` itself; the run key is ``chain`` for an
+SDE lane and ``run`` for a jump run. SDE lanes step in chunks, one normal
+per micro or direct step: chunk c reads the first normals of
+``lane_key.child(c)``.
 
 * replica j (0 for hmm): lane key ``chain.child(j)``, one macro step per
   chunk, so the burst of macro step n reads ``chain.child(j, n)``
@@ -21,9 +23,7 @@ direct step: chunk c reads the first normals of ``lane_key.child(c)``.
   step s (from 0) takes normal s mod 512 of ``chain.child(-2, s // 512)``
 * equilibration burst of replica j -> ``chain.child(-1, j)``
 
-Jump run i of a batched driver uses ``run = base.child(i)``, and the one
-run of ``ssa_run`` or ``tau_leap_run`` uses its stream as ``run``. Every
-jump draw is a value of ``Generator.random()`` read by its position:
+Every jump draw is a value of ``Generator.random()`` read by its position:
 
 * tau-leap window w of an m-channel model -> values w*m to w*m + m - 1 of
   ``run``, one per channel in channel order
@@ -173,13 +173,17 @@ def _key_parts(parts) -> np.ndarray:
     return arr.astype(np.uint64)
 
 
-def _run_ids(ids):
-    """Chain or run ids of a batched driver, checked to be 1-D integers."""
+def _run_keys(base: RngStream, ids=None):
+    """(ids, block of run keys ``base.child(i)``), or for ``ids=None`` the
+    one run id 0 keyed by ``base``; ValueError unless ids are 1-D integers."""
+    if ids is None:
+        return np.zeros(1, dtype=int), base.children(np.empty((1, 0), int))
     ids = np.asarray(ids)
     if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
         raise ValueError("ids must be a 1-D array of integers, got "
                          f"shape {ids.shape} and dtype {ids.dtype}")
-    return ids.astype(int)
+    ids = ids.astype(int)
+    return ids, base.children(ids[:, None])
 
 
 @dataclass(frozen=True, eq=False)

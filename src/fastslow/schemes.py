@@ -16,15 +16,15 @@ steps of every scheme are the lane drivers of :mod:`fastslow.ensemble`.
 from __future__ import annotations
 
 import hashlib
-import math
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ensemble import ENSEMBLE_SCHEMES, _fixed_horizon, _lanes, _replica_count
+from .ensemble import _fixed_horizon, _lanes
 from .rng import RngStream
-from .sde import FastSlowModel, IntegrationFailure, Trajectory, _as_point
+from .sde import (FastSlowModel, IntegrationFailure, Trajectory, _as_point,
+                  _positive, _positive_int)
 
 
 @dataclass(frozen=True)
@@ -53,16 +53,9 @@ class SchemeConfig:
 
     def __post_init__(self):
         for name in ("eps", "macro_dt", "micro_dt"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got "
-                                 f"{value}")
-        if not (math.isfinite(self.lam) and self.lam >= 1
-                and int(self.lam) == self.lam):
-            raise ValueError(f"lam must be a positive integer, got {self.lam}")
-        object.__setattr__(self, "lam", int(self.lam))
-        slow_per_micro = self.lam * self.eps * self.micro_dt
-        m = max(1, round(self.macro_dt / slow_per_micro))
+            _positive(name, getattr(self, name))
+        lam, m, slow_per_micro = _burst_length(self, self.lam)
+        object.__setattr__(self, "lam", lam)
         if abs(self.macro_dt - m * slow_per_micro) > 1e-12 * self.macro_dt:
             raise ValueError(
                 f"macro_dt={self.macro_dt} is not an integer number of micro "
@@ -79,16 +72,24 @@ class SchemeConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
+def _burst_length(cfg, lam):
+    """(lam, M, lam*eps*micro_dt), M the burst length nearest cfg.macro_dt
+    at speed-up lam; ValueError unless lam is a positive integer."""
+    lam = _positive_int("lam", lam)
+    slow_per_micro = lam * cfg.eps * cfg.micro_dt
+    return lam, max(1, round(cfg.macro_dt / slow_per_micro)), slow_per_micro
+
+
 def config_for_lambda(cfg: SchemeConfig, lam: int) -> SchemeConfig:
     """Nearest valid config at speed-up ``lam``, treating macro_dt as a target.
 
     Keeps eps and micro_dt; picks the burst length M closest to the
     requested macro step and recomputes macro_dt = lam*M*eps*micro_dt so the
     exactness invariant holds. Used by lambda sweeps where one macro step
-    cannot divide evenly for every lambda.
+    cannot divide evenly for every lambda. Raises ValueError unless ``lam``
+    is a positive integer.
     """
-    slow_per_micro = lam * cfg.eps * cfg.micro_dt
-    m = max(1, round(cfg.macro_dt / slow_per_micro))
+    lam, m, slow_per_micro = _burst_length(cfg, lam)
     return replace(cfg, lam=lam, macro_dt=m * slow_per_micro)
 
 
@@ -105,7 +106,7 @@ def run_scheme(model: FastSlowModel, scheme: str, x0, y0, cfg: SchemeConfig,
     documents the key layout.
 
     Raises:
-        ValueError: for an unknown scheme, a horizon that is not positive
+        ValueError: for an unsupported scheme, a horizon that is not positive
             and finite or is shorter than one step, a start value that is
             not one scalar, or an ``f`` that does not return shape (1,) on
             one lane or, in a burst, the shape that ``burst_batch`` needs.
@@ -113,11 +114,7 @@ def run_scheme(model: FastSlowModel, scheme: str, x0, y0, cfg: SchemeConfig,
             index, of the first non-finite state; a burst failure also
             names the failing replica (0 for hmm, j < lam for phmm).
     """
-    if scheme not in ENSEMBLE_SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of "
-                         f"{ENSEMBLE_SCHEMES}")
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError(f"T must be positive and finite, got {T}")
+    _positive("T", T)
     meta = {"scheme": scheme, "config_hash": cfg.config_hash(),
             "seed": cfg.root_seed, "model": model.name, "lam": cfg.lam,
             "eps": cfg.eps}
@@ -126,10 +123,8 @@ def run_scheme(model: FastSlowModel, scheme: str, x0, y0, cfg: SchemeConfig,
     if shape != (1,):
         raise ValueError(f"f returned shape {shape} on one lane, expected "
                          "(1,)")
-    # one lane, chain id 0, whose chain key is empty
-    lanes = _lanes(model, scheme, cfg, np.zeros(1, dtype=int), x,
-                   np.repeat(y[:, None], _replica_count(scheme, cfg), axis=1),
-                   RngStream(cfg.root_seed).children(np.zeros((1, 0), int)))
+    # the one run of the root stream: run id 0, keyed by the stream itself
+    lanes = _lanes(model, scheme, cfg, RngStream(cfg.root_seed), None, x, y)
     if T < lanes.dt:
         raise ValueError(f"T must cover at least one step of {lanes.dt}")
     try:

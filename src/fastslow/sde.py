@@ -13,6 +13,7 @@ drivers of :mod:`fastslow.ensemble`; :mod:`fastslow.schemes` runs them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -126,3 +127,18 @@ def _as_point(value, label: str) -> np.ndarray:
         raise ValueError(f"{label} must be a scalar or have shape (1,), got "
                          f"{arr.shape}")
     return arr
+
+
+def _positive(name: str, value):
+    """``value``; a ValueError naming it unless it is positive and finite."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def _positive_int(name: str, value) -> int:
+    """``value`` as an int; a ValueError naming it unless it is whole and
+    at least 1."""
+    if not (math.isfinite(value) and value >= 1 and int(value) == value):
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+    return int(value)

@@ -6,12 +6,10 @@ import importlib.util
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import fastslow as fs
 from fastslow.cli import bundled_configs, main
-from fastslow.ensemble import pooled_stationary_samples
 
 
 @pytest.fixture(scope="session")
@@ -32,11 +30,6 @@ def seed_sweep():
 
 
 @pytest.fixture(scope="session")
-def linear_model():
-    return fs.LinearOUModel(theta=1.0, mu=0.5, sigma_f=5.0)
-
-
-@pytest.fixture(scope="session")
 def linear_direct_samples(seed_sweep, timings):
     """``seed_sweep.linear_direct_samples`` at seed 424242."""
     start = time.perf_counter()
@@ -46,23 +39,10 @@ def linear_direct_samples(seed_sweep, timings):
 
 
 @pytest.fixture(scope="session")
-def clt_variance_sweep(linear_model, timings):
-    """Stationary variance of HMM and PHMM at lam in {1, 2, 4, 8}.
-
-    T = 1e3 over 4 chains, burn-in 50, macro step ~0.08 snapped per lam.
-    """
-    base_cfg = fs.SchemeConfig(eps=1e-2, lam=1, macro_dt=0.08, micro_dt=0.1,
-                               root_seed=424242)
-    base = fs.RngStream(base_cfg.root_seed)
-    model = linear_model.system()
-    out = {}
+def clt_variance_sweep(seed_sweep, timings):
+    """``seed_sweep.clt_variances`` at seed 424242."""
     start = time.perf_counter()
-    for scheme in ("hmm", "phmm"):
-        for lam in (1, 2, 4, 8):
-            cfg = fs.config_for_lambda(base_cfg, lam)
-            samples = pooled_stationary_samples(model, scheme, cfg, 0.0, None,
-                                                1000.0, 4, 50.0, base)
-            out[(scheme, lam)] = float(np.var(samples, ddof=1))
+    out = seed_sweep.clt_variances(424242)
     timings["clt_sweep"] = time.perf_counter() - start
     return out
 
@@ -82,9 +62,7 @@ def dw_mfpt_points(seed_sweep, timings):
     """Criterion-scale passage sweeps, ``seed_sweep.dw_passages`` at seed
     777 as {scheme: {lam: (elapsed, censored)}}."""
     start = time.perf_counter()
-    out = {scheme: {lam: seed_sweep.dw_passages(scheme, lam, 777)
-                    for lam in (1, 2, 3, 5)}
-           for scheme in ("hmm", "phmm")}
+    out = seed_sweep.dw_mfpt_points(777)
     timings["dw_mfpt"] = time.perf_counter() - start
     return out
 

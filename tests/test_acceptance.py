@@ -11,9 +11,8 @@ import numpy as np
 
 import fastslow as fs
 from fastslow import (NonDiffusiveModel, SchemeConfig,
-                      fit_log_mfpt_inverse_lambda, hamiltonian_nondiffusive,
-                      quasipotential, quasipotential_derivative, run_scheme,
-                      summarize_fpt)
+                      hamiltonian_nondiffusive, quasipotential,
+                      quasipotential_derivative, run_scheme)
 from fastslow.cli import bundled_configs, main
 
 
@@ -23,19 +22,14 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def test_criterion_01_clt_variance_scaling(clt_variance_sweep, timings):
-    lams = np.array([1, 2, 4, 8], dtype=float)
-    hmm = np.array([clt_variance_sweep[("hmm", int(l))] for l in lams])
-    phmm = np.array([clt_variance_sweep[("phmm", int(l))] for l in lams])
-    slope = float(np.polyfit(lams, hmm, 1)[0])
-    slope_ratio = slope / hmm[0]
-    phmm_dev = float(np.max(np.abs(phmm / phmm[0] - 1.0)))
+def test_criterion_01_clt_variance_scaling(clt_variance_sweep, timings,
+                                           seed_sweep):
+    gate = seed_sweep.GATES["criterion_01"]
+    values = gate.measure(clt_variance_sweep)
     elapsed = timings["clt_sweep"]
-    ok = 0.8 <= slope_ratio <= 1.2 and phmm_dev < 0.2 and elapsed < 120
-    _report(1, ok,
-            f"HMM slope/Var(1) = {slope_ratio:.3f} (need [0.8, 1.2]), "
-            f"PHMM max dev = {phmm_dev:.3f} (need < 0.2), "
-            f"runtime {elapsed:.0f}s (cap 120s)")
+    ok = gate.passes(values) and elapsed < 120
+    _report(1, ok, f"{gate.describe(values)}, runtime {elapsed:.0f}s "
+                   f"(cap 120s)")
 
 
 def test_criterion_02_analytic_clt_oracle(linear_direct_samples, timings,
@@ -61,21 +55,14 @@ def test_criterion_03_metastable_bimodality(dw_histogram_samples, timings,
                    f"(cap 600s)")
 
 
-def test_criterion_04_mfpt_collapse(dw_mfpt_points, timings):
-    def mfpts(scheme):
-        return [summarize_fpt(*passages).mfpt
-                for passages in dw_mfpt_points[scheme].values()]
-
-    _, b, r2 = fit_log_mfpt_inverse_lambda(list(dw_mfpt_points["hmm"]),
-                                           mfpts("hmm"))
-    phmm_mfpts = mfpts("phmm")
-    ratio = max(phmm_mfpts) / min(phmm_mfpts)
+def test_criterion_04_mfpt_collapse(dw_mfpt_points, timings, seed_sweep):
+    gate = seed_sweep.GATES["criterion_04"]
+    values = gate.measure(dw_mfpt_points)
     elapsed = timings["dw_mfpt"]
-    ok = b > 0 and r2 > 0.9 and ratio < 2.0 and elapsed < 1200
-    _report(4, ok,
-            f"HMM log-MFPT fit: b = {b:.2f} (need > 0), R^2 = {r2:.3f} "
-            f"(need > 0.9); PHMM max/min = {ratio:.2f} (need < 2); "
-            f"runtime {elapsed:.0f}s (cap 1200s)")
+    ok = gate.passes(values) and elapsed < 1200
+    _report(4, ok, f"HMM log-MFPT fit and PHMM spread: "
+                   f"{gate.describe(values)}, runtime {elapsed:.0f}s "
+                   f"(cap 1200s)")
 
 
 def test_criterion_05_fpt_distribution_fidelity(dw_mfpt_points,

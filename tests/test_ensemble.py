@@ -15,23 +15,16 @@ import fastslow as fs
 from fastslow import RngStream, SchemeConfig
 from fastslow.ensemble import (_DirectLanes, _fixed_horizon, _lanes,
                                _linear_recurrence, _MacroLanes, _replicas,
-                               _start_arrays, burst_batch, direct_samples,
+                               burst_batch, direct_samples,
                                first_passage_block,
                                pooled_stationary_samples, scheme_samples)
-from fastslow.rng import StreamBlock
+from fastslow.rng import StreamBlock, _run_keys
 
 
 @pytest.fixture
 def dw_cfg():
     return SchemeConfig(eps=1e-3, lam=1, macro_dt=0.05, micro_dt=0.05,
                         root_seed=11)
-
-
-def _direct_lanes(model, cfg, ids, x, y, base):
-    """Direct lanes whose chain cid draws chunk c from
-    ``base.child(cid, -2, c)``."""
-    return _DirectLanes(model, cfg, ids, x, y,
-                        base.children(ids[:, None]).child(-2))
 
 
 def _direct_normals(chain, n_steps):
@@ -193,9 +186,8 @@ def test_direct_records_cross_chunk_boundaries(dw_cfg, stride):
     _, rec = direct_samples(model, dw_cfg, -0.5, None,
                             (n_rec - 0.5) * stride * h, ids, base,
                             record_dt=stride * h)
-    x, yrep = _start_arrays(model, -0.5, None, ids.size, 1)
-    every = _every_step(_direct_lanes(model, dw_cfg, ids, x, yrep[:, 0],
-                                      base), n_rec * stride)
+    every = _every_step(_lanes(model, "direct", dw_cfg, base, ids, -0.5,
+                               None), n_rec * stride)
     assert rec.shape == (n_rec + 1, ids.size)
     assert np.array_equal(rec, every[::stride])
 
@@ -245,14 +237,11 @@ def test_lanes_draw_the_documented_keys(ensemble):
     base = RngStream(root)
     if ensemble:
         ids, chains = np.array([4, 9]), [(4,), (9,)]
-        keys = base.children(ids[:, None])
     else:
-        ids, chains = np.zeros(1, dtype=int), [()]
-        keys = base.children(np.zeros((1, 0), dtype=int))
-    x, yrep = np.zeros(ids.size), np.zeros((ids.size, k))
-    direct = _lanes(model, "direct", cfg, ids, x, yrep[:, :1], keys)
-    hmm = _lanes(model, "hmm", cfg, ids, x, yrep[:, :1], keys)
-    phmm = _lanes(model, "phmm", cfg, ids, x, yrep, keys)
+        ids, chains = None, [()]
+    direct, hmm, phmm = (_lanes(model, scheme, cfg, base, ids, 0.0, 0.0)
+                         for scheme in ("direct", "hmm", "phmm"))
+    keys = _run_keys(base, ids)[1]
     hmm_draws = hmm.draws(n).normals(m)
     phmm_draws = phmm.draws(n).normals(m)
     # direct chunk c holds steps 512c + 1 .. 512c + 512
@@ -304,6 +293,8 @@ def test_ensemble_drivers_reject_other_schemes(scheme):
         with pytest.raises(ValueError, match="unsupported scheme"):
             scheme_samples(model, name, cfg, 0.0, None, 1.0, np.arange(2),
                            base)
+    with pytest.raises(ValueError, match="unsupported scheme"):
+        fs.run_scheme(model, scheme, [0.0], [0.0], cfg, 1.0)
 
 
 @pytest.mark.parametrize("ids", [[0.5, 1.5], [True, False], [[0, 1]]])
@@ -320,6 +311,71 @@ def test_sde_drivers_reject_ids_that_are_not_integers(ids):
     with pytest.raises(ValueError, match=match):
         first_passage_block(model, "phmm", cfg, fs.BasinSpec(0.0, 0.3), ids,
                             1.0, base)
+
+
+_BAD_SPANS = [-1.0, 0.0, math.nan, math.inf]
+
+
+def _entry_setup():
+    """A model, a phmm-ready config and a base stream for argument checks."""
+    cfg = SchemeConfig(eps=1e-2, lam=2, macro_dt=0.08, micro_dt=0.1,
+                       root_seed=9)
+    return fs.LinearOUModel().system(), cfg, RngStream(9)
+
+
+@pytest.mark.parametrize("name, value", [
+    *(("t_cap", v) for v in _BAD_SPANS),
+    *(("equil_fast_time", v) for v in (-1.0, math.nan, math.inf))])
+def test_first_passage_block_names_a_bad_argument(name, value):
+    model, cfg, base = _entry_setup()
+    args = {"t_cap": 1.0, "equil_fast_time": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        first_passage_block(model, "phmm", cfg, fs.BasinSpec(0.0, 0.3),
+                            np.arange(2), base=base, **args)
+
+
+@pytest.mark.parametrize("name, value, match", [
+    *(("n_samples", v, "^n_samples must be a positive integer")
+      for v in (0, 2.5, math.nan, math.inf)),
+    ("t_cap", -1.0, "^t_cap must be positive"),
+    ("equil_fast_time", -1.0, "^equil_fast_time must be finite")])
+def test_first_passage_times_names_a_bad_argument(name, value, match):
+    model, cfg, _ = _entry_setup()
+    args = {"n_samples": 2, "t_cap": 1.0, "equil_fast_time": 1.0,
+            name: value}
+    with pytest.raises(ValueError, match=match):
+        fs.first_passage_times(model, "hmm", cfg, fs.BasinSpec(0.0, 0.3),
+                               **args)
+
+
+@pytest.mark.parametrize("t_chain", _BAD_SPANS)
+def test_scheme_samples_names_a_bad_horizon(t_chain):
+    model, cfg, base = _entry_setup()
+    with pytest.raises(ValueError, match="^t_chain must be positive"):
+        scheme_samples(model, "hmm", cfg, 0.0, None, t_chain, [0, 1], base)
+
+
+@pytest.mark.parametrize("name, value", [
+    *(("t_chain", v) for v in _BAD_SPANS),
+    *(("record_dt", v) for v in _BAD_SPANS)])
+def test_direct_samples_names_a_bad_argument(name, value):
+    model, cfg, base = _entry_setup()
+    args = {"t_chain": 1.0, "record_dt": 0.1, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be positive"):
+        direct_samples(model, cfg, 0.0, None, ids=[0, 1], base=base, **args)
+
+
+@pytest.mark.parametrize("name, value, match", [
+    *(("t_total", v, "^t_total must be positive") for v in _BAD_SPANS),
+    *(("n_chains", v, "^n_chains must be a positive integer")
+      for v in (2.5, math.nan, math.inf)),
+    ("burn_in", math.nan, "^per-chain time must exceed burn_in")])
+def test_pooled_samples_name_a_bad_argument(name, value, match):
+    model, cfg, base = _entry_setup()
+    args = {"t_total": 10.0, "n_chains": 2, "burn_in": 1.0, name: value}
+    with pytest.raises(ValueError, match=match):
+        pooled_stationary_samples(model, "hmm", cfg, 0.0, None, base=base,
+                                  **args)
 
 
 def test_zero_sizes_are_rejected():

@@ -11,7 +11,7 @@ from fastslow import (JumpModel, Reaction, RngStream, birth_death,
                       tau_leap_final_states, tau_leap_run)
 from fastslow.jump import (_SEARCH_LAM_MAX, _TAU_CHUNK, _poisson_counts,
                            _poisson_search, _tau_windows)
-from fastslow.rng import StreamBlock
+from fastslow.rng import StreamBlock, _run_keys
 
 
 def _pure_birth(rate=1.0, eps=0.01):
@@ -379,8 +379,7 @@ class TestTauLeap:
         path = tau_leap_run(model, x0, t_end, tau, base.child(3))
         assert len(path) == 71 > _TAU_CHUNK + 1
         ids = np.arange(8)
-        block = _tau_windows(model, x0, t_end, tau,
-                             base.children(ids[:, None]), ids)
+        block = _tau_windows(model, x0, t_end, tau, *_run_keys(base, ids))
         for (t, x), t_lone, x_lone in zip(block, path.times, path.states,
                                           strict=True):
             assert t == t_lone

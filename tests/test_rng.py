@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastslow import RngStream
-from fastslow.rng import StreamBlock, _key_halves
+from fastslow.rng import StreamBlock, _key_halves, _run_keys
 
 
 def _philox_key(root_seed, key):
@@ -77,6 +77,31 @@ def test_non_integer_seeds_and_parts_are_refused(stream):
         stream().normals(1)
     with pytest.raises(TypeError):
         stream().children(np.zeros((1, 1), dtype=int))
+
+
+@pytest.mark.parametrize("key", [(), (5, -2)])
+def test_a_lone_run_is_keyed_by_its_stream(key):
+    base = RngStream(17, key)
+    ids, block = _run_keys(base)
+    assert ids.tolist() == [0]
+    assert np.array_equal(block.keys(), _philox_key(17, key)[None])
+    assert np.array_equal(block.normals(5)[0], base.normals(5))
+
+
+@pytest.mark.parametrize("key", [(), (5, -2)])
+def test_batched_runs_are_keyed_by_their_ids(key):
+    ids, block = _run_keys(RngStream(17, key), np.array([4, 0, -1, 4]))
+    assert ids.tolist() == [4, 0, -1, 4]
+    assert np.array_equal(block.keys(), np.stack(
+        [_philox_key(17, key + (i,)) for i in (4, 0, -1, 4)]))
+
+
+@pytest.mark.parametrize("ids", [[0.5, 1.5], [True, False], [[0, 1]]])
+def test_run_ids_must_be_1d_integers(ids):
+    # a float id cast to int would key chain 0 twice, a flag would key 0/1
+    with pytest.raises(ValueError,
+                       match="^ids must be a 1-D array of integers"):
+        _run_keys(RngStream(1), ids)
 
 
 def test_negative_key_parts_are_distinct():

@@ -40,11 +40,14 @@ class TestSchemeConfig:
                            match=f"^{name} must be positive and finite"):
             _cfg(**{name: value})
 
-    @pytest.mark.parametrize("lam", [0, -1, 1.5, math.inf, math.nan])
+    @pytest.mark.parametrize("lam", [0, -1, 1.5, 2.5, math.inf, math.nan])
     def test_lam_must_be_a_positive_integer(self, lam):
-        with pytest.raises(ValueError,
-                           match="^lam must be a positive integer"):
-            _cfg(lam=lam)
+        # the config and its lambda sweep derive the burst length one way
+        for make in (lambda: _cfg(lam=lam),
+                     lambda: config_for_lambda(_cfg(), lam)):
+            with pytest.raises(ValueError,
+                               match="^lam must be a positive integer"):
+                make()
 
     def test_integral_float_lam_is_stored_as_int(self):
         cfg = _cfg(lam=2.0)
@@ -208,12 +211,6 @@ class TestRunScheme:
         m = fs.LinearOUModel().system()
         with pytest.raises(ValueError, match="^T must be positive and finite"):
             run_scheme(m, scheme, [0.0], [0.0], _cfg(), T=t_end)
-
-    def test_unknown_scheme_is_rejected(self):
-        m = fs.LinearOUModel().system()
-        for scheme in ("midpoint", "averaged"):
-            with pytest.raises(ValueError, match="unknown scheme"):
-                run_scheme(m, scheme, [0.0], [0.0], _cfg(), T=1.0)
 
     def test_direct_step_reads_its_chunk_key(self):
         # direct step s (from 0) takes normal s mod 512 of the stream
