@@ -238,12 +238,12 @@ def _chunks(lanes, n_steps):
         s += len(path)
 
 
-def _lanes(model, scheme, cfg, base, ids, x0, y0, equil_fast_time=None,
+def _lanes(model, scheme, cfg, base, ids, x0, y0, equil_fast_time=0.0,
            allowed=ENSEMBLE_SCHEMES):
     """The lanes of ``scheme`` on the runs ``ids`` of ``base`` (None: the
     one run of ``base``), keyed by :func:`fastslow.rng._run_keys`, at x0
     with every fast replica at y0 (None: the frozen-x fast mean), after an
-    equilibration burst of ``equil_fast_time`` fast time if one is given.
+    equilibration burst of ``equil_fast_time`` fast time if it is positive.
     ValueError for a scheme not in ``allowed`` or a negative or non-finite
     ``equil_fast_time``."""
     k = _replica_count(scheme, cfg, allowed)
@@ -252,10 +252,10 @@ def _lanes(model, scheme, cfg, base, ids, x0, y0, equil_fast_time=None,
     y = model.scalar_ou.mean(x) if y0 is None else y0
     yrep = np.repeat(np.broadcast_to(np.asarray(y, dtype=float),
                                      ids.shape)[:, None], k, axis=1)
-    if equil_fast_time is not None:
-        if not (math.isfinite(equil_fast_time) and equil_fast_time >= 0):
-            raise ValueError("equil_fast_time must be finite and nonnegative,"
-                             f" got {equil_fast_time}")
+    if not (math.isfinite(equil_fast_time) and equil_fast_time >= 0):
+        raise ValueError("equil_fast_time must be finite and nonnegative, "
+                         f"got {equil_fast_time}")
+    if equil_fast_time > 0:
         try:
             _, y_end = burst_batch(
                 model, np.repeat(x, k), yrep.reshape(-1),

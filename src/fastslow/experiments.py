@@ -28,9 +28,8 @@ from .ensemble import ENSEMBLE_SCHEMES, map_blocks, pooled_stationary_samples
 from .fluctuations import (BasinSpec, first_passage_times,
                            histogram_of_samples, ks_distance, quasipotential,
                            quasipotential_derivative, summarize_fpt)
-from .jump import birth_death, ssa_final_states, tau_leap_final_states
-from .models import (DoubleWellModel, LinearOUModel, NonDiffusiveModel,
-                     fixed_points)
+from .jump import ssa_final_states, tau_leap_final_states
+from .models import fixed_points, make_model
 from .rng import RngStream
 from .schemes import SchemeConfig, config_for_lambda
 
@@ -75,17 +74,17 @@ def _list(item):
 _EXPERIMENT_KEYS = {"analysis": (str, REQUIRED, None),
                     "title": (str, "", None), "seed": (int, REQUIRED, None)}
 
-# model name -> (constructor, parameter keys); a parameter the config does
-# not set is left to the constructor's default (and out of the config hash)
+# model name -> its parameter keys, each the make_model parameter of the
+# same name (``sigma`` is ``sigma_f``); a parameter the config does not set
+# is left to the constructor's default (and out of the config hash)
 _SLOW_FAST = {k: (float, None, FINITE) for k in ("theta", "mu", "sigma")}
 _MODELS = {
-    "linear_ou": (LinearOUModel, _SLOW_FAST),
-    "double_well": (DoubleWellModel, _SLOW_FAST),
-    "non_diffusive": (NonDiffusiveModel, {k: (float, None, FINITE)
-                                          for k in ("nu", "sigma")}),
-    "birth_death": (birth_death, {"birth": (float, None, NON_NEGATIVE),
-                                  "death": (float, None, NON_NEGATIVE),
-                                  "eps": (float, None, POSITIVE)}),
+    "linear_ou": _SLOW_FAST,
+    "double_well": _SLOW_FAST,
+    "non_diffusive": {k: (float, None, FINITE) for k in ("nu", "sigma")},
+    "birth_death": {"birth": (float, None, NON_NEGATIVE),
+                    "death": (float, None, NON_NEGATIVE),
+                    "eps": (float, None, POSITIVE)},
 }
 
 
@@ -169,7 +168,7 @@ def parse_config(path, name: str | None = None) -> ExperimentConfig:
                     f"model {model!r} is not available for analysis "
                     f"{analysis!r}; expected one of {spec.models}",
                     line=_find_line(text, "model", "name"), key="name")
-            keys = {**keys, **_MODELS[model][1]}
+            keys = {**keys, **_MODELS[model]}
         for key in got:
             if key not in keys:
                 raise ConfigError(
@@ -241,9 +240,9 @@ def _check_relations(cfg: ExperimentConfig) -> None:
 
 def _model(cfg: ExperimentConfig):
     """The builtin model of ``cfg``, built with its config parameters."""
-    build = _MODELS[cfg.model_name][0]
-    return build(**{("sigma_f" if k == "sigma" else k): v
-                    for k, v in cfg.model_params.items()})
+    return make_model(cfg.model_name,
+                      **{("sigma_f" if k == "sigma" else k): v
+                         for k, v in cfg.model_params.items()})
 
 
 def _scheme_config(cfg: ExperimentConfig, lam: int) -> SchemeConfig:

@@ -120,10 +120,10 @@ def first_passage_times(model: FastSlowModel, scheme: str, cfg: SchemeConfig,
     """Sample first-passage times of the slow variable for one scheme.
 
     Each sample starts at basin.start_point with a fast state equilibrated
-    by ``equil_fast_time`` units of unit-rate fast time, and runs until the
-    threshold crossing or ``t_cap``. Sample i draws from the substreams of
-    ``RngStream(cfg.root_seed)`` keyed by i, so results do not depend on
-    block size, executor or worker count.
+    by ``equil_fast_time`` units of unit-rate fast time (0: none), and runs
+    until the threshold crossing or ``t_cap``. Sample i draws from the
+    substreams of ``RngStream(cfg.root_seed)`` keyed by i, so results do
+    not depend on block size, executor or worker count.
     Returns (elapsed, censored) arrays in sample order; censored samples
     carry elapsed = t_cap and should be excluded from means.
 

@@ -1,16 +1,19 @@
-"""Builtin fast-slow systems and their analytic oracles.
+"""Builtin models, the one registry that names them, and their oracles.
 
-Three scalar (d = e = 1) systems with an Ornstein-Uhlenbeck-type fast
-process:
+``BUILTIN_MODELS`` maps every ``[model] name`` a config may give to its
+constructor; :func:`make_model` builds one by name. ``birth_death`` is the
+jump chain of :func:`fastslow.jump.birth_death`; the other three are scalar
+(d = e = 1) fast-slow systems with an Ornstein-Uhlenbeck-type fast process:
 
 * ``linear_ou``      dx/dt = y - x,        dy = (theta/eps)(mu x - y) dt + (sigma/sqrt(eps)) dW
 * ``double_well``    dx/dt = y - x^3,      same fast process (mu > 0 gives two wells)
 * ``non_diffusive``  dx/dt = y^2 - nu x,   dy = -(1/eps) gamma(x) y dt + (sigma/sqrt(eps)) dW
 
 with gamma(x) = x^4/10 - x^2 + 3 (strictly positive, minimum 1/2). Each
-model provides its closed-form averaged drift plus, for the linear system,
-the stationary variance predicted for the slow variable, and for the
-non-diffusive system its fixed points.
+SDE model provides its closed-form averaged drift plus, for the linear
+system, the stationary variance predicted for the slow variable, and for
+the non-diffusive system its fixed points. Every constructor rejects
+non-finite parameters.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sde import FastSlowModel, ScalarOU
+from .jump import birth_death
+from .sde import FastSlowModel, ScalarOU, _positive
 
 
 @dataclass(frozen=True)
@@ -33,12 +37,13 @@ class LinearOUModel:
     sigma_f: float = 5.0
 
     def __post_init__(self):
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
-        if self.mu >= 1:
-            raise ValueError("mu must be < 1 for a stable averaged flow")
-        if self.sigma_f < 0:
-            raise ValueError("sigma_f must be nonnegative")
+        _positive("theta", self.theta)
+        if not (math.isfinite(self.mu) and self.mu < 1):
+            raise ValueError("mu must be finite and < 1 for a stable "
+                             f"averaged flow, got {self.mu}")
+        if not (math.isfinite(self.sigma_f) and self.sigma_f >= 0):
+            raise ValueError("sigma_f must be finite and nonnegative, got "
+                             f"{self.sigma_f}")
 
     def averaged_drift(self, x):
         return (self.mu - 1.0) * np.asarray(x, dtype=float)
@@ -46,7 +51,7 @@ class LinearOUModel:
     def system(self) -> FastSlowModel:
         th, mu = self.theta, self.mu
         return FastSlowModel(
-            lambda x, y: y - x, averaged_drift=self.averaged_drift,
+            lambda x, y: y - x,
             scalar_ou=ScalarOU(decay=lambda x: th,
                                mean=lambda x: mu * np.asarray(x, dtype=float),
                                sigma=self.sigma_f),
@@ -63,12 +68,11 @@ class DoubleWellModel:
     sigma_f: float = 15.0
 
     def __post_init__(self):
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive (two wells)")
-        if self.sigma_f < 0:
-            raise ValueError("sigma_f must be nonnegative")
+        _positive("theta", self.theta)
+        _positive("mu", self.mu)  # two wells
+        if not (math.isfinite(self.sigma_f) and self.sigma_f >= 0):
+            raise ValueError("sigma_f must be finite and nonnegative, got "
+                             f"{self.sigma_f}")
 
     def averaged_drift(self, x):
         x = np.asarray(x, dtype=float)
@@ -77,7 +81,7 @@ class DoubleWellModel:
     def system(self) -> FastSlowModel:
         th, mu = self.theta, self.mu
         return FastSlowModel(
-            lambda x, y: y - x ** 3, averaged_drift=self.averaged_drift,
+            lambda x, y: y - x ** 3,
             scalar_ou=ScalarOU(decay=lambda x: th,
                                mean=lambda x: mu * np.asarray(x, dtype=float),
                                sigma=self.sigma_f),
@@ -93,10 +97,8 @@ class NonDiffusiveModel:
     sigma_f: float = math.sqrt(3.0)
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
-        if self.sigma_f <= 0:
-            raise ValueError("sigma_f must be positive")
+        _positive("nu", self.nu)
+        _positive("sigma_f", self.sigma_f)
 
     @staticmethod
     def gamma(x):
@@ -121,7 +123,6 @@ class NonDiffusiveModel:
         nu = self.nu
         return FastSlowModel(
             lambda x, y: y ** 2 - nu * x,
-            averaged_drift=self.averaged_drift,
             scalar_ou=ScalarOU(decay=self.gamma, mean=lambda x: 0.0,
                                sigma=self.sigma_f),
             name="non_diffusive")
@@ -131,18 +132,20 @@ BUILTIN_MODELS = {
     "linear_ou": LinearOUModel,
     "double_well": DoubleWellModel,
     "non_diffusive": NonDiffusiveModel,
+    "birth_death": birth_death,
 }
 
 
 def make_model(name: str, **params):
-    """Instantiate a builtin model by registry name."""
+    """The builtin model ``name`` of ``BUILTIN_MODELS``, built with
+    ``params``; ValueError for a name it does not hold."""
     try:
-        cls = BUILTIN_MODELS[name]
+        build = BUILTIN_MODELS[name]
     except KeyError:
         raise ValueError(
             f"unknown model {name!r}; builtins: {sorted(BUILTIN_MODELS)}"
         ) from None
-    return cls(**params)
+    return build(**params)
 
 
 def clt_stationary_variance_linear(model: LinearOUModel, eps: float,
@@ -175,8 +178,8 @@ def clt_stationary_variance_linear(model: LinearOUModel, eps: float,
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def fixed_points(model: NonDiffusiveModel, x_max: float = 10.0):
-    """The three equilibria of the non-diffusive averaged flow on (0, x_max).
+def fixed_points(model: NonDiffusiveModel):
+    """The three equilibria of the non-diffusive averaged flow on (0, 10).
 
     Scans sign changes of F at resolution 1e-3 and refines each bracket by
     bisection to 1e-10. Returns (left_stable, unstable, right_stable);
@@ -191,7 +194,7 @@ def fixed_points(model: NonDiffusiveModel, x_max: float = 10.0):
     def F(x):
         return float(model.averaged_drift(x))
 
-    grid = np.arange(1e-6, x_max, 1e-3)
+    grid = np.arange(1e-6, 10.0, 1e-3)
     values = model.averaged_drift(grid)
     sign_change = np.nonzero(np.diff(np.sign(values)) != 0)[0]
     roots = [bisect(F, grid[i], grid[i + 1], xtol=1e-10) for i in sign_change]

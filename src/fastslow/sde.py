@@ -68,8 +68,6 @@ class FastSlowModel:
     Args:
         f: slow drift f(x, y), elementwise in arrays of lanes.
         scalar_ou: the :class:`ScalarOU` fast process.
-        averaged_drift: optional closed-form averaged slow drift F(x), the
-            oracle that the schemes' slow paths are checked against.
         name: label recorded in trajectory metadata.
 
     The lane drivers call ``f``, ``decay`` and ``mean`` on whole chunks of
@@ -80,7 +78,6 @@ class FastSlowModel:
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     scalar_ou: ScalarOU
-    averaged_drift: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = "custom"
 
     def __post_init__(self):
@@ -94,8 +91,8 @@ class Trajectory:
     """Recorded slow-variable path with provenance metadata.
 
     ``times`` is strictly increasing and aligned with ``states`` of shape
-    (n, d). ``meta`` carries at least the scheme name, the config hash and
-    the root seed.
+    (n, d). ``meta`` carries at least the scheme, model, ``eps`` and root
+    seed; a :func:`~fastslow.schemes.run_scheme` path also its config hash.
     """
 
     times: np.ndarray

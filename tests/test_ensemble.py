@@ -403,6 +403,17 @@ def test_pooled_samples_burn_in_validation():
 
 
 @pytest.mark.parametrize("scheme", ["direct", "hmm", "phmm"])
+def test_zero_equilibration_runs_no_burst(scheme):
+    # equil_fast_time 0 leaves every fast replica at the frozen-x fast mean
+    model, cfg, base = _entry_setup()
+    x0 = np.array([-0.5, 0.25, 1.0])
+    lanes = _lanes(model, scheme, cfg, base, np.arange(3), x0, None, 0.0)
+    y = lanes.y.reshape(3, -1)
+    assert np.array_equal(y, np.broadcast_to(model.scalar_ou.mean(x0)[:, None],
+                                             y.shape))
+
+
+@pytest.mark.parametrize("scheme", ["direct", "hmm", "phmm"])
 def test_equilibration_failure_names_the_chain(scheme):
     # decay -1 at micro_dt 1 doubles the fast state every equilibration
     # step, so it overflows after about 1,025 of the 2,000 steps

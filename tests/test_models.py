@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ import fastslow as fs
 from fastslow import (DoubleWellModel, LinearOUModel, NonDiffusiveModel,
                       RngStream, clt_stationary_variance_linear, fixed_points)
 from fastslow.ensemble import burst_batch
+from fastslow.experiments import _MODELS, ANALYSES
 
 
 class TestBuiltinConstruction:
@@ -17,6 +19,29 @@ class TestBuiltinConstruction:
         for name in ("linear_ou", "double_well", "non_diffusive"):
             model = fs.make_model(name)
             assert model.system().name == name
+
+    def test_every_config_model_builds_from_the_registry(self):
+        # every [model] name of ANALYSES builds through make_model, and its
+        # config keys, sigma read as sigma_f, are constructor parameters
+        for name in {m for a in ANALYSES.values() for m in a.models}:
+            assert fs.make_model(name) is not None
+            params = inspect.signature(fs.BUILTIN_MODELS[name]).parameters
+            keys = {"sigma_f" if k == "sigma" else k for k in _MODELS[name]}
+            assert keys <= set(params), name
+        assert fs.make_model("birth_death", eps=0.02).eps == 0.02
+
+    @pytest.mark.parametrize("cls, param, value", [
+        (LinearOUModel, "theta", math.nan), (LinearOUModel, "theta", math.inf),
+        (LinearOUModel, "mu", math.nan), (LinearOUModel, "mu", -math.inf),
+        (LinearOUModel, "sigma_f", math.inf),
+        (DoubleWellModel, "theta", math.inf), (DoubleWellModel, "mu", math.inf),
+        (DoubleWellModel, "mu", math.nan), (DoubleWellModel, "sigma_f", math.nan),
+        (NonDiffusiveModel, "nu", math.inf), (NonDiffusiveModel, "nu", math.nan),
+        (NonDiffusiveModel, "sigma_f", math.nan),
+        (NonDiffusiveModel, "sigma_f", math.inf)])
+    def test_non_finite_parameters_are_rejected(self, cls, param, value):
+        with pytest.raises(ValueError, match=f"^{param} must be"):
+            cls(**{param: value})
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown model"):

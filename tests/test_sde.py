@@ -81,10 +81,13 @@ def test_blowup_is_reported_with_step_index():
     {}, {"scalar_ou": None}, {"scalar_ou": (1.0, 0.0, 1.0)},
     {"scalar_ou": fs.ScalarOU(lambda x: 1.0, lambda x: 0.0, 1.0),
      "g": lambda x, y: -y},
+    {"scalar_ou": fs.ScalarOU(lambda x: 1.0, lambda x: 0.0, 1.0),
+     "averaged_drift": lambda x: -x},
 ])
 def test_model_is_f_and_a_scalar_ou(kwargs):
     # a missing or malformed fast process, or a field of the deleted
-    # general (d, e) form, fails when the model is built
+    # general (d, e) form or averaged-drift oracle, fails when the model
+    # is built
     with pytest.raises(TypeError):
         FastSlowModel(lambda x, y: y, **kwargs)
 
